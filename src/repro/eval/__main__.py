@@ -7,9 +7,10 @@ representative per TRR version; pass ``--modules all`` for the full
 inference under injected faults (``--faults`` picks the fault profile).
 
 ``--workers N`` shards module-level work units over N processes through
-:mod:`repro.parallel` (default: one per CPU); ``--workers 1`` runs the
-sequential code path unchanged.  Artifact bytes are identical for any
-worker count.
+:mod:`repro.parallel` (default: one per CPU); ``--workers 1`` runs each
+unit in this process through the pool's executor, with the pool's retry
+and quarantine and a per-unit registry folded in submission order.
+Artifact bytes are identical for any worker count.
 
 Rendered artifacts go to **stdout** and are deterministic for a given
 artifact/scale/module selection; progress and timing go to **stderr**
@@ -62,7 +63,7 @@ from ..obs import (CommandProfiler, MetricsRegistry, RunHistory,
 from ..parallel import default_workers
 from ..vendors import all_modules
 from . import (REPRESENTATIVE_MODULES, TABLE1_REPRESENTATIVES, get_scale,
-               run_ablations, run_fig8, run_fig8_many, run_fig9, run_fig10,
+               run_ablations, run_fig8_many, run_fig9, run_fig10,
                run_table1)
 from .fig8 import SWEEPS
 
@@ -88,8 +89,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="fault profile for the resilience artifact")
     parser.add_argument("--workers", type=int, default=default_workers(),
                         help="process-pool width for module-level work "
-                             "units (default: CPU count; 1 = the "
-                             "sequential code path)")
+                             "units (default: CPU count; 1 = run each "
+                             "unit in this process, same executor)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress/timing output on stderr "
                              "(stdout artifact bytes are unaffected)")
@@ -174,11 +175,10 @@ def main(argv: list[str] | None = None) -> int:
              modules=args.modules or "default", workers=workers,
              git=manifest["git"])
 
-    from .engine import EngineConfig
-    engine = EngineConfig(workers=workers, log=log, metrics=metrics,
-                          telemetry=telemetry, profiler=profiler,
-                          cache=cache,
-                          evidence=evidence).harness_kwargs()
+    # The keyword arguments every harness forwards to run_units.
+    engine = dict(workers=workers, log=log, metrics=metrics,
+                  telemetry=telemetry, profiler=profiler, cache=cache,
+                  evidence=evidence)
     started = time.time()
     with spans.span(args.artifact, scale=scale.name, workers=workers):
         if args.artifact == "resilience":

@@ -23,12 +23,11 @@ from ..attacks import (AttackExecutor, DoubleSidedPattern,
                        ManySidedPattern, SingleSidedPattern,
                        VendorAPattern, default_context)
 from ..dram import ActBatch, AllOnes, DramChip, HammerMode
-from ..parallel import WorkUnit
+from ..parallel import WorkUnit, run_units
 from ..softmc import SoftMCHost
 from ..trr import ParaMitigation
 from ..vendors import get_module
 from ..vendors.spec import ModuleSpec, TrrVersion
-from .engine import EngineConfig
 from .report import render_table
 from .runner import evaluate_baseline, evaluate_module
 from .scale import STANDARD, EvalScale
@@ -164,20 +163,12 @@ ABLATIONS = (
 )
 
 
-def run_ablations(scale: EvalScale = STANDARD, workers: int = 1,
-                  log=None, metrics=None, telemetry=None,
-                  profiler=None, cache=None,
-                  evidence=None) -> list[AblationResult]:
-    """All four ablation studies, sharded over *workers* processes.
-
-    Results come back in AB1..AB4 order; ``workers=1`` runs each study
-    inline, in order, exactly as the sequential CLI always has.
-    """
+def run_ablations(scale: EvalScale = STANDARD,
+                  **engine) -> list[AblationResult]:
+    """All four ablation studies, one unit each, in AB1..AB4 order;
+    *engine* is forwarded to :func:`repro.parallel.run_units`."""
     units = [WorkUnit(unit_id=f"ablations/{name}", fn=fn, args=(scale,),
                       meta={"ablation": name, "scale": scale.name,
                             "artifact": "ablations"})
              for name, fn in ABLATIONS]
-    engine = EngineConfig(workers=workers, log=log, metrics=metrics,
-                          telemetry=telemetry, profiler=profiler,
-                          cache=cache, evidence=evidence)
-    return engine.run(units).values
+    return run_units(units, **engine).values

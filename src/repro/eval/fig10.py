@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 from ..ecc import (ChipkillOutcome, DecodeStatus, assess_ecc,
                    dataword_flip_counts, required_rs_parity_symbols)
-from ..vendors import all_modules, get_module
-from .engine import EngineConfig
+from .fig9 import run_fig9
 from .report import render_histogram, render_table
-from .runner import ModuleEvaluation, evaluate_module, evaluate_modules
+from .runner import ModuleEvaluation
 from .scale import STANDARD, EvalScale
 
 
@@ -63,22 +62,11 @@ class Fig10Result:
 def run_fig10(module_ids: list[str] | None = None,
               scale: EvalScale = STANDARD,
               evaluations: list[ModuleEvaluation] | None = None,
-              positions: int | None = None, workers: int = 1,
-              log=None, metrics=None, telemetry=None,
-              profiler=None, cache=None, evidence=None) -> Fig10Result:
-    """Reuses Figure 9 evaluations when given (same underlying sweep)."""
+              positions: int | None = None, **engine) -> Fig10Result:
+    """Reuses Figure 9 evaluations when given (same underlying sweep);
+    otherwise runs Figure 9's units, forwarding *engine* to
+    :func:`repro.parallel.run_units`."""
     if evaluations is None:
-        engine = EngineConfig(workers=workers, log=log, metrics=metrics,
-                              telemetry=telemetry, profiler=profiler,
-                              cache=cache, evidence=evidence)
-        if engine.active:
-            ids = (list(module_ids) if module_ids
-                   else [spec.module_id for spec in all_modules()])
-            evaluations = evaluate_modules(ids, scale, positions,
-                                           **engine.harness_kwargs())
-        else:
-            specs = ([get_module(module_id) for module_id in module_ids]
-                     if module_ids else all_modules())
-            evaluations = [evaluate_module(spec, scale, positions)
-                           for spec in specs]
+        evaluations = run_fig9(module_ids, scale, positions,
+                               **engine).evaluations
     return Fig10Result(evaluations=evaluations)

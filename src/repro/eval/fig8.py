@@ -17,9 +17,8 @@ from ..attacks import (VendorAPattern, VendorBPattern, VendorCPattern,
 from ..attacks.sweep import HammerSweepResult
 from ..core.mapping_re import CouplingTopology
 from ..errors import ConfigError
-from ..parallel import WorkUnit, unit_observability
+from ..parallel import WorkUnit, run_units, unit_observability
 from ..vendors import get_module
-from .engine import EngineConfig
 from .report import render_table
 from .scale import STANDARD, EvalScale
 
@@ -96,16 +95,12 @@ def run_fig8(module_id: str, scale: EvalScale = STANDARD,
 
 
 def run_fig8_many(module_ids, scale: EvalScale = STANDARD,
-                  workers: int = 1, log=None, metrics=None,
-                  telemetry=None, profiler=None,
-                  cache=None, evidence=None) -> list[Fig8Result]:
-    """One hammer sweep per module, sharded over *workers* processes."""
+                  **engine) -> list[Fig8Result]:
+    """One hammer sweep per module; *engine* is forwarded to
+    :func:`repro.parallel.run_units` (``workers`` shards the sweeps)."""
     units = [WorkUnit(unit_id=f"fig8/{module_id}", fn=run_fig8,
                       args=(module_id, scale),
                       meta={"module": module_id, "scale": scale.name,
                             "artifact": "fig8"})
              for module_id in module_ids]
-    engine = EngineConfig(workers=workers, log=log, metrics=metrics,
-                          telemetry=telemetry, profiler=profiler,
-                          cache=cache, evidence=evidence)
-    return engine.run(units).values
+    return run_units(units, **engine).values

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..vendors import all_modules, get_module
-from .engine import EngineConfig
+from ..vendors import all_modules
 from .report import format_pct, render_table
-from .runner import ModuleEvaluation, evaluate_module, evaluate_modules
+from .runner import ModuleEvaluation, evaluate_modules
 from .scale import STANDARD, EvalScale
 
 
@@ -44,22 +43,16 @@ class Fig9Result:
 
 def run_fig9(module_ids: list[str] | None = None,
              scale: EvalScale = STANDARD,
-             positions: int | None = None, workers: int = 1,
-             log=None, metrics=None, telemetry=None,
-             profiler=None, cache=None, evidence=None) -> Fig9Result:
-    engine = EngineConfig(workers=workers, log=log, metrics=metrics,
-                          telemetry=telemetry, profiler=profiler,
-                          cache=cache, evidence=evidence)
-    if engine.active:
-        ids = (list(module_ids) if module_ids
-               else [spec.module_id for spec in all_modules()])
-        return Fig9Result(evaluations=evaluate_modules(
-            ids, scale, positions, **engine.harness_kwargs()))
-    specs = ([get_module(module_id) for module_id in module_ids]
-             if module_ids else all_modules())
-    evaluations = [evaluate_module(spec, scale, positions)
-                   for spec in specs]
-    return Fig9Result(evaluations=evaluations)
+             positions: int | None = None, **engine) -> Fig9Result:
+    """One evaluation unit per module (default: all 45).
+
+    *engine* is forwarded to :func:`repro.parallel.run_units`
+    (``workers``, ``log``, ``metrics``, ``telemetry``, ``profiler``,
+    ``cache``, ``evidence``).
+    """
+    ids = module_ids or [spec.module_id for spec in all_modules()]
+    return Fig9Result(evaluations=evaluate_modules(ids, scale, positions,
+                                                   **engine))
 
 
 #: One representative module per TRR version (keeps benches tractable).

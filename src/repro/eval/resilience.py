@@ -23,11 +23,10 @@ from ..core import InferenceConfig, InferredTrrProfile, TrrInference
 from ..dram import DramChip
 from ..faults import FaultInjector
 from ..obs import build_manifest
-from ..parallel import WorkUnit, unit_observability
+from ..parallel import WorkUnit, run_units, unit_observability
 from ..rng import derive_seed
 from ..softmc import SoftMCHost
 from ..vendors import ModuleSpec, get_module
-from .engine import EngineConfig
 from .report import render_table
 
 #: One module per vendor, covering the three TRR families of Table 1
@@ -221,40 +220,31 @@ def run_module_resilience(module_id: str, fault_profile: str = "default",
 def run_resilience(module_ids=None, fault_profile: str = "default",
                    seed: int = 0,
                    config: InferenceConfig | None = None,
-                   workers: int = 1, log=None, metrics=None,
-                   telemetry=None, profiler=None,
-                   cache=None, evidence=None) -> ResilienceReport:
+                   **engine) -> ResilienceReport:
     """Chaos runs over one representative module per vendor.
 
-    With ``workers > 1`` the chaos runs shard over a process pool; a
-    module whose worker keeps crashing is *quarantined* — reported by
-    name instead of sinking the whole fleet, the same isolate-and-name
-    semantics the hardened Row Scout applies to misbehaving rows.  A
+    *engine* is forwarded to :func:`repro.parallel.run_units`.  A
+    module whose chaos run keeps failing (or whose worker keeps
+    crashing) is *quarantined* — reported by name instead of sinking
+    the whole fleet, the same isolate-and-name semantics the hardened
+    Row Scout applies to misbehaving rows — at any worker count.  A
     *telemetry* config with a stall deadline additionally arms the
     watchdog: chaos runs whose command counters stop advancing are
     named in the report as STALLED with their last open span.
     """
-    ids = list(module_ids or RESILIENCE_MODULES)
-    engine = EngineConfig(workers=workers, log=log, metrics=metrics,
-                          telemetry=telemetry, profiler=profiler,
-                          cache=cache, evidence=evidence)
-    if engine.active:
-        units = [WorkUnit(unit_id=f"resilience/{module_id}",
-                          fn=run_module_resilience,
-                          args=(module_id, fault_profile, seed, config),
-                          meta={"module": module_id,
-                                "fault_profile": fault_profile,
-                                "seed": seed, "artifact": "resilience"})
-                 for module_id in ids]
-        run = engine.run(units, quarantine=True)
-        return ResilienceReport(
-            modules=run.values,
-            quarantined=[(outcome.unit_id.removeprefix("resilience/"),
-                          outcome.error or "unknown")
-                         for outcome in run.quarantined],
-            stalled=[(stall.unit_id.removeprefix("resilience/"),
-                      stall.describe())
-                     for stall in run.stalled])
-    return ResilienceReport(modules=[
-        run_module_resilience(module_id, fault_profile, seed, config)
-        for module_id in ids])
+    units = [WorkUnit(unit_id=f"resilience/{module_id}",
+                      fn=run_module_resilience,
+                      args=(module_id, fault_profile, seed, config),
+                      meta={"module": module_id,
+                            "fault_profile": fault_profile,
+                            "seed": seed, "artifact": "resilience"})
+             for module_id in module_ids or RESILIENCE_MODULES]
+    run = run_units(units, quarantine=True, **engine)
+    return ResilienceReport(
+        modules=run.values,
+        quarantined=[(outcome.unit_id.removeprefix("resilience/"),
+                      outcome.error or "unknown")
+                     for outcome in run.quarantined],
+        stalled=[(stall.unit_id.removeprefix("resilience/"),
+                  stall.describe())
+                 for stall in run.stalled])

@@ -21,10 +21,9 @@ from ..attacks import (AccessPattern, AttackExecutor,
 from ..attacks.sweep import VulnerabilityResult
 from ..core.mapping_re import CouplingTopology
 from ..errors import AttackConfigError
-from ..parallel import WorkUnit, unit_observability
+from ..parallel import WorkUnit, run_units, unit_observability
 from ..softmc import SoftMCHost
 from ..vendors import ModuleSpec, get_module
-from .engine import EngineConfig
 from .scale import EvalScale
 
 
@@ -167,34 +166,30 @@ def evaluate_module_unit(module_id: str, scale: EvalScale,
 
 
 def evaluate_modules(module_ids, scale: EvalScale,
-                     positions: int | None = None, workers: int = 1,
-                     log=None, metrics=None, telemetry=None,
-                     profiler=None, cache=None,
-                     evidence=None) -> list[ModuleEvaluation]:
-    """Evaluate many modules, sharded over *workers* processes.
+                     positions: int | None = None,
+                     **engine) -> list[ModuleEvaluation]:
+    """Evaluate many modules, one work unit each.
 
-    Results come back in *module_ids* order whatever the scheduling;
-    ``workers=1`` runs each evaluation inline on the sequential path.
-    *metrics* receives every unit's host metrics (identical totals for
-    any worker count); *telemetry* (a
-    :class:`~repro.obs.TelemetryConfig`) publishes live progress into
-    its spool, and *profiler* (a :class:`~repro.obs.CommandProfiler`)
-    collects the folded per-opcode command-bus attribution — both are
-    side channels that leave the artifacts byte-identical.  *cache* (a
-    :class:`~repro.cache.ResultCache`) serves previously computed
-    units from the content-addressed store and publishes fresh ones —
-    the ``eval/<module>`` unit ids are shared with the fig9/fig10
-    harnesses, so a fig9 run warms fig10 and vice versa.
+    Results come back in *module_ids* order whatever the scheduling.
+    *engine* is forwarded to :func:`repro.parallel.run_units`:
+    ``workers`` shards the units over processes, *metrics* receives
+    every unit's host metrics (identical totals for any worker count),
+    *telemetry* (a :class:`~repro.obs.TelemetryConfig`) publishes live
+    progress into its spool, and *profiler* (a
+    :class:`~repro.obs.CommandProfiler`) collects the folded per-opcode
+    command-bus attribution — side channels that leave the artifacts
+    byte-identical.  *cache* (a :class:`~repro.cache.ResultCache`)
+    serves previously computed units from the content-addressed store
+    and publishes fresh ones — the ``eval/<module>`` unit ids are
+    shared with the fig9/fig10 harnesses, so a fig9 run warms fig10
+    and vice versa.
     """
     units = [WorkUnit(unit_id=f"eval/{module_id}",
                       fn=evaluate_module_unit,
                       args=(module_id, scale, positions),
                       meta={"module": module_id, "scale": scale.name})
              for module_id in module_ids]
-    engine = EngineConfig(workers=workers, log=log, metrics=metrics,
-                          telemetry=telemetry, profiler=profiler,
-                          cache=cache, evidence=evidence)
-    return engine.run(units).values
+    return run_units(units, **engine).values
 
 
 def evaluate_baseline(spec: ModuleSpec, scale: EvalScale,

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 from ..attacks import measure_hc_first
 from ..core import InferenceConfig, InferredTrrProfile, TrrInference
-from ..parallel import WorkUnit, unit_observability
+from ..parallel import WorkUnit, run_units, unit_observability
 from ..vendors import ModuleSpec, get_module
-from .engine import EngineConfig
 from .report import format_pct, render_table
 from .runner import ModuleEvaluation, evaluate_module
 from .scale import STANDARD, EvalScale
@@ -130,19 +129,12 @@ TABLE1_REPRESENTATIVES = ("A0", "A13", "B0", "B9", "B13",
 
 
 def run_table1(module_ids=None, scale: EvalScale = STANDARD,
-               workers: int = 1, log=None, metrics=None,
-               telemetry=None, profiler=None, cache=None,
-               evidence=None) -> Table1Result:
-    ids = list(module_ids or TABLE1_REPRESENTATIVES)
-    engine = EngineConfig(workers=workers, log=log, metrics=metrics,
-                          telemetry=telemetry, profiler=profiler,
-                          cache=cache, evidence=evidence)
-    if engine.active:
-        units = [WorkUnit(unit_id=f"table1/{module_id}",
-                          fn=run_table1_module, args=(module_id, scale),
-                          meta={"module": module_id, "scale": scale.name,
-                                "artifact": "table1"})
-                 for module_id in ids]
-        return Table1Result(rows=engine.run(units).values)
-    return Table1Result(rows=[run_table1_module(module_id, scale)
-                              for module_id in ids])
+               **engine) -> Table1Result:
+    """One Table 1 unit per module; *engine* is forwarded to
+    :func:`repro.parallel.run_units`."""
+    units = [WorkUnit(unit_id=f"table1/{module_id}",
+                      fn=run_table1_module, args=(module_id, scale),
+                      meta={"module": module_id, "scale": scale.name,
+                            "artifact": "table1"})
+             for module_id in module_ids or TABLE1_REPRESENTATIVES]
+    return Table1Result(rows=run_units(units, **engine).values)

@@ -8,8 +8,8 @@ against sequential ones.  See :mod:`repro.parallel.engine`.
 """
 
 from .engine import (ENGINE_SEEDS, ParallelRun, UnitOutcome, WorkUnit,
-                     default_workers, parallel_map, run_units,
-                     unit_observability, unit_seed)
+                     default_workers, run_units, unit_observability,
+                     unit_seed)
 
 __all__ = [
     "ENGINE_SEEDS",
@@ -17,7 +17,6 @@ __all__ = [
     "UnitOutcome",
     "WorkUnit",
     "default_workers",
-    "parallel_map",
     "run_units",
     "unit_observability",
     "unit_seed",

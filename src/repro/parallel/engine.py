@@ -7,32 +7,32 @@ random property from a :class:`~repro.rng.SeedSequenceFactory` keyed by
 the module serial — so the work shards perfectly across processes.
 What does NOT come for free is *reproducibility discipline*:
 
-* **Determinism** — results are merged in submission order, every unit
-  carries a seed derived from its stable ``unit_id`` (never from worker
-  identity, scheduling order, or wall clock), and a run with ``workers=1``
-  executes the task functions inline on the exact code path a sequential
-  caller would use.  Artifacts must diff byte-for-byte against a
-  sequential run.
+* **Determinism** — results are merged in submission order, and every
+  unit carries a seed derived from its stable ``unit_id`` (never from
+  worker identity, scheduling order, or wall clock).  Every unit runs
+  through one executor, :func:`_execute`: a pool worker calls it per
+  unit, and a run with ``workers=1`` calls it in this process, one unit
+  after another, with no pool and no pickling.  Artifacts must diff
+  byte-for-byte across worker counts.
 * **Crash containment** — a worker that dies (OOM killer, segfault in a
   native extension) breaks the whole :class:`ProcessPoolExecutor`; the
   engine rebuilds the pool and retries the lost units up to
-  ``max_attempts``.  Units that keep failing are either raised (eval
-  harnesses: fail loudly) or *quarantined* (chaos harnesses: record the
-  failure and keep going), mirroring the Row Scout quarantine semantics
-  of :mod:`repro.faults` — misbehaving work is isolated, named in the
-  report, and never silently dropped.
+  ``max_attempts``.  A unit whose function raises is retried the same
+  way at any worker count.  Units that keep failing are either raised
+  (eval harnesses: fail loudly) or *quarantined* (chaos harnesses:
+  record the failure and keep going), mirroring the Row Scout
+  quarantine semantics of :mod:`repro.faults` — misbehaving work is
+  isolated, named in the report, and never silently dropped.
 * **Auditability** — every unit gets a :func:`repro.obs.build_manifest`
   manifest (``include_time=False``, no worker identity) so per-unit
   artifacts from a parallel run diff clean against a sequential run.
-* **Complete metrics** — each work unit records into an *ambient*
+* **Complete metrics** — each work unit records into a fresh *ambient*
   per-unit :class:`~repro.obs.Observability` (reachable inside the
-  unit via :func:`unit_observability`); pool workers ship their
-  registry back with the result and the engine folds every unit's
+  unit via :func:`unit_observability`); its registry's dump rides home
+  on the unit's :class:`UnitOutcome` and the engine folds every unit's
   counters and histograms into the caller's registry **in submission
   order**, so ``metrics.json`` from a ``--workers N`` run equals the
-  sequential one.  With ``workers=1`` (and no telemetry) the ambient
-  registry *is* the caller's registry — no copy, the exact sequential
-  path.
+  ``--workers 1`` one.
 * **Live telemetry stays off the artifact path** — a
   :class:`~repro.obs.TelemetryConfig` makes every unit publish
   ``unit-start`` / ``heartbeat`` / ``unit-done`` events (wall-clock,
@@ -40,12 +40,12 @@ What does NOT come for free is *reproducibility discipline*:
   into a spool directory; nothing telemetry-derived ever reaches a
   manifest, the metrics fold, or a rendered artifact, so enabling it
   cannot perturb byte-identity.  ``stall_deadline_s`` arms a
-  coordinator-side :class:`~repro.obs.Watchdog` that flags units whose
-  command counters stop advancing.
+  coordinator-side :class:`~repro.obs.Watchdog` that flags pool units
+  whose command counters stop advancing.
 * **Per-unit profiling folds like metrics** — a caller-supplied
   :class:`~repro.obs.CommandProfiler` makes each unit profile its host
-  command bus; dumps ship home in the result envelope and fold in
-  submission order.
+  command bus; dumps ride home on the outcome and fold in submission
+  order.
 * **Results are cacheable** — a caller-supplied
   :class:`~repro.cache.ResultCache` makes the engine consult a
   content-addressed store before dispatching each unit and publish the
@@ -59,6 +59,7 @@ What does NOT come for free is *reproducibility discipline*:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -85,8 +86,8 @@ def unit_seed(unit_id: str) -> int:
 
 
 #: The ambient per-unit observability bundle: bound while a work unit's
-#: function executes (wrapping the caller's registry inline, a fresh
-#: shipped-home registry in a pool worker), None outside any unit.
+#: function executes (always a fresh registry the engine folds into
+#: the caller's), None outside any unit.
 _unit_obs: Observability | None = None
 
 
@@ -94,29 +95,14 @@ def unit_observability() -> Observability:
     """The executing work unit's ambient observability bundle.
 
     Unit functions call this (directly or via an ``obs=None`` fallback)
-    to reach the registry — and, when the run profiles, the span
-    tracker and command profiler — the engine folds into the caller's
-    instruments.  Outside a unit — or when the caller runs without
-    metrics — this is :data:`~repro.obs.NULL_OBS`, so instrumented
-    code never branches.
+    to reach the unit's registry — and, when the run profiles, the span
+    tracker and command profiler — which the engine folds into the
+    caller's instruments.  Outside a unit this is
+    :data:`~repro.obs.NULL_OBS`, so instrumented code never branches.
     """
     if _unit_obs is None:
         return NULL_OBS
     return _unit_obs
-
-
-def _ambient(metrics=None, spans=None, profiler=None,
-             evidence=None) -> Observability | None:
-    """An ambient bundle around whichever instruments a unit has."""
-    if (metrics is None and spans is None and profiler is None
-            and evidence is None):
-        return None
-    return Observability(
-        recorder=NULL_OBS.recorder,
-        metrics=metrics if metrics is not None else NULL_OBS.metrics,
-        spans=spans if spans is not None else NULL_OBS.spans,
-        profiler=profiler if profiler is not None else NULL_OBS.profiler,
-        evidence=evidence)
 
 
 def default_workers() -> int:
@@ -162,8 +148,8 @@ class UnitOutcome:
     quarantined: bool = False
     error: str | None = None
     manifest: dict = field(default_factory=dict)
-    #: Metrics the unit recorded (``as_dict`` form; pool runs only —
-    #: inline units write straight into the caller's registry).
+    #: Metrics the unit recorded (``as_dict`` form; None when it
+    #: recorded nothing).
     metrics: dict | None = None
     #: Measured wall-clock seconds of the winning attempt.  Side
     #: channel: never part of the manifest or any rendered artifact.
@@ -172,7 +158,8 @@ class UnitOutcome:
     #: form; only populated when the run profiles).
     profile: dict | None = None
     #: Span timeline the unit recorded (``SpanTracker.as_timeline``
-    #: form; only populated on cache-captured or cached runs).
+    #: form; only populated when telemetry, profiling or the cache
+    #: tracks spans).
     spans: list | None = None
     #: Evidence nodes the unit's provenance ledger recorded (dumped
     #: dict form; only populated when the run carries a ledger).
@@ -243,21 +230,6 @@ class ParallelRun:
         return timed[:count]
 
 
-@dataclass
-class _UnitEnvelope:
-    """Pool-worker return wrapper: the unit's value plus side-channel
-    observability (metrics dump, measured wall, per-opcode profile)."""
-
-    value: Any
-    metrics: dict | None = None
-    wall_s: float | None = None
-    profile: dict | None = None
-    #: Span timeline (capture mode only — cache publishing needs it).
-    spans: list | None = None
-    #: Dumped evidence nodes (ledger-carrying runs only).
-    evidence: list | None = None
-
-
 def _publish(sink, kind: str, **fields) -> None:
     """Publish one telemetry event; the spool must never kill work."""
     if sink is None:
@@ -268,49 +240,48 @@ def _publish(sink, kind: str, **fields) -> None:
         pass
 
 
-def _unit_done_fields(registry, spans, origin_ts, profiler, wall_s,
-                      error, evidence=None) -> dict:
+def _done_fields(outcome: UnitOutcome, origin_ts: float) -> dict:
     """The ``unit-done`` event payload (progress + distributed spans)."""
+    counters = (outcome.metrics or {}).get("counters", {})
     fields: dict = {
-        "wall_s": round(wall_s, 6),
-        "commands": sum(registry.counter(name)
+        "wall_s": round(outcome.wall_s or 0.0, 6),
+        "commands": sum(counters.get(name, 0)
                         for name in COMMAND_COUNTERS),
     }
-    dump = registry.as_dict()
-    if any(dump.values()):
-        fields["metrics"] = dump
-    if spans is not None and spans.spans:
-        fields["spans"] = spans.as_timeline()
+    if outcome.metrics:
+        fields["metrics"] = outcome.metrics
+    if outcome.spans:
+        fields["spans"] = outcome.spans
         fields["origin_ts"] = round(origin_ts, 6)
-    if profiler is not None and profiler.commands:
-        fields["profile"] = profiler.as_dict()
-    if evidence is not None and evidence.nodes:
+    if outcome.profile:
+        fields["profile"] = outcome.profile
+    if outcome.evidence:
         from ..obs.evidence import nodes_summary
-        fields["evidence"] = nodes_summary(evidence.nodes)
-    if error is not None:
-        fields["error"] = f"{type(error).__name__}: {error}"
+        fields["evidence"] = nodes_summary(outcome.evidence)
+    if outcome.error is not None:
+        fields["error"] = outcome.error
     return fields
 
 
-def _call_unit(unit: WorkUnit, telemetry=None, profile: bool = False,
-               capture: bool = False, evidence: bool = False) -> Any:
-    """Top-level trampoline the pool pickles instead of the unit fn.
+def _execute(unit: WorkUnit, telemetry=None, profile: bool = False,
+             capture: bool = False, evidence: bool = False) -> UnitOutcome:
+    """Run one unit in this process; return its outcome with the dumps.
 
-    Runs in the worker process: binds a fresh ambient bundle for the
-    unit's duration and ships the registry (plus measured wall and any
-    profile) home in a :class:`_UnitEnvelope`.  With *telemetry*, the
-    worker additionally publishes ``unit-start`` / ``heartbeat`` /
-    ``unit-done`` events into the spool — side channel only.  With
-    *capture* (cache-backed runs), the span timeline ships home too so
-    the published cache envelope is complete.  With *evidence*, the
-    unit records provenance into a fresh ledger whose dumped nodes
-    ship home for the caller's submission-order fold.
+    The one per-unit executor.  It binds a fresh ambient bundle for the
+    unit's duration: always a registry; a span tracker when *telemetry*,
+    *profile* or *capture* (the cache's envelope) needs one; a command
+    profiler with *profile*; an evidence ledger with *evidence*.  Their
+    dumps and the measured wall ride on the returned outcome for the
+    caller's submission-order fold.  With *telemetry* the unit also
+    publishes ``unit-start`` / ``heartbeat`` / ``unit-done`` events —
+    side channel only.  An exception from the unit propagates after its
+    ``unit-done`` event.
     """
     global _unit_obs
     live = telemetry is not None
     registry = MetricsRegistry()
     spans = SpanTracker() if (live or profile or capture) else None
-    origin_ts = time.time() if spans is not None else None
+    origin_ts = time.time()
     profiler = CommandProfiler(spans=spans) if profile else None
     ledger = None
     if evidence:
@@ -323,37 +294,48 @@ def _call_unit(unit: WorkUnit, telemetry=None, profile: bool = False,
         if telemetry.heartbeats:
             heartbeat = Heartbeat(sink, metrics=registry, spans=spans,
                                   interval_s=telemetry.interval_s).start()
-    _unit_obs = _ambient(metrics=registry, spans=spans, profiler=profiler,
-                         evidence=ledger)
+    _unit_obs = Observability(
+        metrics=registry,
+        spans=spans if spans is not None else NULL_OBS.spans,
+        profiler=profiler, evidence=ledger)
+    outcome = UnitOutcome(unit_id=unit.unit_id)
     start = perf_counter()
-    error: BaseException | None = None
     try:
-        value = unit.run()
-    except BaseException as err:
-        error = err
+        outcome.value = unit.run()
+    except BaseException as error:
+        outcome.error = f"{type(error).__name__}: {error}"
         raise
     finally:
         _unit_obs = None
-        wall_s = perf_counter() - start
+        outcome.wall_s = round(perf_counter() - start, 6)
         if heartbeat is not None:
             heartbeat.stop()
+        dump = registry.as_dict()
+        if any(dump.values()):
+            outcome.metrics = dump
+        if spans is not None and spans.spans:
+            outcome.spans = spans.as_timeline()
+        if profiler is not None and profiler.commands:
+            outcome.profile = profiler.as_dict()
+        if ledger is not None and ledger.nodes:
+            outcome.evidence = ledger.dump()
         if sink is not None:
-            _publish(sink, "unit-done",
-                     **_unit_done_fields(registry, spans, origin_ts,
-                                         profiler, wall_s, error,
-                                         evidence=ledger))
-    dump = registry.as_dict()
-    return _UnitEnvelope(
-        value=value,
-        metrics=dump if any(dump.values()) else None,
-        wall_s=round(wall_s, 6),
-        profile=(profiler.as_dict()
-                 if profiler is not None and profiler.commands else None),
-        spans=(spans.as_timeline()
-               if capture and spans is not None and spans.spans
-               else None),
-        evidence=(ledger.dump()
-                  if ledger is not None and ledger.nodes else None))
+            _publish(sink, "unit-done", **_done_fields(outcome, origin_ts))
+    return outcome
+
+
+def _call_unit(unit: WorkUnit, telemetry=None, profile: bool = False,
+               capture: bool = False, evidence: bool = False
+               ) -> UnitOutcome:
+    """The callable the pool submits: :func:`_execute` in a worker.
+
+    A module-level function of its own because the pool pickles it by
+    qualified name, and because it is the pool side alone: the traced
+    benchmark (``perfbench/tracer.py``) replaces this attribute to give
+    each worker unit its own span tree, which in-process units (run
+    through :func:`_execute` directly) must not get.
+    """
+    return _execute(unit, telemetry, profile, capture, evidence)
 
 
 def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
@@ -362,26 +344,29 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
               profiler=None, cache=None, evidence=None) -> ParallelRun:
     """Execute *units*, return outcomes in input order.
 
-    ``workers=1`` runs every unit inline in this process — the exact
-    sequential code path, no pool, no pickling, no retry wrapping — so a
-    single-worker run is byte-for-byte today's behaviour.  With more
-    workers, units are sharded over a process pool; a unit whose worker
-    crashes or whose function raises is retried up to *max_attempts*
-    times and then either re-raised (default) or quarantined.
+    Every unit runs through the same executor: with ``workers=1`` in
+    this process, one after another (no pool, no pickling); with more,
+    sharded over a process pool.  At any worker count a unit whose
+    function raises — or whose worker crashes — is retried up to
+    *max_attempts* times and then either re-raised (default) or
+    quarantined with the same attempt count and error string.
+    In this process ``KeyboardInterrupt`` and ``SystemExit`` propagate
+    at once.
 
     *log*, when given, is a :class:`repro.obs.StructuredLog`; the engine
     emits ``unit-done`` / ``unit-retry`` / ``unit-quarantined`` events.
 
     *metrics*, when given, is a :class:`repro.obs.MetricsRegistry` that
-    receives every unit's recorded metrics: bound as the ambient unit
-    registry inline, folded in submission order from pool workers — the
+    receives every unit's recorded metrics.  Each unit records into its
+    own registry; the dumps are folded in submission order, so the
     final registry is identical for any worker count.
 
     *telemetry*, when given, is a :class:`repro.obs.TelemetryConfig`:
     the run publishes ``run-start`` / ``run-done`` plus per-unit
     progress events into its spool directory, strictly off the
     artifact path.  A ``stall_deadline_s`` arms a coordinator-side
-    watchdog; flagged units land in :attr:`ParallelRun.stalled`.
+    watchdog over pool units; flagged units land in
+    :attr:`ParallelRun.stalled`.
 
     *profiler*, when given, is a :class:`repro.obs.CommandProfiler`
     that receives every unit's per-opcode command-bus attribution,
@@ -422,30 +407,28 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     if coordinator is not None:
         _publish(coordinator, "run-start", units_total=len(units),
                  workers=workers)
-    if cache is not None:
-        run = _run_cached(units, workers, max_attempts=max_attempts,
-                          quarantine=quarantine, log=log,
-                          metrics=metrics, telemetry=telemetry,
-                          profiler=profiler, cache=cache,
-                          coordinator=coordinator, evidence=evidence)
-    elif workers == 1:
-        run = _run_inline(units, log=log, metrics=metrics,
-                          telemetry=telemetry, profiler=profiler,
-                          evidence=evidence)
+    options = dict(telemetry=telemetry, profile=profiler is not None,
+                   capture=cache is not None,
+                   evidence=evidence is not None)
+
+    def execute(batch, on_result=None) -> ParallelRun:
+        return _run(batch, workers, max_attempts=max_attempts,
+                    quarantine=quarantine, log=log, options=options,
+                    coordinator=coordinator, on_result=on_result)
+
+    if cache is None:
+        run = execute(units)
     else:
-        run = _run_pool(units, workers, max_attempts=max_attempts,
-                        quarantine=quarantine, log=log,
-                        telemetry=telemetry,
-                        profile=profiler is not None,
-                        coordinator=coordinator,
-                        evidence=evidence is not None)
-        for outcome in run.outcomes:
-            if metrics is not None and outcome.metrics:
-                metrics.merge(outcome.metrics)
-            if profiler is not None and outcome.profile:
-                profiler.merge(outcome.profile)
-            if evidence is not None and outcome.evidence:
-                evidence.merge(outcome.evidence, unit=outcome.unit_id)
+        run = _run_cached(units, cache, execute, log=log,
+                          telemetry=telemetry)
+    # The one fold: every unit, submission order, cache hits included.
+    for outcome in run.outcomes:
+        if metrics is not None and outcome.metrics:
+            metrics.merge(outcome.metrics)
+        if profiler is not None and outcome.profile:
+            profiler.merge(outcome.profile)
+        if evidence is not None and outcome.evidence:
+            evidence.merge(outcome.evidence, unit=outcome.unit_id)
     if coordinator is not None:
         done_fields: dict = {
             "units_done": sum(1 for o in run.outcomes if o.ok),
@@ -458,125 +441,104 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     return run
 
 
-def _run_inline(units: Sequence[WorkUnit], log=None, metrics=None,
-                telemetry=None, profiler=None, capture: bool = False,
-                profile: bool = False, on_result=None, evidence=None,
-                evidence_capture: bool = False) -> ParallelRun:
-    global _unit_obs
-    live = telemetry is not None
-    outcomes = []
-    for unit in units:
-        # Without telemetry the unit records straight into the caller's
-        # registry (the exact sequential path); with it — or in capture
-        # mode, where the cache needs each unit's own dump — a fresh
-        # per-unit registry feeds heartbeats and the unit-done snapshot
-        # and is folded into the caller's afterwards — the same
-        # submission-order fold the pool performs, so the final
-        # registry is byte-identical either way.
-        unit_metrics = (MetricsRegistry() if (live or capture)
-                        else metrics)
-        spans = (SpanTracker()
-                 if (live or capture or profiler is not None or profile)
-                 else None)
-        origin_ts = time.time() if spans is not None else None
-        unit_prof = (CommandProfiler(spans=spans)
-                     if (profiler is not None or profile) else None)
-        # Evidence always records into a per-unit ledger (never the
-        # caller's directly): nodes are stamped with their unit id at
-        # fold time, which is what keeps a sequential run's merged
-        # ledger byte-identical to a pool run's.
-        unit_ev = None
-        if evidence is not None or evidence_capture:
-            from ..obs.evidence import EvidenceLedger
-            unit_ev = EvidenceLedger()
-        sink = telemetry.sink(unit.unit_id) if live else None
-        heartbeat = None
-        if sink is not None:
-            _publish(sink, "unit-start", **unit_start_fields())
-            if telemetry.heartbeats:
-                heartbeat = Heartbeat(sink, metrics=unit_metrics,
-                                      spans=spans,
-                                      interval_s=telemetry.interval_s
-                                      ).start()
-        _unit_obs = _ambient(metrics=unit_metrics, spans=spans,
-                             profiler=unit_prof, evidence=unit_ev)
-        start = perf_counter()
-        error: BaseException | None = None
-        try:
-            value = unit.run()
-        except BaseException as err:
-            error = err
-            raise
-        finally:
-            _unit_obs = None
-            wall_s = perf_counter() - start
-            if heartbeat is not None:
-                heartbeat.stop()
-            if sink is not None:
-                _publish(sink, "unit-done",
-                         **_unit_done_fields(unit_metrics, spans,
-                                             origin_ts, unit_prof,
-                                             wall_s, error,
-                                             evidence=unit_ev))
-        if live and metrics is not None:
-            metrics.merge(unit_metrics.as_dict())
-        if profiler is not None and unit_prof is not None:
-            profiler.merge(unit_prof)
-        if evidence is not None and unit_ev is not None and unit_ev.nodes:
-            evidence.merge(unit_ev.nodes, unit=unit.unit_id)
+def _run(units: Sequence[WorkUnit], workers: int, *, max_attempts: int,
+         quarantine: bool, log, options: dict, coordinator=None,
+         on_result=None) -> ParallelRun:
+    """Run *units* through the executor: one failure policy for any
+    worker count.  *on_result* sees each unit as it completes."""
+    attempts = {unit.unit_id: 0 for unit in units}
+    slots: dict[str, UnitOutcome] = {}
+    stalled: list = []
+
+    def finish(unit: WorkUnit, outcome: UnitOutcome) -> None:
+        outcome.attempts = attempts[unit.unit_id]
+        outcome.manifest = unit.manifest()
         if log is not None:
-            log.info("unit-done", unit=unit.unit_id, attempts=1)
-        outcome = UnitOutcome(unit_id=unit.unit_id, value=value,
-                              manifest=unit.manifest(),
-                              wall_s=round(wall_s, 6))
-        if unit_ev is not None and unit_ev.nodes:
-            outcome.evidence = unit_ev.dump()
-        if capture:
-            dump = unit_metrics.as_dict()
-            outcome.metrics = dump if any(dump.values()) else None
-            if spans is not None and spans.spans:
-                outcome.spans = spans.as_timeline()
-            if unit_prof is not None and unit_prof.commands:
-                outcome.profile = unit_prof.as_dict()
+            log.info("unit-done", unit=unit.unit_id,
+                     attempts=outcome.attempts)
+        slots[unit.unit_id] = outcome
         if on_result is not None:
             on_result(unit, outcome)
-        outcomes.append(outcome)
-    return ParallelRun(outcomes=outcomes, workers=1)
+
+    pending = list(units)
+    while pending:
+        if workers == 1:
+            pending, failed = _drain_inline(pending, attempts, finish,
+                                            max_attempts, log, options)
+        else:
+            pending, failed = _drain_pool(pending, min(workers, len(units)),
+                                          attempts, finish, max_attempts,
+                                          log, options,
+                                          coordinator=coordinator,
+                                          stalled=stalled)
+        for unit, error in failed:
+            if not quarantine:
+                raise error
+            if log is not None:
+                log.info("unit-quarantined", unit=unit.unit_id,
+                         attempts=attempts[unit.unit_id],
+                         error=type(error).__name__)
+            slots[unit.unit_id] = UnitOutcome(
+                unit_id=unit.unit_id, attempts=attempts[unit.unit_id],
+                quarantined=True, error=f"{type(error).__name__}: {error}",
+                manifest=unit.manifest())
+    outcomes = [slots[unit.unit_id] for unit in units]
+    return ParallelRun(outcomes=outcomes, workers=workers,
+                       stalled=stalled)
 
 
-def _run_cached(units: Sequence[WorkUnit], workers: int, *,
-                max_attempts: int, quarantine: bool, log=None,
-                metrics=None, telemetry=None, profiler=None,
-                cache=None, coordinator=None,
-                evidence=None) -> ParallelRun:
-    """Cache-backed execution: plan, execute misses, replay hits.
+def _drain_inline(pending: list[WorkUnit], attempts: dict[str, int],
+                  finish, max_attempts: int, log, options: dict):
+    """Run *pending* in this process, in order, until a unit fails.
 
-    Three-way partition in submission order — **hits** (stored envelope
-    found: skip execution), **followers** (a unit with the identical
-    execution recipe — same callable, arguments, and code revision;
-    only its id/meta differ — appeared earlier this run: fan its
-    outcome out), and **leaders** (everything else, plus uncachable
-    units: execute).  Leaders run through the
-    normal inline/pool machinery in *capture* mode so each unit's own
-    metrics dump comes back, and publish their envelope as they finish
-    (a killed sweep therefore resumes unit-by-unit).  The caller's
-    metrics/profiler fold then walks ALL units in submission order —
-    hits replay their stored dumps at their original position — which
-    is what keeps a warm run's folded registry byte-identical to a
-    cold one.
+    Returns ``(pending, failed)`` like :func:`_drain_pool`: a unit that
+    raises is retried at once while it has attempts left; one that
+    exhausts them comes back failed, with the units after it still
+    pending, so the caller raises or quarantines it before they run.
     """
-    by_id = {unit.unit_id: unit for unit in units}
+    for index, unit in enumerate(pending):
+        attempts[unit.unit_id] += 1
+        try:
+            outcome = _execute(unit, **options)
+        except Exception as error:
+            retryable: list[WorkUnit] = []
+            failed: list[tuple[WorkUnit, BaseException]] = []
+            _retry_or_fail(unit, error, attempts, max_attempts,
+                           retryable, failed, log)
+            return retryable + pending[index + 1:], failed
+        finish(unit, outcome)
+    return [], []
+
+
+def _run_cached(units: Sequence[WorkUnit], cache, execute, *, log=None,
+                telemetry=None) -> ParallelRun:
+    """Cache-backed execution: plan, run the misses, replay in order.
+
+    1. **Plan**, in submission order: **hits** (stored envelope found),
+       **followers** (a unit with the identical execution recipe — same
+       callable, arguments, and code revision; only its id/meta differ
+       — appeared earlier this run) and **misses** (everything else,
+       uncachable units included).
+    2. **Run** the misses through *execute*, the runner uncached runs
+       use, publishing each envelope as its unit completes (a killed
+       sweep therefore resumes unit-by-unit).
+    3. **Replay** every unit's outcome in submission order: misses as
+       they ran, hits from their stored envelopes, followers fanned out
+       from their leader.  The caller folds these like any run's
+       outcomes, which keeps a warm run's folded registry
+       byte-identical to a cold one.
+    """
     keymap: dict[str, str] = {}
     matmap: dict[str, dict] = {}
     first_by_recipe: dict[str, str] = {}
-    hit_envelopes: dict[str, Any] = {}
+    hits: dict[str, Any] = {}
     followers: dict[str, str] = {}
-    to_run: list[WorkUnit] = []
+    misses: list[WorkUnit] = []
     for unit in units:
         keyed = cache.keyed(unit)
         if keyed is None:
             # Uncachable recipe: always execute, never publish.
-            to_run.append(unit)
+            misses.append(unit)
             continue
         key, material = keyed
         keymap[unit.unit_id] = key
@@ -593,9 +555,9 @@ def _run_cached(units: Sequence[WorkUnit], workers: int, *,
         first_by_recipe[recipe] = unit.unit_id
         envelope = cache.lookup(key)
         if envelope is not None:
-            hit_envelopes[unit.unit_id] = envelope
+            hits[unit.unit_id] = envelope
         else:
-            to_run.append(unit)
+            misses.append(unit)
 
     def publish_outcome(unit: WorkUnit, outcome: UnitOutcome) -> None:
         key = keymap.get(unit.unit_id)
@@ -609,84 +571,47 @@ def _run_cached(units: Sequence[WorkUnit], workers: int, *,
                            profile=outcome.profile,
                            evidence=outcome.evidence)
 
-    if not to_run:
-        # 100% warm (or empty): no pool is ever spawned.
-        sub = ParallelRun(outcomes=[], workers=workers)
-    elif workers == 1:
-        sub = _run_inline(to_run, log=log, telemetry=telemetry,
-                          capture=True, profile=profiler is not None,
-                          on_result=publish_outcome,
-                          evidence_capture=evidence is not None)
-    else:
-        sub = _run_pool(to_run, workers, max_attempts=max_attempts,
-                        quarantine=quarantine, log=log,
-                        telemetry=telemetry,
-                        profile=profiler is not None,
-                        coordinator=coordinator, capture=True,
-                        on_result=publish_outcome,
-                        evidence=evidence is not None)
-    executed = {outcome.unit_id: outcome for outcome in sub.outcomes}
+    # 100% warm (or empty): nothing to run, so no pool is ever spawned.
+    executed = execute(misses, on_result=publish_outcome)
+    ran = {outcome.unit_id: outcome for outcome in executed.outcomes}
 
-    outcomes: list[UnitOutcome] = []
     done: dict[str, UnitOutcome] = {}
     for unit in units:
         uid = unit.unit_id
-        if uid in executed:
-            outcome = executed[uid]
-        elif uid in hit_envelopes:
-            envelope = hit_envelopes[uid]
+        if uid in ran:
+            done[uid] = ran[uid]
+            continue
+        if uid in hits:
+            envelope = hits[uid]
             outcome = UnitOutcome(
                 unit_id=uid, value=envelope.value, attempts=0,
                 manifest=unit.manifest(), metrics=envelope.metrics,
                 spans=envelope.spans, wall_s=envelope.wall_s,
-                profile=envelope.profile,
-                evidence=getattr(envelope, "evidence", None),
+                profile=envelope.profile, evidence=envelope.evidence,
                 cached=True)
-            _replay_unit_events(telemetry, outcome)
             if log is not None:
-                log.info("unit-cached", unit=uid,
-                         key=keymap[uid][:12])
+                log.info("unit-cached", unit=uid, key=keymap[uid][:12])
         else:
             # Follower: fan out the first identical unit's outcome
             # (deep-copied so callers mutating one result cannot
-            # alias the other, matching independent execution).
+            # alias the other, matching independent execution).  Its
+            # store key differs from its leader's (the unit id is part
+            # of it), so publish it too: the next warm run then hits
+            # under either id.
             leader = done[followers[uid]]
-            outcome = UnitOutcome(
-                unit_id=uid, value=copy.deepcopy(leader.value),
-                attempts=0, quarantined=leader.quarantined,
-                error=leader.error, manifest=unit.manifest(),
-                metrics=leader.metrics, spans=leader.spans,
-                wall_s=leader.wall_s, profile=leader.profile,
-                evidence=leader.evidence,
-                cached=leader.cached, coalesced=True)
-            # A follower's store key differs from its leader's (the
-            # unit id is part of it), so publish its envelope too —
-            # the next warm run then hits under either id.
-            if outcome.ok:
-                cache.publish_unit(keymap[uid], matmap[uid], uid,
-                                   value=outcome.value,
-                                   metrics=outcome.metrics,
-                                   spans=outcome.spans,
-                                   wall_s=outcome.wall_s,
-                                   profile=outcome.profile,
-                                   evidence=outcome.evidence)
-            _replay_unit_events(telemetry, outcome)
+            outcome = dataclasses.replace(
+                leader, unit_id=uid, value=copy.deepcopy(leader.value),
+                attempts=0, manifest=unit.manifest(), coalesced=True)
+            publish_outcome(unit, outcome)
             if log is not None:
                 log.info("unit-coalesced", unit=uid,
                          leader=followers[uid])
+        _replay_unit_events(telemetry, outcome)
         done[uid] = outcome
-        outcomes.append(outcome)
-        # The one fold: every unit, submission order, hits included.
-        if metrics is not None and outcome.metrics:
-            metrics.merge(outcome.metrics)
-        if profiler is not None and outcome.profile:
-            profiler.merge(outcome.profile)
-        if evidence is not None and outcome.evidence:
-            evidence.merge(outcome.evidence, unit=outcome.unit_id)
-    if getattr(cache, "verify", False) and hit_envelopes:
-        _verify_sampled_hit(cache, hit_envelopes, by_id, keymap, log)
-    return ParallelRun(outcomes=outcomes, workers=workers,
-                       stalled=sub.stalled)
+    if getattr(cache, "verify", False) and hits:
+        _verify_sampled_hit(cache, hits, units, keymap, log)
+    return ParallelRun(outcomes=[done[unit.unit_id] for unit in units],
+                       workers=executed.workers, stalled=executed.stalled)
 
 
 def _replay_unit_events(telemetry, outcome: UnitOutcome) -> None:
@@ -697,77 +622,29 @@ def _replay_unit_events(telemetry, outcome: UnitOutcome) -> None:
         return
     sink = telemetry.sink(outcome.unit_id)
     _publish(sink, "unit-start", **unit_start_fields())
-    counters = (outcome.metrics or {}).get("counters", {})
-    fields: dict = {
-        "wall_s": round(outcome.wall_s or 0.0, 6),
-        "commands": sum(counters.get(name, 0)
-                        for name in COMMAND_COUNTERS),
-        "cached": True,
-    }
+    fields = _done_fields(outcome, time.time())
+    fields["cached"] = True
     if outcome.coalesced:
         fields["coalesced"] = True
-    if outcome.metrics:
-        fields["metrics"] = outcome.metrics
-    if outcome.spans:
-        fields["spans"] = outcome.spans
-        fields["origin_ts"] = round(time.time(), 6)
-    if outcome.evidence:
-        from ..obs.evidence import nodes_summary
-        fields["evidence"] = nodes_summary(outcome.evidence)
     _publish(sink, "unit-done", **fields)
 
 
-def _verify_sampled_hit(cache, hit_envelopes: dict, by_id: dict,
+def _verify_sampled_hit(cache, hits: dict, units: Sequence[WorkUnit],
                         keymap: dict, log) -> None:
     """Re-execute one deterministically sampled hit and diff it against
     the stored envelope (``--cache-verify``).
 
     The sample is the hit with the smallest key, so two verify runs of
     the same sweep check the same unit.  The re-execution runs through
-    the worker trampoline with a detached ambient registry — nothing it
-    records can reach the caller's fold.
+    the executor with its own detached registry — nothing it records
+    can reach the caller's fold.
     """
-    uid = min(hit_envelopes, key=lambda unit_id: keymap[unit_id])
-    fresh = _call_unit(by_id[uid], None, False, True)
-    cache.check_hit(hit_envelopes[uid], fresh.value, fresh.metrics)
+    uid = min(hits, key=lambda unit_id: keymap[unit_id])
+    unit = next(unit for unit in units if unit.unit_id == uid)
+    fresh = _execute(unit)
+    cache.check_hit(hits[uid], fresh.value, fresh.metrics)
     if log is not None:
         log.info("cache-verify", unit=uid, key=keymap[uid][:12])
-
-
-def _run_pool(units: Sequence[WorkUnit], workers: int, *,
-              max_attempts: int, quarantine: bool, log=None,
-              telemetry=None, profile: bool = False,
-              coordinator=None, capture: bool = False,
-              on_result=None, evidence: bool = False) -> ParallelRun:
-    slots: dict[str, UnitOutcome] = {}
-    attempts = {unit.unit_id: 0 for unit in units}
-    pending = list(units)
-    pool_size = min(workers, max(len(units), 1))
-    stalled: list = []
-    while pending:
-        pending, failed = _drain_pool(pending, pool_size, attempts, slots,
-                                      max_attempts, log,
-                                      telemetry=telemetry,
-                                      profile=profile,
-                                      coordinator=coordinator,
-                                      stalled=stalled,
-                                      capture=capture,
-                                      on_result=on_result,
-                                      evidence=evidence)
-        for unit, error in failed:
-            if not quarantine:
-                raise error
-            if log is not None:
-                log.info("unit-quarantined", unit=unit.unit_id,
-                         attempts=attempts[unit.unit_id],
-                         error=type(error).__name__)
-            slots[unit.unit_id] = UnitOutcome(
-                unit_id=unit.unit_id, attempts=attempts[unit.unit_id],
-                quarantined=True, error=f"{type(error).__name__}: {error}",
-                manifest=unit.manifest())
-    outcomes = [slots[unit.unit_id] for unit in units]
-    return ParallelRun(outcomes=outcomes, workers=workers,
-                       stalled=stalled)
 
 
 def _scan_stalls(watchdog, telemetry, reported: set, stalled: list,
@@ -792,11 +669,9 @@ def _scan_stalls(watchdog, telemetry, reported: set, stalled: list,
 
 
 def _drain_pool(pending: list[WorkUnit], pool_size: int,
-                attempts: dict[str, int], slots: dict[str, UnitOutcome],
-                max_attempts: int, log, telemetry=None,
-                profile: bool = False, coordinator=None,
-                stalled: list | None = None, capture: bool = False,
-                on_result=None, evidence: bool = False):
+                attempts: dict[str, int], finish, max_attempts: int, log,
+                options: dict, coordinator=None,
+                stalled: list | None = None):
     """One pool lifetime: run *pending* until done or the pool breaks.
 
     Returns ``(retryable, failed)`` — units to resubmit on a fresh pool,
@@ -808,6 +683,7 @@ def _drain_pool(pending: list[WorkUnit], pool_size: int,
     watchdog = None
     wait_timeout = None
     reported: set[str] = set()
+    telemetry = options["telemetry"]
     if telemetry is not None and telemetry.stall_deadline_s:
         watchdog = Watchdog(telemetry.stall_deadline_s)
         # Poll at half the deadline so a stall is flagged at most one
@@ -817,8 +693,7 @@ def _drain_pool(pending: list[WorkUnit], pool_size: int,
         futures = {}
         for unit in pending:
             attempts[unit.unit_id] += 1
-            futures[pool.submit(_call_unit, unit, telemetry,
-                                profile, capture, evidence)] = unit
+            futures[pool.submit(_call_unit, unit, **options)] = unit
         not_done = set(futures)
         while not_done:
             done, not_done = wait(not_done, timeout=wait_timeout,
@@ -831,7 +706,7 @@ def _drain_pool(pending: list[WorkUnit], pool_size: int,
             for future in done:
                 unit = futures[future]
                 try:
-                    value = future.result()
+                    outcome = future.result()
                 except BrokenProcessPool as error:
                     # The pool is gone; this unit was lost with it, not
                     # necessarily at fault.  Units that already finished
@@ -842,33 +717,7 @@ def _drain_pool(pending: list[WorkUnit], pool_size: int,
                     _retry_or_fail(unit, error, attempts, max_attempts,
                                    retryable, failed, log)
                 else:
-                    if log is not None:
-                        log.info("unit-done", unit=unit.unit_id,
-                                 attempts=attempts[unit.unit_id])
-                    unit_metrics = None
-                    unit_wall = None
-                    unit_profile = None
-                    unit_spans = None
-                    unit_evidence = None
-                    if isinstance(value, _UnitEnvelope):
-                        unit_metrics = value.metrics
-                        unit_wall = value.wall_s
-                        unit_profile = value.profile
-                        unit_spans = value.spans
-                        unit_evidence = value.evidence
-                        value = value.value
-                    outcome = UnitOutcome(
-                        unit_id=unit.unit_id, value=value,
-                        attempts=attempts[unit.unit_id],
-                        manifest=unit.manifest(),
-                        metrics=unit_metrics,
-                        wall_s=unit_wall,
-                        profile=unit_profile,
-                        spans=unit_spans,
-                        evidence=unit_evidence)
-                    slots[unit.unit_id] = outcome
-                    if on_result is not None:
-                        on_result(unit, outcome)
+                    finish(unit, outcome)
             if broken:
                 # Every unit still in flight died with the pool; re-run
                 # them all on a fresh pool (bounded by max_attempts).
@@ -900,23 +749,3 @@ def _retry_or_fail(unit: WorkUnit, error: BaseException,
         retryable.append(unit)
     else:
         failed.append((unit, error))
-
-
-def parallel_map(fn: Callable[..., Any], calls: Sequence[tuple],
-                 unit_ids: Sequence[str], workers: int = 1, *,
-                 meta: Sequence[dict] | None = None,
-                 max_attempts: int = 2, quarantine: bool = False,
-                 log=None, metrics=None, telemetry=None,
-                 profiler=None, evidence=None) -> ParallelRun:
-    """Map *fn* over positional-argument tuples as one unit per call."""
-    if len(calls) != len(unit_ids):
-        raise ConfigError("calls and unit_ids must have equal length")
-    metas = list(meta) if meta is not None else [{} for _ in calls]
-    if len(metas) != len(calls):
-        raise ConfigError("meta and calls must have equal length")
-    units = [WorkUnit(unit_id=uid, fn=fn, args=tuple(args), meta=m)
-             for uid, args, m in zip(unit_ids, calls, metas)]
-    return run_units(units, workers, max_attempts=max_attempts,
-                     quarantine=quarantine, log=log, metrics=metrics,
-                     telemetry=telemetry, profiler=profiler,
-                     evidence=evidence)

@@ -13,8 +13,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, NullMetrics
-from repro.parallel import (WorkUnit, default_workers, parallel_map,
-                            run_units, unit_observability, unit_seed)
+from repro.parallel import (WorkUnit, default_workers, run_units,
+                            unit_observability, unit_seed)
 
 _FLAKY_SENTINEL = "/tmp/repro-parallel-flaky-{unit}.marker"
 
@@ -143,6 +143,57 @@ def test_transient_exception_recovers_on_retry(tmp_path):
     assert run.retries == 1
 
 
+def test_inline_transient_exception_recovers_on_retry(tmp_path):
+    marker = str(tmp_path / "raise-once.marker")
+    units = [WorkUnit(unit_id="flaky", fn=flaky_raises_once,
+                      args=(6, marker))]
+    run = run_units(units, workers=1, max_attempts=2)
+    assert run.values == [36]
+    assert run.outcomes[0].attempts == 2
+    assert run.retries == 1
+
+
+def test_inline_quarantine_matches_pool():
+    """One failure policy: workers=1 retries and quarantines exactly as
+    the pool does, instead of raising out of the run."""
+    units = _units(square, [2]) + _units(always_raises, [9], "bad")
+    inline, pooled = [run_units(units, workers=workers, max_attempts=2,
+                                quarantine=True)
+                      for workers in (1, 2)]
+    assert inline.values == pooled.values == [4]
+    assert ([(o.unit_id, o.attempts, o.error) for o in inline.quarantined]
+            == [(o.unit_id, o.attempts, o.error)
+                for o in pooled.quarantined]
+            == [("bad/9", 2, "ValueError: bad unit 9")])
+    assert inline.retries == pooled.retries == 1
+
+
+def test_inline_failure_stops_the_run_before_later_units(tmp_path):
+    """Without quarantine an exhausted unit raises at once: the units
+    after it never start."""
+    marker = str(tmp_path / "never.marker")
+    units = (_units(always_raises, [1])
+             + [WorkUnit(unit_id="after", fn=flaky_raises_once,
+                         args=(2, marker))])
+    with pytest.raises(ValueError, match="bad unit 1"):
+        run_units(units, workers=1, max_attempts=2)
+    assert not os.path.exists(marker)
+
+
+def interrupting(value: int) -> int:
+    raise KeyboardInterrupt
+
+
+def test_inline_interrupt_propagates_without_retry(tmp_path):
+    marker = str(tmp_path / "after.marker")
+    units = (_units(interrupting, [1])
+             + [WorkUnit(unit_id="after", fn=flaky_raises_once,
+                         args=(2, marker))])
+    with pytest.raises(KeyboardInterrupt):
+        run_units(units, workers=1, max_attempts=3, quarantine=True)
+    assert not os.path.exists(marker)
+
+
 def test_worker_crash_rebuilds_pool_and_retries(tmp_path):
     """os._exit in a worker breaks the pool; the unit must still finish."""
     marker = str(tmp_path / "crash-once.marker")
@@ -183,10 +234,10 @@ def test_metrics_fold_is_worker_count_independent():
 def test_pool_outcomes_carry_unit_metrics():
     run = run_units(_units(metered_square, [4], "met"), workers=2)
     assert run.outcomes[0].metrics["counters"]["unit.calls"] == 1
-    # Inline units write straight into the caller's registry instead.
+    # Inline units record into their own registry too: same dump.
     inline = run_units(_units(metered_square, [4], "met"), workers=1,
                        metrics=MetricsRegistry())
-    assert inline.outcomes[0].metrics is None
+    assert inline.outcomes[0].metrics == run.outcomes[0].metrics
 
 
 def test_units_without_metrics_see_null_obs():
@@ -201,17 +252,3 @@ def test_disabled_registry_is_ignored():
     run = run_units(_units(metered_square, [2], "met"), workers=2,
                     metrics=NullMetrics())
     assert run.values == [4]
-
-
-def test_parallel_map_wraps_calls():
-    run = parallel_map(square, [(2,), (3,)], ["map/a", "map/b"],
-                       workers=2, meta=[{"k": "a"}, {"k": "b"}])
-    assert run.values == [4, 9]
-    assert [m["k"] for m in run.manifests()] == ["a", "b"]
-
-
-def test_parallel_map_validates_lengths():
-    with pytest.raises(ConfigError):
-        parallel_map(square, [(1,)], ["a", "b"])
-    with pytest.raises(ConfigError):
-        parallel_map(square, [(1,)], ["a"], meta=[{}, {}])
