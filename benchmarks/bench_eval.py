@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import tempfile
@@ -398,7 +399,19 @@ def _timed(fn) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
-def bench_figures(modules: list[str], scale, workers: int) -> dict:
+def parallel_speedup(sequential_s: float, parallel_s: float, workers: int,
+                     cpu_count: int) -> float | None:
+    """Sequential over parallel wall-clock, or ``None`` when the
+    "parallel" pass could not run two units at once (one worker or one
+    core): its ratio then measures pool and telemetry overhead on a
+    serial run, not a speedup."""
+    if workers < 2 or cpu_count < 2:
+        return None
+    return round(sequential_s / parallel_s, 3)
+
+
+def bench_figures(modules: list[str], scale, workers: int,
+                  cpu_count: int) -> dict:
     """Wall-clock per figure, sequential vs the parallel engine.
 
     The parallel pass runs with a throwaway telemetry spool
@@ -434,7 +447,8 @@ def bench_figures(modules: list[str], scale, workers: int) -> dict:
             "modules": list(ids),
             "sequential_seconds": round(sequential, 3),
             "parallel_seconds": round(parallel, 3),
-            "parallel_speedup": round(sequential / parallel, 3),
+            "parallel_speedup": parallel_speedup(sequential, parallel,
+                                                 workers, cpu_count),
             "parallel_breakdown": breakdown,
         }
     return figures
@@ -530,7 +544,8 @@ def run_benchmarks(modules: list[str], scale_name: str, workers: int,
           f"hit ratio {cache['hit_ratio']:.0%})", flush=True)
     print(f"[bench] figures at scale={scale_name} "
           f"modules={','.join(modules)} workers={workers} ...", flush=True)
-    figures = bench_figures(modules, scale, workers)
+    cpu_count = os.cpu_count() or 1
+    figures = bench_figures(modules, scale, workers, cpu_count)
     for name, numbers in figures.items():
         print(f"[bench]   {name}: {numbers['sequential_seconds']:.1f}s "
               f"sequential, {numbers['parallel_seconds']:.1f}s with "
@@ -541,6 +556,7 @@ def run_benchmarks(modules: list[str], scale_name: str, workers: int,
         "scale": scale_name,
         "modules": list(modules),
         "workers": workers,
+        "cpu_count": cpu_count,
         "settle": settle,
         "payload": payload,
         "cache": cache,
@@ -630,13 +646,18 @@ def report_parallel(results_path: pathlib.Path) -> int:
 
     Informational (always exits 0): parallel speedup depends on the
     runner's core count, so it is reported in CI logs rather than gated.
+    A speedup recorded as ``null`` (one worker or one core) prints as
+    ``n/a``.
     """
     results = json.loads(results_path.read_text())
     workers = results.get("workers")
+    cpu_count = results.get("cpu_count", "n/a")
     print(f"[bench] parallel speedups at workers={workers} "
-          f"(from {results_path}):")
+          f"cpu_count={cpu_count} (from {results_path}):")
     for name, figure in sorted(results.get("figures", {}).items()):
-        print(f"[bench]   {name}: {figure['parallel_speedup']:.2f}x "
+        speedup = figure["parallel_speedup"]
+        shown = "n/a" if speedup is None else f"{speedup:.2f}x"
+        print(f"[bench]   {name}: {shown} "
               f"({figure['sequential_seconds']:.1f}s -> "
               f"{figure['parallel_seconds']:.1f}s)")
         breakdown = figure.get("parallel_breakdown") or {}

@@ -13,6 +13,7 @@ reverse engineering.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from ..dram.mapping import RowMapping
@@ -110,6 +111,22 @@ class AccessPattern(ABC):
     def run_window(self, session: AttackSession,
                    context: AttackContext) -> None:
         """Execute one TRR-period window (must end REF-aligned)."""
+
+    def window_key(self, session: AttackSession,
+                   context: AttackContext) -> Hashable:
+        """The host-visible state the next window reads.
+
+        Beyond the pattern's own parameters, *context* and the timing
+        (all constant within one executor run), a window's command
+        stream may depend only on the state this key returns: the
+        executor captures and compiles a window once per distinct key
+        in a run and replays the stored payload whenever the key
+        repeats.  The default is what :class:`AttackSession`'s pacing
+        reads — the REF index within the TRR period and the time left
+        in the current REF interval.  A pattern whose window reads any
+        other host state must extend the key.
+        """
+        return (session.refs_into_window(), session.remaining_ps)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

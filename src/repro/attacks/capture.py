@@ -12,7 +12,14 @@ The replayed stream is the exact stream the live pattern would have
 issued, so traces, ledger and chip state are byte-identical.  A pattern
 that needs something the mirror cannot provide (row data, the chip
 clock) raises :class:`CaptureUnsupported`; the executor then falls back
-to live per-command execution for that pattern.
+to live per-command execution for the rest of the run.
+
+The executor captures a window only when its
+:meth:`~repro.attacks.base.AccessPattern.window_key` is new in the run.
+A compiled window holds no absolute counter (only logical rows, counts,
+modes, REF counts and waits), so while the key repeats the executor
+re-executes the stored payload and moves the live session by the stored
+deltas instead of capturing again.
 """
 
 from __future__ import annotations

@@ -4,17 +4,25 @@ Mirrors §7.2's setup: the SoftMC program executes a custom access
 pattern for a fixed stretch of REF intervals while REF commands keep
 flowing at the default rate; afterwards the victim rows are read back
 and their bit flips counted.
+
+Like the real rig, which compiles a pattern's payload once and loops it,
+the executor compiles each distinct window once per run: a window is
+captured and compiled only when the session starts it in a state
+(:meth:`~repro.attacks.base.AccessPattern.window_key`) not yet seen in
+the run; otherwise the stored payload is re-executed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..dram.mapping import RowMapping
 from ..dram.patterns import AllOnes, DataPattern, inverted
 from ..errors import AttackConfigError
 from ..obs import NULL_OBS, Observability
-from ..program import compile_program, payloads_enabled
+from ..program import CompiledPayload, compile_program, payloads_enabled
 from ..softmc import SoftMCHost
 from .base import AccessPattern, AttackContext
 from .capture import CaptureUnsupported, capture_window
@@ -40,6 +48,16 @@ class AttackResult:
         return len(self.victim_flips.get(physical_row, []))
 
 
+class _CompiledWindow(NamedTuple):
+    """One window's payload and how it moves the session's counters."""
+
+    payload: CompiledPayload
+    refs_issued: int
+    acts_issued: int
+    #: The session's ``_used_ps`` when the window ends.
+    used_ps: int
+
+
 class AttackExecutor:
     """Runs access patterns against a module through the host interface."""
 
@@ -51,9 +69,9 @@ class AttackExecutor:
         self._mapping = mapping
         self._victim_pattern = victim_pattern or AllOnes()
         self._obs = obs or getattr(host, "obs", None) or NULL_OBS
-        #: Capture each pattern window into a compiled payload and
-        #: replay it in one batch (byte-identical command stream);
-        #: defaults to the process-wide ``REPRO_PAYLOAD`` setting.
+        #: Capture pattern windows into compiled payloads and replay
+        #: them in one batch (byte-identical command stream); defaults
+        #: to the process-wide ``REPRO_PAYLOAD`` setting.
         self._use_payloads = (payloads_enabled() if use_payloads is None
                               else use_payloads)
 
@@ -83,10 +101,13 @@ class AttackExecutor:
                             windows=windows):
             session.align_to_period()
             live = not self._use_payloads
+            # One pattern, one context, one host: nothing outlives the run.
+            compiled: dict[Hashable, _CompiledWindow] = {}
             for _ in range(windows):
                 if not live:
                     try:
-                        self._replay_window(pattern, session, context)
+                        self._replay_window(pattern, session, context,
+                                            compiled)
                         continue
                     except CaptureUnsupported:
                         # Capture has no side effects on the real host,
@@ -111,12 +132,28 @@ class AttackExecutor:
         return result
 
     def _replay_window(self, pattern: AccessPattern, session: AttackSession,
-                       context: AttackContext) -> None:
-        """Capture one window's command stream, replay it compiled."""
-        program, vsession = capture_window(pattern, session, context)
-        with self._obs.span("payload.compile",
-                            instructions=len(program.instructions)):
-            payload = compile_program(program.instructions,
-                                      self._host.timing)
-        self._host.execute_payload(payload)
-        session.adopt(vsession)
+                       context: AttackContext,
+                       compiled: dict[Hashable, _CompiledWindow]) -> None:
+        """Run one window compiled, capturing it first if its key is new.
+
+        Windows with equal keys issue equal command streams, so the
+        stored payload is re-executed on the real host (which advances
+        its own REF and ACT ledgers) and the session's counters move by
+        the stored deltas.
+        """
+        key = pattern.window_key(session, context)
+        window = compiled.get(key)
+        if window is None:
+            program, vsession = capture_window(pattern, session, context)
+            with self._obs.span("payload.compile",
+                                instructions=len(program.instructions)):
+                payload = compile_program(program.instructions,
+                                          self._host.timing)
+            window = compiled[key] = _CompiledWindow(
+                payload, vsession.refs_issued - session.refs_issued,
+                vsession.acts_issued - session.acts_issued,
+                vsession._used_ps)
+        self._host.execute_payload(window.payload)
+        session.refs_issued += window.refs_issued
+        session.acts_issued += window.acts_issued
+        session._used_ps = window.used_ps

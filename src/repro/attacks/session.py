@@ -41,10 +41,8 @@ class AttackSession:
     def adopt(self, other: "AttackSession") -> None:
         """Take over *other*'s budget counters.
 
-        Used by the capture/replay executor: the virtual session is
-        seeded from the live one before a window is captured, and the
-        live session adopts the virtual end state once the recorded
-        window has been replayed on the real host.
+        Used by window capture: the virtual session is seeded from the
+        live one before a window is recorded.
         """
         self.refs_issued = other.refs_issued
         self.acts_issued = other.acts_issued

@@ -15,6 +15,8 @@ aggressor's own bank (footnote 13).
 
 from __future__ import annotations
 
+from collections.abc import Hashable
+
 from ..dram import HammerMode
 from ..errors import AttackConfigError
 from .base import AccessPattern, AttackContext
@@ -115,6 +117,14 @@ class PhaseLockedSamplerPattern(AccessPattern):
 
     def aggressor_physical(self, context: AttackContext) -> tuple[int, ...]:
         return context.aggressors()
+
+    def window_key(self, session: AttackSession,
+                   context: AttackContext) -> Hashable:
+        """Pacing state plus the sampler phase of the bank's ACT ledger,
+        which :meth:`_band_delta` reads."""
+        position = session._host.acts_per_bank.get(context.bank, 0)
+        return (*super().window_key(session, context),
+                position % self.sample_period)
 
     def _band_delta(self, position: int) -> int:
         """0 while inside the reserved band, else acts until it starts."""
