@@ -353,8 +353,7 @@ def bench_payload(repeats: int = 3) -> dict:
     results = {}
     for name, program in shapes.items():
         reference_host = _payload_host()
-        reference = _ledger(reference_host,
-                            program.run(reference_host, compiled=False))
+        reference = _ledger(reference_host, program.run(reference_host))
         payload = program.compile(reference_host.timing)
         for fuse in (False, True):
             host = _payload_host()
@@ -373,7 +372,7 @@ def bench_payload(repeats: int = 3) -> dict:
                 best = min(best, time.perf_counter() - start)
             return best
 
-        legacy = timed(lambda host: program.run(host, compiled=False))
+        legacy = timed(lambda host: program.run(host))
         compiled = timed(
             lambda host: host.execute_payload(
                 program.compile(host.timing), fuse=True))

@@ -52,8 +52,7 @@ from ..dram.mapping import DirectMapping, RowMapping
 from ..dram.patterns import AllOnes, DataPattern
 from ..errors import ConfigError, RetryExhaustedError
 from ..obs import NULL_OBS, Observability, ev_rows, ev_value
-from ..program import compile_program, payloads_enabled
-from ..softmc import SoftMCHost, SoftMCProgram
+from ..softmc import SoftMCHost
 from ..units import ms
 from .resilience import RowScoutStats
 from .rowgroup import RowGroup, RowGroupLayout
@@ -110,8 +109,7 @@ class RowScout:
 
     def __init__(self, host: SoftMCHost,
                  mapping: RowMapping | None = None,
-                 obs: Observability | None = None,
-                 use_payloads: bool | None = None) -> None:
+                 obs: Observability | None = None) -> None:
         self._host = host
         #: Logical<->physical mapping discovered by §5.3 reverse
         #: engineering (identity if the module needs none).
@@ -119,33 +117,12 @@ class RowScout:
         #: Observability bundle: explicit, inherited from the host, or
         #: the shared null bundle (all calls no-ops).
         self._obs = obs or getattr(host, "obs", None) or NULL_OBS
-        #: Route scan/probe command streams through compiled payloads
-        #: (same commands, batch-interpreted); defaults to the
-        #: process-wide ``REPRO_PAYLOAD`` setting.
-        self._use_payloads = (payloads_enabled() if use_payloads is None
-                              else use_payloads)
-        #: Compiled-payload memo: validation re-probes one row dozens of
-        #: times with identical programs, so compilation amortizes away.
-        self._payload_cache: dict[tuple, object] = {}
         #: Recovery-work counters (chaos harness reporting).
         self.stats = RowScoutStats()
         #: Physical rows banned from profiling, per bank.
         self.quarantine: dict[int, set[int]] = {}
         #: (bank, physical) -> retried-round count feeding the quarantine.
         self.flaky_scores: dict[tuple[int, int], int] = {}
-
-    def _compiled(self, key: tuple, build) -> object:
-        payload = self._payload_cache.get(key)
-        if payload is None:
-            if len(self._payload_cache) >= 64:
-                self._payload_cache.clear()
-            program = build()
-            with self._obs.span("payload.compile",
-                                instructions=len(program.instructions)):
-                payload = compile_program(program.instructions,
-                                          self._host.timing)
-            self._payload_cache[key] = payload
-        return payload
 
     # -- quarantine bookkeeping ---------------------------------------------
 
@@ -190,14 +167,6 @@ class RowScout:
         self.stats.scan_passes += 1
         self._obs.metrics.inc("rowscout.scan_passes")
         logical = [self._mapping.to_logical(p) for p in physical_rows]
-        if self._use_payloads:
-            key = ("scan", bank, tuple(logical), pattern, t_ps)
-            payload = self._compiled(key, lambda: self._scan_program(
-                bank, logical, pattern, t_ps))
-            result = host.execute_payload(payload)
-            return {physical for physical, row in zip(physical_rows,
-                                                      logical)
-                    if result.mismatches[f"{bank}:{row}"]}
         for row in logical:
             host.write_row(bank, row, pattern)
         host.wait(t_ps)
@@ -207,36 +176,12 @@ class RowScout:
                 failing.add(physical)
         return failing
 
-    @staticmethod
-    def _scan_program(bank: int, logical: list[int], pattern: DataPattern,
-                      t_ps: int) -> SoftMCProgram:
-        program = SoftMCProgram()
-        for row in logical:
-            program.write(bank, row, pattern)
-        program.wait(t_ps)
-        for row in logical:
-            program.check(bank, row)
-        return program
-
     # -- validation (Fig. 6 step 4, hardened) --------------------------------
 
     def _probe_round(self, bank: int, logical: int, pattern: DataPattern,
                      t_lo_ps: int, t_ps: int) -> bool:
         """One consistency round: fail at T *and* retain at T_lo."""
         host = self._host
-        if self._use_payloads:
-            label = f"{bank}:{logical}"
-            probe_hi = self._compiled(
-                ("probe", bank, logical, pattern, t_ps),
-                lambda: SoftMCProgram().write(bank, logical, pattern)
-                .wait(t_ps).check(bank, logical))
-            if not host.execute_payload(probe_hi).mismatches[label]:
-                return False
-            probe_lo = self._compiled(
-                ("probe", bank, logical, pattern, t_lo_ps),
-                lambda: SoftMCProgram().write(bank, logical, pattern)
-                .wait(t_lo_ps).check(bank, logical))
-            return not host.execute_payload(probe_lo).mismatches[label]
         host.write_row(bank, logical, pattern)
         host.wait(t_ps)
         if not host.read_row_mismatches(bank, logical):

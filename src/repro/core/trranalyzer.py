@@ -41,8 +41,7 @@ from ..dram.mapping import DirectMapping, RowMapping
 from ..dram.patterns import AllZeros, DataPattern
 from ..errors import ConfigError
 from ..obs import NULL_OBS, Observability, ev_refs, ev_rows, ev_value
-from ..program import compile_program, payloads_enabled
-from ..softmc import SoftMCHost, SoftMCProgram
+from ..softmc import SoftMCHost
 from .refclassifier import RefreshSchedule
 from .resilience import AnalyzerStats
 from .rowgroup import RowGroup
@@ -160,8 +159,7 @@ class TrrAnalyzer:
                  schedule: RefreshSchedule | None = None,
                  mapping: RowMapping | None = None, seed: int = 0,
                  stats: AnalyzerStats | None = None,
-                 obs: Observability | None = None,
-                 use_payloads: bool | None = None) -> None:
+                 obs: Observability | None = None) -> None:
         if not groups:
             raise ConfigError("TrrAnalyzer needs at least one row group")
         retention = {group.retention_ps for group in groups}
@@ -183,12 +181,6 @@ class TrrAnalyzer:
         self.schedule = schedule
         self._mapping = mapping or DirectMapping(host.rows_per_bank)
         self._obs = obs or getattr(host, "obs", None) or NULL_OBS
-        #: Route the hammer-round loops through compiled payloads (same
-        #: command stream, batch-interpreted; hammer-dominated rounds on
-        #: TRR-free chips additionally fuse).  Defaults to the
-        #: process-wide ``REPRO_PAYLOAD`` setting.
-        self._use_payloads = (payloads_enabled() if use_payloads is None
-                              else use_payloads)
         self._rng = np.random.default_rng(seed)
         #: Recovery-work counters; pass a shared instance to aggregate
         #: across the many analyzers one inference run creates.
@@ -256,28 +248,12 @@ class TrrAnalyzer:
                 self.DUMMY_CLEARANCE, self._rng)
             for bank in banks
         }
-        if self._use_payloads:
-            body = SoftMCProgram()
-            for bank, rows in dummies.items():
-                body.hammer(bank, [(row, dummy_hammers) for row in rows],
-                            HammerMode.CASCADED)
-            body.refresh(refs_per_round)
-            self._run_payload(SoftMCProgram().loop(rounds, body))
-            return
         for _ in range(rounds):
             for bank, rows in dummies.items():
                 self._host.hammer(
                     bank, [(row, dummy_hammers) for row in rows],
                     HammerMode.CASCADED)
             self._host.refresh(refs_per_round)
-
-    def _run_payload(self, program: SoftMCProgram) -> None:
-        """Compile and batch-execute a command-only program."""
-        with self._obs.span("payload.compile",
-                            instructions=len(program.instructions)):
-            payload = compile_program(program.instructions,
-                                      self._host.timing)
-        self._host.execute_payload(payload)
 
     # -- the experiment (Fig. 7) ----------------------------------------------
 
@@ -312,44 +288,17 @@ class TrrAnalyzer:
         for aggressor in config.aggressors:
             per_bank_aggressors.setdefault(aggressor.bank, []).append(
                 (aggressor.logical_row, aggressor.count))
-        if self._use_payloads:
-            round_body = SoftMCProgram()
-            emit_dummies = bool(dummies) and config.dummy_hammers > 0
-            if config.dummies_first and emit_dummies:
-                for bank, rows in dummies.items():
-                    round_body.hammer(
-                        bank, [(row, config.dummy_hammers) for row in rows],
-                        HammerMode.CASCADED)
+        for _ in range(config.rounds):
+            if config.dummies_first:
+                self._hammer_dummies(dummies, config)
             for bank, rows in per_bank_aggressors.items():
                 if any(count > 0 for _, count in rows):
-                    round_body.hammer(bank, rows, config.hammer_mode)
-            if not config.dummies_first and emit_dummies:
-                for bank, rows in dummies.items():
-                    round_body.hammer(
-                        bank, [(row, config.dummy_hammers) for row in rows],
-                        HammerMode.CASCADED)
+                    host.hammer(bank, rows, config.hammer_mode)
+            if not config.dummies_first:
+                self._hammer_dummies(dummies, config)
             for _ in range(config.refs_per_round):
-                round_body.refresh(1)
-            # Each refresh(1) advances ref_count by exactly one, so the
-            # REF schedule is known before the payload executes.
-            ref_start = host.ref_count
-            ref_indices = list(range(
-                ref_start,
-                ref_start + config.rounds * config.refs_per_round))
-            self._run_payload(
-                SoftMCProgram().loop(config.rounds, round_body))
-        else:
-            for _ in range(config.rounds):
-                if config.dummies_first:
-                    self._hammer_dummies(dummies, config)
-                for bank, rows in per_bank_aggressors.items():
-                    if any(count > 0 for _, count in rows):
-                        host.hammer(bank, rows, config.hammer_mode)
-                if not config.dummies_first:
-                    self._hammer_dummies(dummies, config)
-                for _ in range(config.refs_per_round):
-                    ref_indices.append(host.ref_count)
-                    host.refresh(1)
+                ref_indices.append(host.ref_count)
+                host.refresh(1)
 
         # Step 3: wait out the remaining retention time and read back.
         host.wait(self.retention_ps - half)

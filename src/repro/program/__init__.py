@@ -4,14 +4,15 @@
 instruction list) into a flat :class:`CompiledPayload` — loop-unrolled,
 label-resolved, ``dt``-scheduled numpy command columns plus interned
 operand tables — and executes it with a batch interpreter whose command
-stream is byte-identical to the per-command reference path.  See
+stream is byte-identical to the per-command reference interpreter
+(:meth:`SoftMCProgram.run <repro.softmc.SoftMCProgram.run>`).  The
+attack executor is the one production caller.  See
 ``docs/PERFORMANCE.md`` ("Compiled payloads") for when fusion kicks in
-and how to force either path.
+and how to force either engine.
 """
 
 from .compiler import compile_program
-from .executor import (execute_payload, fusion_enabled, payload_mode,
-                       payloads_enabled)
+from .executor import execute_payload, payloads_enabled
 from .ops import (FLAG_NOMINAL, OP_ACT, OP_CHK, OP_MULTI, OP_RD, OP_REF,
                   OP_WAIT, OP_WR, OPCODE_NAMES, CompiledPayload)
 
@@ -28,7 +29,5 @@ __all__ = [
     "OP_WR",
     "compile_program",
     "execute_payload",
-    "fusion_enabled",
-    "payload_mode",
     "payloads_enabled",
 ]

@@ -19,9 +19,11 @@ Two engines, one command stream:
   performance decision, never a semantic one.
 
 Fusion is enabled by default exactly when the host has no fault
-injector; ``REPRO_PAYLOAD=guarded`` in the environment (or
-``fuse=False``) forces the guarded engine, ``REPRO_PAYLOAD=legacy``
-makes :meth:`SoftMCProgram.run` skip compilation entirely.
+injector; ``fuse=False`` forces the guarded engine.  The attack
+executor is the one production caller: it compiles each distinct
+attack window once per run and re-executes the payload, unless
+``REPRO_PAYLOAD=legacy`` (:func:`payloads_enabled`) makes it run every
+window live, per command.
 """
 
 from __future__ import annotations
@@ -32,32 +34,22 @@ from .ops import (OP_ACT, OP_CHK, OP_MULTI, OP_RD, OP_REF, OP_WAIT, OP_WR,
                   CompiledPayload)
 
 
-def payload_mode() -> str:
-    """The process-wide payload routing mode (``REPRO_PAYLOAD``)."""
-    return os.environ.get("REPRO_PAYLOAD", "").strip().lower()
-
-
 def payloads_enabled() -> bool:
-    """Whether callers should route through compiled payloads."""
-    return payload_mode() != "legacy"
-
-
-def fusion_enabled() -> bool:
-    """Whether the executor may use the fused ACT engine."""
-    return payload_mode() not in ("guarded", "legacy")
+    """Whether attack windows run as compiled payloads: false only
+    when ``REPRO_PAYLOAD=legacy`` is set."""
+    return os.environ.get("REPRO_PAYLOAD", "").strip().lower() != "legacy"
 
 
 def execute_payload(host, payload: CompiledPayload, *,
                     fuse: bool | None = None):
     """Run *payload* on *host*; returns a ``ProgramResult``.
 
-    ``fuse=None`` resolves to "the host has no fault injector and the
-    environment does not force the guarded engine".
+    ``fuse=None`` resolves to "the host has no fault injector".
     """
     from ..softmc.program import ProgramResult
 
     if fuse is None:
-        fuse = host.faults is None and fusion_enabled()
+        fuse = host.faults is None
     result = ProgramResult(started_ps=host.now_ps)
     rows = result.rows
     mismatches = result.mismatches

@@ -6,7 +6,8 @@ This module mirrors that shape: build a :class:`SoftMCProgram` out of
 instructions, run it against a host, and collect the read results.  The
 imperative :class:`~repro.softmc.interface.SoftMCHost` API remains the
 primary interface — programs are for experiments that want an auditable,
-replayable command list (and for the examples).
+replayable command list: the attack executor captures each attack window
+into one and compiles it (:mod:`repro.program`).
 """
 
 from __future__ import annotations
@@ -176,29 +177,16 @@ class SoftMCProgram:
         from ..program import compile_program
         return compile_program(self.instructions, timing)
 
-    def run(self, host: SoftMCHost,
-            compiled: bool | None = None) -> ProgramResult:
-        """Execute the program; duplicate labels are rejected up front.
+    def run(self, host: SoftMCHost) -> ProgramResult:
+        """Execute the program per command; duplicate labels are
+        rejected up front.
 
-        Routed through the compiled payload executor by default (the
-        command stream is byte-identical either way); pass
-        ``compiled=False`` — or set ``REPRO_PAYLOAD=legacy`` in the
-        environment — to force the per-command reference interpreter.
+        This is the reference interpreter.  To batch-execute instead,
+        run ``host.execute_payload(program.compile(host.timing))``: the
+        command stream is byte-identical.
         """
         labels: set[str] = set()
         self._collect_labels(self.instructions, labels)
-        if compiled is None:
-            from ..program import payloads_enabled
-            compiled = payloads_enabled()
-        if compiled:
-            obs = host.obs
-            if obs is not None:
-                with obs.span("payload.compile",
-                              instructions=len(self.instructions)):
-                    payload = self.compile(host.timing)
-            else:
-                payload = self.compile(host.timing)
-            return host.execute_payload(payload)
         result = ProgramResult(started_ps=host.now_ps)
         self._run_block(host, self.instructions, result)
         result.finished_ps = host.now_ps
@@ -219,7 +207,9 @@ class SoftMCProgram:
                         f"duplicate read label {label!r}; results would "
                         "silently overwrite each other")
                 labels.add(label)
-            elif isinstance(instruction, Loop):
+            elif isinstance(instruction, Loop) and instruction.times > 0:
+                # A loop that never runs reads nothing, as in the
+                # compiler's ``unroll``.
                 if instruction.times > 1:
                     inner: set[str] = set()
                     self._collect_labels(instruction.body, inner)

@@ -46,7 +46,8 @@ def mixed_program() -> SoftMCProgram:
 
 
 def chip_state(host: SoftMCHost) -> tuple:
-    """Full observable chip state, exact to the float bit."""
+    """Full observable chip state, exact to the float bit, plus the
+    fault injector's record when the host has one."""
     chip = host._chip
     rows = []
     for index, bank in enumerate(chip.banks):
@@ -55,10 +56,14 @@ def chip_state(host: SoftMCHost) -> tuple:
                          float(state.disturbance),
                          tuple(state.fault_positions.tolist()),
                          tuple(state.fault_values.tolist())))
+    faults = host.faults
+    fault_record = (None if faults is None
+                    else (tuple(sorted(faults.counters.items())),
+                          tuple(faults.trace)))
     return (host.now_ps, host.ref_count,
             tuple(sorted(host.acts_per_bank.items())),
-            chip.stats.activates, chip.stats.refreshes,
-            tuple(sorted(rows)))
+            tuple(sorted(chip.stats.snapshot().items())),
+            tuple(sorted(rows)), fault_record)
 
 
 def result_digest(result) -> tuple:

@@ -1,19 +1,22 @@
 """Batch executor: byte-identity with the per-command interpreter.
 
 Every test compares the compiled engines (guarded and fused) against
-the legacy per-command interpreter on identically-seeded hosts: same
-read-backs, same mismatches, same ledger, same chip state to the float
-bit, same trace bytes.
+the per-command interpreter (``SoftMCProgram.run``) on identically
+seeded hosts: same read-backs, same mismatches, same ledger, same chip
+state to the float bit, same trace bytes.  The last test checks how
+``REPRO_PAYLOAD`` routes the attack executor, the one production
+caller of compiled payloads.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.attacks import AttackExecutor, DoubleSidedPattern, default_context
+from repro.attacks import executor as executor_module
 from repro.dram import HammerMode
 from repro.faults import DEFAULT, FaultInjector
 from repro.obs import CommandProfiler, Observability, traced
-from repro.program import payloads_enabled
 from repro.softmc import SoftMCProgram
 from repro.trr import CounterBasedTrr
 
@@ -21,7 +24,7 @@ from .conftest import chip_state, mixed_program, payload_host, result_digest
 
 
 def run_legacy(host, program):
-    return program.run(host, compiled=False)
+    return program.run(host)
 
 
 def run_guarded(host, program):
@@ -134,24 +137,26 @@ def test_profiler_attributes_fused_commands_in_full():
     assert counts["fused"]["ACT"] == 8 * 10 + 1 + 1
 
 
-def test_program_run_defaults_to_compiled(monkeypatch):
-    monkeypatch.delenv("REPRO_PAYLOAD", raising=False)
-    assert payloads_enabled()
-    program = mixed_program()
-    host = payload_host()
-    compiled_calls = []
-    original = host.execute_payload
-    host.execute_payload = lambda payload, **kw: (
-        compiled_calls.append(len(payload)) or original(payload, **kw))
-    program.run(host)
-    assert compiled_calls, "run() did not route through the executor"
+@pytest.mark.parametrize("mode, captures", [(None, True), ("legacy", False)],
+                         ids=["default", "legacy"])
+def test_payload_env_routes_attack_windows(monkeypatch, mode, captures):
+    """Unset, ``REPRO_PAYLOAD`` lets the attack executor capture and
+    compile its windows; ``legacy`` makes it run every window live."""
+    if mode is None:
+        monkeypatch.delenv("REPRO_PAYLOAD", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_PAYLOAD", mode)
+    calls = []
+    original = executor_module.capture_window
 
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
 
-def test_legacy_env_forces_per_command(monkeypatch):
-    monkeypatch.setenv("REPRO_PAYLOAD", "legacy")
-    assert not payloads_enabled()
-    program = mixed_program()
+    monkeypatch.setattr(executor_module, "capture_window", spy)
     host = payload_host()
-    host.execute_payload = None  # would explode if the payload path ran
-    result = program.run(host)
-    assert any(result.mismatches.values()) or result.mismatches
+    context = default_context(0, 600, host._chip.mapping, 4,
+                              host.num_banks)
+    AttackExecutor(host, host._chip.mapping).run(
+        DoubleSidedPattern(), context, windows=3)
+    assert bool(calls) == captures

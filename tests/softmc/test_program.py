@@ -71,3 +71,13 @@ def test_loop_with_reads_requires_single_iteration(host):
         program.run(host)
     once = SoftMCProgram().loop(1, SoftMCProgram().read(0, 1, "r"))
     assert "r" in once.run(host).rows
+
+
+def test_zero_iteration_loop_reserves_no_labels(host):
+    """A loop that never runs reads nothing, so its labels stay free —
+    in the interpreter as in the compiler."""
+    program = (SoftMCProgram()
+               .loop(0, SoftMCProgram().read(0, 1, "x"))
+               .read(0, 1, "x"))
+    assert list(program.run(host).rows) == ["x"]
+    assert program.compile(host.timing).labels == ("x",)
