@@ -359,11 +359,11 @@ class Bank:
         # Cross-batch cascade continuity: if this batch starts with the
         # row the previous activation ended on, its first activation is a
         # run continuation, not a fresh full-strength run.
-        first_row = batch.row_at(0)
+        first_row = batch.first_row
         if first_row == self._last_activated and effective.get(first_row):
             effective[first_row] -= (
                 1.0 - self.disturbance_config.cascade_weight)
-        self._last_activated = batch.row_at(batch.total - 1)
+        self._last_activated = batch.last_row
         rows = self.rows
         for aggressor, eff_acts in effective.items():
             if not 0 <= aggressor < self.num_rows:
@@ -383,9 +383,8 @@ class Bank:
         """Per-aggressor effective counts of *batch* when it follows an
         identical copy of itself (the cascade-continuity steady state)."""
         effective = self.disturbance_config.effective_acts(batch)
-        first_row = batch.row_at(0)
-        if (first_row == batch.row_at(batch.total - 1)
-                and effective.get(first_row)):
+        first_row = batch.first_row
+        if first_row == batch.last_row and effective.get(first_row):
             effective[first_row] -= (
                 1.0 - self.disturbance_config.cascade_weight)
         return effective

@@ -10,6 +10,7 @@ every REF command — all invisible to the host except through data.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,9 @@ from .patterns import DataPattern
 from .refresh import RefreshEngine
 from .retention import RetentionConfig
 from .timing import DDR4_DEFAULT, TimingParameters
+
+#: Bound of each per-chip identity memo (cleared when full).
+_MEMO_ENTRIES = 32
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,21 @@ class DramChip:
             num_banks=config.num_banks,
             num_rows=config.rows_per_bank,
             paired_rows=config.disturbance.paired_coupling))
+        #: Whether the mechanism refreshes victims during an ACT batch
+        #: (PARA): only such mechanisms override the base class's empty
+        #: ``immediate_refreshes``, so the others skip the call.
+        self._act_coupled = (type(self.trr).immediate_refreshes
+                             is not TrrMechanism.immediate_refreshes)
+        #: Identity-keyed memos of state-independent command work, as
+        #: ``(key object, value)``: host batch -> physical twin, and
+        #: interned multi-bank group -> (physical batches, duration).
+        #: Batches are frozen and the mapping is fixed, so a translation
+        #: (and its range checks) holds for this chip's lifetime; the
+        #: held key keeps its id from being reused.  Replayed attack
+        #: windows hit them; fresh live batches only churn them, hence
+        #: the small bound.
+        self._physical: dict[int, tuple] = {}
+        self._groups: dict[int, tuple] = {}
 
     # -- clock ---------------------------------------------------------------
 
@@ -115,30 +134,45 @@ class DramChip:
     # -- internal helpers -----------------------------------------------------
 
     def _bank(self, bank: int) -> Bank:
-        try:
+        if 0 <= bank < self.config.num_banks:
             return self.banks[bank]
-        except IndexError:
-            raise ConfigError(
-                f"bank {bank} out of range [0, {self.config.num_banks})"
-            ) from None
+        raise ConfigError(
+            f"bank {bank} out of range [0, {self.config.num_banks})")
 
     def _physical_batch(self, batch: ActBatch) -> ActBatch:
-        pattern = tuple((self.mapping.to_physical(row), count)
-                        for row, count in batch.pattern)
-        return ActBatch(bank=batch.bank, pattern=pattern, mode=batch.mode)
+        """*batch*'s physical twin, translated once per batch object."""
+        memo = self._physical
+        hit = memo.get(id(batch))
+        if hit is not None and hit[0] is batch:
+            return hit[1]
+        # Range-check the bank with the rows, so a multi-bank group is
+        # fully validated before any of it is ingested.
+        self._bank(batch.bank)
+        to_physical = self.mapping.to_physical
+        physical = ActBatch(
+            bank=batch.bank,
+            pattern=tuple((to_physical(row), count)
+                          for row, count in batch.pattern),
+            mode=batch.mode)
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
+        memo[id(batch)] = (batch, physical)
+        return physical
 
     def _ingest(self, physical_batch: ActBatch,
                 overwrite: bool = False) -> None:
         """Feed one physical ACT batch to physics and TRR (*overwrite*:
         see :meth:`Bank.absorb_hammering`)."""
-        self._bank(physical_batch.bank).absorb_hammering(
-            physical_batch, self.now_ps, overwrite)
-        self.trr.on_activations(physical_batch.bank, physical_batch,
-                                self.now_ps)
-        for victim_bank, victim_row in self.trr.immediate_refreshes(
-                physical_batch.bank, physical_batch):
-            self._bank(victim_bank).refresh_rows([victim_row], self.now_ps)
-            self.stats.trr_refreshes += 1
+        bank = physical_batch.bank
+        self._bank(bank).absorb_hammering(physical_batch, self.now_ps,
+                                          overwrite)
+        self.trr.on_activations(bank, physical_batch, self.now_ps)
+        if self._act_coupled:
+            for victim_bank, victim_row in self.trr.immediate_refreshes(
+                    bank, physical_batch):
+                self._bank(victim_bank).refresh_rows([victim_row],
+                                                     self.now_ps)
+                self.stats.trr_refreshes += 1
         self.stats.activates += physical_batch.total
 
     def _regular_refresh(self) -> None:
@@ -236,18 +270,39 @@ class DramChip:
         self.stats.activates += repeats * physical.total
         self.now_ps += repeats * step
 
-    def hammer_multi(self, batches: list[ActBatch]) -> None:
-        """Hammer several banks in parallel (tFAW-limited, max 4 banks)."""
+    def hammer_multi(self, batches: Sequence[ActBatch]) -> None:
+        """Hammer several banks in parallel (tFAW-limited, max 4 banks).
+
+        The whole group is validated before any bank ingests anything,
+        so a rejected group leaves the chip untouched.
+        """
         if not batches:
             return
-        seen_banks = {batch.bank for batch in batches}
-        if len(seen_banks) != len(batches):
+        physical, duration_ps = self._multi_group(batches)
+        for batch in physical:
+            self._ingest(batch)
+        self.now_ps += duration_ps
+
+    def _multi_group(self, batches: Sequence[ActBatch]
+                     ) -> tuple[tuple[ActBatch, ...], int]:
+        """Validate a multi-bank group; return its physical batches and
+        tFAW-limited duration.  An interned (tuple) group is planned
+        once per chip; a list may change between calls, so it is not."""
+        groups = self._groups
+        hit = groups.get(id(batches))
+        if hit is not None and hit[0] is batches:
+            return hit[1]
+        if len({batch.bank for batch in batches}) != len(batches):
             raise ConfigError("hammer_multi requires distinct banks")
-        for batch in batches:
-            self._ingest(self._physical_batch(batch))
-        max_count = max(batch.total for batch in batches)
-        self.now_ps += self.config.timing.multi_bank_hammer_duration_ps(
-            max_count, len(batches))
+        duration_ps = self.config.timing.multi_bank_hammer_duration_ps(
+            max(batch.total for batch in batches), len(batches))
+        plan = (tuple(self._physical_batch(batch) for batch in batches),
+                duration_ps)
+        if isinstance(batches, tuple):
+            if len(groups) >= _MEMO_ENTRIES:
+                groups.clear()
+            groups[id(batches)] = (batches, plan)
+        return plan
 
     def refresh(self, count: int = 1, spacing_ps: int | None = None) -> None:
         """Issue *count* REF commands.

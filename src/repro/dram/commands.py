@@ -16,7 +16,9 @@ preserving the *order-dependent* semantics the paper shows matter:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..errors import ConfigError
 
@@ -47,30 +49,49 @@ class ActBatch:
     bank: int
     pattern: tuple[tuple[int, int], ...]
     mode: HammerMode = HammerMode.CASCADED
+    #: ACT-order facts the hot path consults per batch (disturbance,
+    #: TRR, timing), derived once in ``__post_init__``: the batch is
+    #: frozen, so they never change.  ``first_row``/``last_row`` receive
+    #: the first/last activation (``None`` when ``total == 0``).
+    total: int = field(init=False, repr=False, compare=False)
+    first_row: int | None = field(init=False, repr=False, compare=False)
+    last_row: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.pattern:
+        pattern = self.pattern
+        if not pattern:
             raise ConfigError("ActBatch pattern must not be empty")
+        interleaved = self.mode is HammerMode.INTERLEAVED
         total = 0
-        for row, count in self.pattern:
+        first_row = last_row = None
+        peak = 0
+        for row, count in pattern:
             if count < 0:
                 raise ConfigError(f"negative hammer count for row {row}")
-            total += count
-        # The batch is frozen, so the activation total never changes;
-        # computing it once here keeps `total` O(1) on the hot path
-        # (disturbance, TRR, and timing all consult it per batch).
-        object.__setattr__(self, "_total", total)
-        if self.mode is HammerMode.INTERLEAVED:
-            rows = [row for row, _ in self.pattern]
+            if count:
+                total += count
+                if first_row is None:
+                    first_row = row
+                # A cascade ends on its last non-empty run; round-robin
+                # ends on the last row holding the largest count.
+                if not interleaved or count >= peak:
+                    peak = count
+                    last_row = row
+        # Frozen: write the derived facts straight into the instance
+        # dict (cheaper than object.__setattr__ on a per-ACT path).
+        facts = self.__dict__
+        facts["total"] = total
+        facts["first_row"] = first_row
+        facts["last_row"] = last_row
+        if interleaved:
+            rows = [row for row, _ in pattern]
             if len(set(rows)) != len(rows):
                 raise ConfigError(
                     "INTERLEAVED batches require distinct rows "
                     "(interleaving a row with itself is a cascaded run)")
 
-    @property
-    def total(self) -> int:
-        """Total number of activations in the batch."""
-        return self._total
+    #: Memo of :meth:`run_stats`, set on first use (not a field).
+    _run_stats = None
 
     def counts_by_row(self) -> dict[int, int]:
         """Aggregate activation counts per row (order-insensitive view)."""
@@ -110,7 +131,7 @@ class ActBatch:
             offset -= full_rounds_acts
             remaining = [(row, count - min_count) for row, count in active]
 
-    def run_stats(self) -> dict[int, tuple[int, int]]:
+    def run_stats(self) -> Mapping[int, tuple[int, int]]:
         """Return ``{row: (num_runs, total_acts)}`` for the ACT sequence.
 
         A *run* is a maximal stretch of consecutive activations to the
@@ -118,8 +139,17 @@ class ActBatch:
         each run at full strength and the rest at the reduced cascaded
         weight (§5.2: interleaved hammering disturbs victims far more per
         activation than cascaded hammering).  Computed analytically in
-        O(#rows x #distinct counts) — never by expanding the sequence.
+        O(#rows x #distinct counts) — never by expanding the sequence —
+        and only once per batch, which is frozen; every call returns the
+        same read-only view.
         """
+        stats = self._run_stats
+        if stats is None:
+            stats = self.__dict__["_run_stats"] = MappingProxyType(
+                self._count_runs())
+        return stats
+
+    def _count_runs(self) -> dict[int, tuple[int, int]]:
         stats: dict[int, list[int]] = {}
 
         def add(row: int, runs: int, acts: int) -> None:

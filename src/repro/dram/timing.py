@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..units import ns, us
 
+#: Banks one parallel hammer may span: tFAW admits at most four ACTs per
+#: window (footnote 12).
+MAX_PARALLEL_BANKS = 4
+
 
 @dataclass(frozen=True)
 class TimingParameters:
@@ -69,9 +73,10 @@ class TimingParameters:
         """
         if num_banks < 1:
             raise ConfigError("num_banks must be >= 1")
-        if num_banks > 4:
+        if num_banks > MAX_PARALLEL_BANKS:
             raise ConfigError(
-                "tFAW permits parallel hammering of at most 4 banks")
+                f"tFAW permits parallel hammering of at most "
+                f"{MAX_PARALLEL_BANKS} banks")
         total_acts = count_per_bank * num_banks
         faw_limited = (total_acts * self.tfaw_ps + 3) // 4
         bank_limited = count_per_bank * self.trc_ps

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..dram import (ActBatch, DataPattern, DramChip, HammerMode,
                     pattern_spec)
+from ..dram.timing import MAX_PARALLEL_BANKS
 from ..errors import ConfigError
 from ..obs.recorder import data_digest, mismatch_digest
 from ..units import ms, us
@@ -29,6 +30,15 @@ from ..units import ms, us
 if TYPE_CHECKING:
     from ..faults import FaultInjector
     from ..obs import Observability
+
+
+def _check_group_size(batches) -> None:
+    """Reject a parallel hammer tFAW forbids before it is recorded or
+    counted: the chip refuses it, so the host ledger must too."""
+    if len(batches) > MAX_PARALLEL_BANKS:
+        raise ConfigError(
+            f"tFAW permits parallel hammering of at most "
+            f"{MAX_PARALLEL_BANKS} banks")
 
 
 class SoftMCHost:
@@ -283,6 +293,7 @@ class SoftMCHost:
                      mode=mode)
             for bank, rows in per_bank.items()
         ]
+        _check_group_size(batches)
         for batch in batches:
             if self._rec is not None:
                 self._rec.on_act(self._chip.now_ps, batch.bank,
@@ -297,6 +308,7 @@ class SoftMCHost:
     def _hammer_multi_prebuilt(self, batches: tuple[ActBatch, ...]) -> None:
         """:meth:`hammer_multi` with precompiled batches (payload path)."""
         start = perf_counter() if self._prof is not None else 0.0
+        _check_group_size(batches)
         for batch in batches:
             if self._rec is not None:
                 self._rec.on_act(self._chip.now_ps, batch.bank,
@@ -304,7 +316,8 @@ class SoftMCHost:
                                  group=len(batches))
             self._count_acts(batch.bank, batch.total)
         self._tick()
-        self._chip.hammer_multi(list(batches))
+        # The interned tuple itself: the chip plans each group once.
+        self._chip.hammer_multi(batches)
         if self._prof is not None:
             self._prof.add("ACT", perf_counter() - start)
 

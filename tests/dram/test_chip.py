@@ -6,7 +6,8 @@ import pytest
 
 from repro.dram import (ActBatch, AllOnes, DeviceConfig, DisturbanceConfig,
                         DramChip, HammerMode, RetentionConfig)
-from repro.errors import ConfigError
+from repro.dram.chip import _MEMO_ENTRIES
+from repro.errors import ConfigError, ReproError
 from repro.trr import CounterBasedTrr
 from repro.units import ms, us
 
@@ -88,6 +89,22 @@ def test_hammer_multi_requires_distinct_banks(chip):
         chip.hammer_multi([batch0, batch0b])
 
 
+def test_rejected_hammer_multi_leaves_chip_untouched(small_config):
+    chip = DramChip(small_config.scaled(num_banks=8))
+    too_wide = [ActBatch(bank=b, pattern=((10, 100),)) for b in range(5)]
+    bad_row = (ActBatch(bank=0, pattern=((10, 100),)),
+               ActBatch(bank=1, pattern=((chip.config.rows_per_bank, 1),)))
+    bad_bank = [ActBatch(bank=0, pattern=((10, 100),)),
+                ActBatch(bank=8, pattern=((10, 100),))]
+    before = chip.stats.snapshot()
+    for group in (too_wide, bad_row, bad_bank):
+        with pytest.raises(ReproError):
+            chip.hammer_multi(group)
+        assert chip.stats.snapshot() == before
+        assert chip.now_ps == 0
+        assert all(not bank.rows for bank in chip.banks)
+
+
 def test_hammer_multi_tfaw_time(chip):
     start = chip.now_ps
     batches = [ActBatch(bank=b, pattern=((100, 50),)) for b in range(4)]
@@ -146,6 +163,45 @@ def test_stats_counters(chip):
 def test_bank_bounds_checked(chip):
     with pytest.raises(ConfigError):
         chip.write_row(99, 0, AllOnes())
+
+
+def test_negative_bank_rejected_not_aliased(chip):
+    # A negative index must not wrap around to the last banks.
+    with pytest.raises(ConfigError, match="out of range"):
+        chip.write_row(-1, 5, AllOnes())
+    with pytest.raises(ConfigError, match="out of range"):
+        chip.read_row(-1, 5)
+    with pytest.raises(ConfigError, match="out of range"):
+        chip.hammer(ActBatch(bank=-1, pattern=((5, 10),)))
+    assert chip.stats.snapshot()["activates"] == 0
+    assert not chip.banks[-1].rows
+
+
+def test_one_batch_object_translated_per_chip(small_config):
+    # The physical-batch memo is per chip: the same logical batch object
+    # disturbs each chip's own physical neighbours.
+    direct = DramChip(small_config)
+    swapped = DramChip(small_config.scaled(mapping_scheme="bit_swap_0_1"))
+    batch = ActBatch(bank=0, pattern=((5, 10),))
+    assert direct.mapping.to_physical(5) != swapped.mapping.to_physical(5)
+    for chip in (direct, swapped, direct, swapped):
+        chip.hammer(batch)
+    for chip in (direct, swapped):
+        aggressor = chip.mapping.to_physical(5)
+        disturbed = {row for row, state in chip.banks[0].rows.items()
+                     if state.disturbance >= 1.0}
+        assert disturbed == {aggressor - 1, aggressor + 1}
+
+
+def test_physical_batch_memo_stays_bounded(chip):
+    # Live hammers build a fresh batch per call; none is replayed, so
+    # the memo must churn within its bound instead of growing.
+    for index in range(4 * _MEMO_ENTRIES):
+        chip.hammer(ActBatch(bank=0, pattern=((index, 1),)))
+        chip.hammer_multi((ActBatch(bank=1, pattern=((index, 1),)),
+                           ActBatch(bank=2, pattern=((index, 1),))))
+    assert 0 < len(chip._physical) <= _MEMO_ENTRIES
+    assert 0 < len(chip._groups) <= _MEMO_ENTRIES
 
 
 def test_device_config_validation():

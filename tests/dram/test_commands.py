@@ -1,4 +1,4 @@
-"""ActBatch ordering semantics (row_at, run_stats)."""
+"""ActBatch ordering semantics (row_at, run_stats, first/last row)."""
 
 from __future__ import annotations
 
@@ -48,6 +48,8 @@ def test_row_at_matches_reference_expansion(pattern, mode, data):
     batch = ActBatch(bank=0, pattern=tuple(pattern), mode=mode)
     sequence = expand(batch)
     assert batch.total == len(sequence)
+    assert batch.first_row == sequence[0]
+    assert batch.last_row == sequence[-1]
     index = data.draw(st.integers(0, len(sequence) - 1))
     assert batch.row_at(index) == sequence[index]
 
@@ -65,8 +67,11 @@ def test_run_stats_matches_reference_expansion(pattern, mode):
         if row != previous:
             runs[row] = runs.get(row, 0) + 1
         previous = row
-    stats = batch.run_stats()
-    assert stats == {row: (runs[row], acts[row]) for row in acts}
+    expected = {row: (runs[row], acts[row]) for row in acts}
+    assert batch.run_stats() == expected
+    # The second call answers from the batch's memo.
+    assert batch.run_stats() is batch.run_stats()
+    assert batch.run_stats() == expected
 
 
 def test_interleaved_two_rows_alternate():
@@ -94,6 +99,12 @@ def test_cascaded_adjacent_same_row_entries_merge_runs():
 def test_counts_by_row_aggregates_duplicates():
     batch = ActBatch(bank=0, pattern=((1, 2), (2, 3), (1, 4)))
     assert batch.counts_by_row() == {1: 6, 2: 3}
+
+
+def test_empty_batch_has_no_first_or_last_row():
+    batch = ActBatch(bank=0, pattern=((3, 0), (4, 0)))
+    assert batch.total == 0
+    assert batch.first_row is None and batch.last_row is None
 
 
 def test_row_at_bounds_checked():

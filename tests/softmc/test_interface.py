@@ -70,8 +70,15 @@ def test_hammer_modes_forwarded(host):
 
 
 def test_hammer_multi_limited_to_four_banks(host):
+    ledger = host.ledger()
+    stats = host._chip.stats.snapshot()
+    now_ps = host.now_ps
     with pytest.raises(ConfigError):
         host.hammer_multi({b: [(10, 5)] for b in range(5)})
+    # Rejected before any side effect: nothing recorded, counted or run.
+    assert host.ledger() == ledger
+    assert host._chip.stats.snapshot() == stats
+    assert host.now_ps == now_ps
     host.hammer_multi({b: [(10, 5)] for b in range(4)})
 
 
