@@ -66,6 +66,7 @@ from repro.obs import (CollapsedStackSampler, CommandProfiler,
                        profile_report)
 from repro.obs.live import pool_breakdown, read_spool
 from repro.parallel import default_workers
+from repro.program import execute_payload
 from repro.rng import SeedSequenceFactory
 from repro.softmc import SoftMCHost, SoftMCProgram
 
@@ -357,7 +358,7 @@ def bench_payload(repeats: int = 3) -> dict:
         payload = program.compile(reference_host.timing)
         for fuse in (False, True):
             host = _payload_host()
-            got = _ledger(host, host.execute_payload(payload, fuse=fuse))
+            got = _ledger(host, execute_payload(host, payload, fuse=fuse))
             if got != reference:
                 raise AssertionError(
                     f"compiled {name} payload (fuse={fuse}) diverged "
@@ -374,8 +375,8 @@ def bench_payload(repeats: int = 3) -> dict:
 
         legacy = timed(lambda host: program.run(host))
         compiled = timed(
-            lambda host: host.execute_payload(
-                program.compile(host.timing), fuse=True))
+            lambda host: execute_payload(
+                host, program.compile(host.timing), fuse=True))
         commands = len(payload)
         results[name] = {
             "commands": commands,

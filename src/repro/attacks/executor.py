@@ -22,7 +22,8 @@ from ..dram.mapping import RowMapping
 from ..dram.patterns import AllOnes, DataPattern, inverted
 from ..errors import AttackConfigError
 from ..obs import NULL_OBS, Observability
-from ..program import CompiledPayload, compile_program, payloads_enabled
+from ..program import (CompiledPayload, compile_program, execute_payload,
+                       payloads_enabled)
 from ..softmc import SoftMCHost
 from .base import AccessPattern, AttackContext
 from .capture import CaptureUnsupported, capture_window
@@ -153,7 +154,7 @@ class AttackExecutor:
                 payload, vsession.refs_issued - session.refs_issued,
                 vsession.acts_issued - session.acts_issued,
                 vsession._used_ps)
-        self._host.execute_payload(window.payload)
+        execute_payload(self._host, window.payload)
         session.refs_issued += window.refs_issued
         session.acts_issued += window.acts_issued
         session._used_ps = window.used_ps

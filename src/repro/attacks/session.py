@@ -19,6 +19,7 @@ multiple of the (U-TRR-discovered) TRR period.
 from __future__ import annotations
 
 from ..dram import HammerMode
+from ..dram.timing import MAX_PARALLEL_BANKS
 from ..errors import AttackConfigError
 from ..softmc import SoftMCHost
 
@@ -92,6 +93,13 @@ class AttackSession:
             self.acts_issued += acts
             self._used_ps += acts * trc
 
+    def multibank_act_cost_ps(self, banks: int) -> int:
+        """Interval budget one ACT uses when *banks* banks hammer in
+        parallel: tFAW allows four ACTs per window, and each bank still
+        waits tRC between its own ACTs."""
+        timing = self._host.timing
+        return max(timing.tfaw_ps // 4, timing.trc_ps // banks)
+
     def hammer_multibank(self, rows_by_bank: dict[int, int],
                          count_per_bank: int) -> None:
         """Hammer one dummy row in each of up to four banks in parallel.
@@ -101,12 +109,11 @@ class AttackSession:
         """
         if not rows_by_bank:
             return
-        if len(rows_by_bank) > 4:
-            raise AttackConfigError("tFAW limits parallel hammering to 4 "
-                                    "banks")
-        timing = self._host.timing
-        act_cost_ps = max(timing.tfaw_ps // 4,
-                          timing.trc_ps // len(rows_by_bank))
+        if len(rows_by_bank) > MAX_PARALLEL_BANKS:
+            raise AttackConfigError(
+                f"tFAW limits parallel hammering to "
+                f"{MAX_PARALLEL_BANKS} banks")
+        act_cost_ps = self.multibank_act_cost_ps(len(rows_by_bank))
         remaining = {bank: count_per_bank for bank in rows_by_bank}
         while any(remaining.values()):
             fit_total = self.remaining_ps // act_cost_ps

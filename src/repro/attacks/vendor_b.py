@@ -74,7 +74,7 @@ class VendorBPattern(AccessPattern):
         rows = {bank: context.logical(row)
                 for bank, row in context.dummy_banks.items()}
         timing = session._host.timing
-        act_cost = max(timing.tfaw_ps // 4, timing.trc_ps // len(rows))
+        act_cost = session.multibank_act_cost_ps(len(rows))
         # Dummy ACT budget left in this window.
         refs_left = context.trr_period - session.refs_into_window()
         window_ps = (refs_left - 1) * (timing.trefi_ps - timing.trfc_ps) \

@@ -6,7 +6,8 @@ read-back data and the host's own clock/REF counter are the only
 observables.
 """
 
-from .inference import InferenceConfig, InferredTrrProfile, TrrInference
+from .inference import (REDUCED_INFERENCE, InferenceConfig,
+                        InferredTrrProfile, TrrInference)
 from .mapping_re import (CouplingTopology, MappingDiscovery,
                          discover_row_mapping)
 from .refclassifier import RefreshCalibrator, RefreshSchedule
@@ -28,6 +29,7 @@ __all__ = [
     "MappingDiscovery",
     "PipelineStats",
     "ProfilingConfig",
+    "REDUCED_INFERENCE",
     "RefreshCalibrator",
     "RefreshSchedule",
     "RowGroup",

@@ -90,6 +90,21 @@ class InferenceConfig:
     partial_on_failure: bool = False
 
 
+#: Reduced-effort settings shared by Table 1, the chaos harness and the
+#: traced smoke run.  Few validation rounds are only safe on VRT-free
+#: (or hardened) runs; see EXPERIMENTS.md.
+REDUCED_INFERENCE = InferenceConfig(
+    validation_rounds=4,
+    period_scan_experiments=120,
+    neighbor_distances=(1, 2),
+    neighbor_repeats=2,
+    persistence_probes=2,
+    kind_repeats=3,
+    capacity_candidates=(16, 17),
+    capacity_repeats=2,
+)
+
+
 @dataclass
 class InferredTrrProfile:
     """Everything a full run recovers (the Table 1 observation columns)."""

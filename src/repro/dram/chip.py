@@ -193,6 +193,25 @@ class DramChip:
         self._ingest(batch, overwrite)
         return physical
 
+    # -- command validation (no side effect) ----------------------------------
+
+    def check_row(self, bank: int, logical_row: int) -> None:
+        """Raise unless a row read or write of *logical_row* in *bank*
+        would be accepted: a range check, nothing else."""
+        self.mapping._check(logical_row)
+        self._bank(bank)
+
+    def check_batch(self, batch: ActBatch) -> None:
+        """Raise unless :meth:`hammer` would accept *batch*.  The
+        translation is memoized, so the hammer that follows reuses it."""
+        self._physical_batch(batch)
+
+    def check_group(self, batches: Sequence[ActBatch]) -> None:
+        """Raise unless :meth:`hammer_multi` would accept *batches*; an
+        interned group's plan is memoized (see :meth:`_multi_group`)."""
+        if batches:
+            self._multi_group(batches)
+
     # -- host-visible operations (logical addressing) -------------------------
 
     def write_row(self, bank: int, logical_row: int,

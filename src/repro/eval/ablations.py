@@ -22,7 +22,7 @@ import dataclasses
 from ..attacks import (AttackExecutor, DoubleSidedPattern,
                        ManySidedPattern, SingleSidedPattern,
                        VendorAPattern, default_context)
-from ..dram import ActBatch, AllOnes, DramChip, HammerMode
+from ..dram import AllOnes, DramChip, HammerMode
 from ..parallel import WorkUnit, run_units
 from ..softmc import SoftMCHost
 from ..trr import ParaMitigation
@@ -53,10 +53,8 @@ def run_hammer_mode_ablation(scale: EvalScale = STANDARD
         victim = 2048
         host.write_row(0, victim, AllOnes())
         threshold_budget = 4 * scale.scaled_hc_first(spec)
-        host._chip.hammer(ActBatch(
-            bank=0, pattern=((victim - 1, threshold_budget),
-                             (victim + 1, threshold_budget)),
-            mode=mode))
+        host.hammer(0, ((victim - 1, threshold_budget),
+                        (victim + 1, threshold_budget)), mode)
         flips = len(host.read_row_mismatches(0, victim))
         rows.append([mode.value, 2 * threshold_budget, flips])
     return AblationResult(

@@ -17,9 +17,10 @@ fault handling rather than dodging it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..core import InferenceConfig, InferredTrrProfile, TrrInference
+from ..core import (REDUCED_INFERENCE, InferenceConfig,
+                    InferredTrrProfile, TrrInference)
 from ..dram import DramChip
 from ..faults import FaultInjector
 from ..obs import build_manifest
@@ -37,27 +38,19 @@ RESILIENCE_MODULES = ("A5", "B0", "C7")
 def hardened_inference_config(**overrides) -> InferenceConfig:
     """Reduced-effort settings with every resilience knob switched on.
 
-    The effort knobs mirror the Table 1 harness; on top of those the
-    hardening is enabled: majority voting, validation-round retries,
-    whole-scan retries, schedule recalibration and graceful degradation.
+    The effort knobs come from :data:`~repro.core.REDUCED_INFERENCE`;
+    on top of those the hardening is enabled: majority voting,
+    validation-round retries, whole-scan retries, schedule
+    recalibration and graceful degradation.
     """
-    defaults = dict(
-        validation_rounds=4,
-        period_scan_experiments=120,
-        neighbor_distances=(1, 2),
-        neighbor_repeats=2,
-        persistence_probes=2,
-        kind_repeats=3,
-        capacity_candidates=(16, 17),
-        capacity_repeats=2,
+    hardening = dict(
         experiment_votes=3,
         profiling_round_retries=2,
         profiling_scan_attempts=3,
         recalibrate_after_violations=2,
         partial_on_failure=True,
     )
-    defaults.update(overrides)
-    return InferenceConfig(**defaults)
+    return replace(REDUCED_INFERENCE, **{**hardening, **overrides})
 
 
 def _chaos_host(spec: ModuleSpec, fault_profile: str, seed: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..attacks import measure_hc_first
-from ..core import InferenceConfig, InferredTrrProfile, TrrInference
+from ..core import REDUCED_INFERENCE, InferredTrrProfile, TrrInference
 from ..parallel import WorkUnit, run_units, unit_observability
 from ..vendors import ModuleSpec, get_module
 from .report import format_pct, render_table
@@ -32,20 +32,6 @@ class Table1Row:
         return (self.profile.detection == params.get("kind")
                 and self.profile.trr_ref_period
                 == params.get("trr_ref_period"))
-
-
-#: Inference effort used by the Table 1 harness (reduced validation
-#: rounds are safe: evaluation chips disable VRT; see EXPERIMENTS.md).
-TABLE1_INFERENCE = InferenceConfig(
-    validation_rounds=4,
-    period_scan_experiments=120,
-    neighbor_distances=(1, 2),
-    neighbor_repeats=2,
-    persistence_probes=2,
-    kind_repeats=3,
-    capacity_candidates=(16, 17),
-    capacity_repeats=2,
-)
 
 
 def _inference_host(spec: ModuleSpec, scale: EvalScale, obs=None):
@@ -73,7 +59,8 @@ def run_table1_module(module_id: str,
     spec = get_module(module_id)
     obs = unit_observability()
     inference_host = _inference_host(spec, scale, obs=obs)
-    inference = TrrInference(inference_host, TABLE1_INFERENCE)
+    # Reduced validation rounds are safe: evaluation chips disable VRT.
+    inference = TrrInference(inference_host, REDUCED_INFERENCE)
     profile = inference.run()
     hc_host = scale.build_host(spec, obs=obs)
     measured = measure_hc_first(

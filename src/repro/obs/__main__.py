@@ -30,28 +30,11 @@ from .report import render_report, summarize
 from .recorder import read_trace
 
 
-def smoke_inference_config(**overrides):
-    """Reduced-effort inference settings for the traced smoke run."""
-    from ..core import InferenceConfig
-    defaults = dict(
-        validation_rounds=4,
-        period_scan_experiments=120,
-        neighbor_distances=(1, 2),
-        neighbor_repeats=2,
-        persistence_probes=2,
-        kind_repeats=3,
-        capacity_candidates=(16, 17),
-        capacity_repeats=2,
-    )
-    defaults.update(overrides)
-    return InferenceConfig(**defaults)
-
-
 def run_traced_inference(module_id: str, out_dir, seed: int = 0,
                          fault_profile: str | None = None,
                          config=None) -> dict:
     """One fully traced inference run; returns a result dict."""
-    from ..core import TrrInference
+    from ..core import REDUCED_INFERENCE, TrrInference
     from ..faults import FaultInjector
     from ..rng import derive_seed
     from ..softmc import SoftMCHost
@@ -77,7 +60,7 @@ def run_traced_inference(module_id: str, out_dir, seed: int = 0,
     if fault_profile:
         faults = FaultInjector(fault_profile, seed=fault_seed)
     host = SoftMCHost(chip, faults=faults, obs=obs)
-    inference = TrrInference(host, config or smoke_inference_config())
+    inference = TrrInference(host, config or REDUCED_INFERENCE)
     profile = inference.run()
     obs.finalize(host)
 

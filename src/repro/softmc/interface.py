@@ -14,15 +14,14 @@ observables are read-back data and the host's own clock.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..dram import (ActBatch, DataPattern, DramChip, HammerMode,
-                    pattern_spec)
-from ..dram.timing import MAX_PARALLEL_BANKS
+                    pattern_spec, single_row_batch)
 from ..errors import ConfigError
 from ..obs.recorder import data_digest, mismatch_digest
 from ..units import ms, us
@@ -30,15 +29,6 @@ from ..units import ms, us
 if TYPE_CHECKING:
     from ..faults import FaultInjector
     from ..obs import Observability
-
-
-def _check_group_size(batches) -> None:
-    """Reject a parallel hammer tFAW forbids before it is recorded or
-    counted: the chip refuses it, so the host ledger must too."""
-    if len(batches) > MAX_PARALLEL_BANKS:
-        raise ConfigError(
-            f"tFAW permits parallel hammering of at most "
-            f"{MAX_PARALLEL_BANKS} banks")
 
 
 class SoftMCHost:
@@ -163,6 +153,7 @@ class SoftMCHost:
     def write_row(self, bank: int, row: int, pattern: DataPattern) -> None:
         """Write *pattern* into the row (logical addressing)."""
         start = perf_counter() if self._prof is not None else 0.0
+        self._chip.check_row(bank, row)
         if self._rec is not None:
             self._rec.on_write(self._chip.now_ps, bank, row,
                                pattern=self._pattern_spec(pattern))
@@ -177,6 +168,7 @@ class SoftMCHost:
     def read_row(self, bank: int, row: int) -> np.ndarray:
         """Read the row's current bits."""
         start = perf_counter() if self._prof is not None else 0.0
+        self._chip.check_row(bank, row)
         issue_ps = self._chip.now_ps if self._rec is not None else 0
         self._count_acts(bank, 1)
         self._tick()
@@ -195,6 +187,7 @@ class SoftMCHost:
     def read_row_mismatches(self, bank: int, row: int) -> list[int]:
         """Bit positions differing from the last written data."""
         start = perf_counter() if self._prof is not None else 0.0
+        self._chip.check_row(bank, row)
         issue_ps = self._chip.now_ps if self._rec is not None else 0
         self._count_acts(bank, 1)
         self._tick()
@@ -211,27 +204,74 @@ class SoftMCHost:
         return mismatches
 
     # -- hammering ------------------------------------------------------------
+    # Entry points only build or forward an operand for one of the two
+    # issue cores, and never call each other (a wrapper around each
+    # then counts every command once).
 
     def hammer(self, bank: int, pattern: Iterable[tuple[int, int]],
                mode: HammerMode = HammerMode.INTERLEAVED) -> None:
         """Hammer rows of one bank with per-row counts in *mode* order."""
-        start = perf_counter() if self._prof is not None else 0.0
-        entries = tuple((row, count) for row, count in pattern)
-        if self._rec is not None:
-            self._rec.on_act(self._chip.now_ps, bank, entries, mode)
-        self._count_acts(bank, sum(count for _, count in entries))
-        self._hammer_batch(ActBatch(bank=bank, pattern=entries, mode=mode))
-        if self._prof is not None:
-            self._prof.add("ACT", perf_counter() - start)
+        self._issue_hammer(ActBatch(
+            bank=bank, pattern=tuple((row, count) for row, count in pattern),
+            mode=mode))
+
+    def hammer_single(self, bank: int, row: int, count: int) -> None:
+        """Hammer one row *count* times (a cascaded run)."""
+        self._issue_hammer(single_row_batch(bank, row, count))
 
     def _hammer_prebuilt(self, batch: ActBatch) -> None:
         """:meth:`hammer` with a precompiled batch (payload executor)."""
+        self._issue_hammer(batch)
+
+    def hammer_multi(self, per_bank: Mapping[int, Iterable[tuple[int, int]]],
+                     mode: HammerMode = HammerMode.CASCADED) -> None:
+        """Hammer several banks in parallel (at most 4: tFAW)."""
+        self._issue_hammer_multi([
+            ActBatch(bank=bank,
+                     pattern=tuple((row, count) for row, count in rows),
+                     mode=mode)
+            for bank, rows in per_bank.items()])
+
+    def _hammer_multi_prebuilt(self, batches: tuple[ActBatch, ...]) -> None:
+        """:meth:`hammer_multi` with precompiled batches (payload path);
+        the interned tuple itself reaches the chip's group memo."""
+        self._issue_hammer_multi(batches)
+
+    def _issue_hammer(self, batch: ActBatch) -> None:
+        """Issue one single-bank hammer: validate, record, count, tick,
+        run (twice if the injector duplicates it), profile.
+
+        The chip validates first, so a command it rejects leaves the
+        ledger, the trace and the injector untouched.
+        """
         start = perf_counter() if self._prof is not None else 0.0
+        chip = self._chip
+        chip.check_batch(batch)
         if self._rec is not None:
-            self._rec.on_act(self._chip.now_ps, batch.bank, batch.pattern,
+            self._rec.on_act(chip.now_ps, batch.bank, batch.pattern,
                              batch.mode)
         self._count_acts(batch.bank, batch.total)
-        self._hammer_batch(batch)
+        self._tick()
+        chip.hammer(batch)
+        if self._faults is not None and self._faults.duplicate_hammer(
+                chip.now_ps):
+            chip.hammer(batch)
+        if self._prof is not None:
+            self._prof.add("ACT", perf_counter() - start)
+
+    def _issue_hammer_multi(self, batches: Sequence[ActBatch]) -> None:
+        """Issue one multi-bank hammer group: validate, record and count
+        each batch, tick, run, profile."""
+        start = perf_counter() if self._prof is not None else 0.0
+        chip = self._chip
+        chip.check_group(batches)
+        for batch in batches:
+            if self._rec is not None:
+                self._rec.on_act(chip.now_ps, batch.bank, batch.pattern,
+                                 batch.mode, group=len(batches))
+            self._count_acts(batch.bank, batch.total)
+        self._tick()
+        chip.hammer_multi(batches)
         if self._prof is not None:
             self._prof.add("ACT", perf_counter() - start)
 
@@ -263,80 +303,6 @@ class SoftMCHost:
         if self._prof is not None:
             self._prof.add_bulk("ACT", repeats, perf_counter() - start)
         return True
-
-    def hammer_single(self, bank: int, row: int, count: int) -> None:
-        """Hammer one row *count* times (a cascaded run)."""
-        start = perf_counter() if self._prof is not None else 0.0
-        if self._rec is not None:
-            self._rec.on_act(self._chip.now_ps, bank, ((row, count),),
-                             HammerMode.CASCADED)
-        self._count_acts(bank, count)
-        self._hammer_batch(ActBatch(bank=bank, pattern=((row, count),),
-                                    mode=HammerMode.CASCADED))
-        if self._prof is not None:
-            self._prof.add("ACT", perf_counter() - start)
-
-    def _hammer_batch(self, batch: ActBatch) -> None:
-        self._tick()
-        self._chip.hammer(batch)
-        if self._faults is not None and self._faults.duplicate_hammer(
-                self._chip.now_ps):
-            self._chip.hammer(batch)
-
-    def hammer_multi(self, per_bank: Mapping[int, Iterable[tuple[int, int]]],
-                     mode: HammerMode = HammerMode.CASCADED) -> None:
-        """Hammer several banks in parallel (at most 4: tFAW)."""
-        start = perf_counter() if self._prof is not None else 0.0
-        batches = [
-            ActBatch(bank=bank,
-                     pattern=tuple((row, count) for row, count in rows),
-                     mode=mode)
-            for bank, rows in per_bank.items()
-        ]
-        _check_group_size(batches)
-        for batch in batches:
-            if self._rec is not None:
-                self._rec.on_act(self._chip.now_ps, batch.bank,
-                                 batch.pattern, batch.mode,
-                                 group=len(batches))
-            self._count_acts(batch.bank, batch.total)
-        self._tick()
-        self._chip.hammer_multi(batches)
-        if self._prof is not None:
-            self._prof.add("ACT", perf_counter() - start)
-
-    def _hammer_multi_prebuilt(self, batches: tuple[ActBatch, ...]) -> None:
-        """:meth:`hammer_multi` with precompiled batches (payload path)."""
-        start = perf_counter() if self._prof is not None else 0.0
-        _check_group_size(batches)
-        for batch in batches:
-            if self._rec is not None:
-                self._rec.on_act(self._chip.now_ps, batch.bank,
-                                 batch.pattern, batch.mode,
-                                 group=len(batches))
-            self._count_acts(batch.bank, batch.total)
-        self._tick()
-        # The interned tuple itself: the chip plans each group once.
-        self._chip.hammer_multi(batches)
-        if self._prof is not None:
-            self._prof.add("ACT", perf_counter() - start)
-
-    # -- compiled payloads ----------------------------------------------------
-
-    def execute_payload(self, payload, *, fuse: bool | None = None):
-        """Execute a :class:`~repro.program.CompiledPayload`.
-
-        Returns a :class:`~repro.softmc.ProgramResult`.  The executed
-        command stream — trace records, ledger, metrics, chip state — is
-        byte-identical to interpreting the source program per command;
-        see ``docs/PERFORMANCE.md`` ("Compiled payloads").
-        """
-        from ..program.executor import execute_payload
-        if self._obs is not None:
-            with self._obs.span("payload.execute",
-                                commands=len(payload)):
-                return execute_payload(self, payload, fuse=fuse)
-        return execute_payload(self, payload, fuse=fuse)
 
     # -- refresh and time -----------------------------------------------------
 

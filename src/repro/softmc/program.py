@@ -182,8 +182,9 @@ class SoftMCProgram:
         rejected up front.
 
         This is the reference interpreter.  To batch-execute instead,
-        run ``host.execute_payload(program.compile(host.timing))``: the
-        command stream is byte-identical.
+        run ``repro.program.execute_payload(host,
+        program.compile(host.timing))``: the command stream is
+        byte-identical.
         """
         labels: set[str] = set()
         self._collect_labels(self.instructions, labels)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.dram import AllOnes, AllZeros, HammerMode
 from repro.errors import ConfigError
 from repro.program import (OP_ACT, OP_CHK, OP_MULTI, OP_REF, OP_WAIT, OP_WR,
-                           OPCODE_NAMES, compile_program)
+                           OPCODE_NAMES, compile_program, execute_payload)
 from repro.program.compiler import _fuse_groups
 from repro.softmc import SoftMCProgram
 from repro.softmc.program import Loop
@@ -30,7 +30,7 @@ def test_empty_program_compiles_and_runs(timing):
     assert payload.counts() == {}
     host = payload_host()
     before = host.now_ps
-    result = host.execute_payload(payload)
+    result = execute_payload(host, payload)
     assert host.now_ps == before
     assert result.rows == {} and result.mismatches == {}
     assert result.duration_ps == 0
@@ -55,7 +55,7 @@ def test_wait_only_payload(timing):
     assert payload.duration_ps == 123_456
     host = payload_host()
     before = host.now_ps
-    host.execute_payload(payload)
+    execute_payload(host, payload)
     assert host.now_ps - before == 123_456
 
 

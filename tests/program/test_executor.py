@@ -17,6 +17,7 @@ from repro.attacks import executor as executor_module
 from repro.dram import HammerMode
 from repro.faults import DEFAULT, FaultInjector
 from repro.obs import CommandProfiler, Observability, traced
+from repro.program import execute_payload
 from repro.softmc import SoftMCProgram
 from repro.trr import CounterBasedTrr
 
@@ -28,11 +29,11 @@ def run_legacy(host, program):
 
 
 def run_guarded(host, program):
-    return host.execute_payload(program.compile(host.timing), fuse=False)
+    return execute_payload(host, program.compile(host.timing), fuse=False)
 
 
 def run_fused(host, program):
-    return host.execute_payload(program.compile(host.timing), fuse=True)
+    return execute_payload(host, program.compile(host.timing), fuse=True)
 
 
 @pytest.mark.parametrize("run_compiled", [run_guarded, run_fused],
@@ -87,7 +88,7 @@ def test_fault_injector_payloads_identical():
     reference_host = faulty_host()
     reference = run_legacy(reference_host, program)
     host = faulty_host()
-    result = host.execute_payload(program.compile(host.timing))
+    result = execute_payload(host, program.compile(host.timing))
     assert result_digest(result) == result_digest(reference)
     assert chip_state(host) == chip_state(reference_host)
 

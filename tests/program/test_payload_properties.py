@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.dram import AllOnes, AllZeros, Checkerboard, HammerMode
 from repro.faults import COMMAND_FAULTS, DEFAULT, FaultInjector
 from repro.obs import traced
+from repro.program import execute_payload
 from repro.softmc import SoftMCProgram
 from repro.softmc.program import (CheckRow, Hammer, Loop, MultiHammer,
                                   ReadRow, Refresh, Wait, WriteRow)
@@ -109,10 +110,10 @@ def programs(draw) -> SoftMCProgram:
 
 ENGINES = {
     "per-command": lambda host, program: program.run(host),
-    "guarded": lambda host, program: host.execute_payload(
-        program.compile(host.timing), fuse=False),
-    "fused": lambda host, program: host.execute_payload(
-        program.compile(host.timing), fuse=True),
+    "guarded": lambda host, program: execute_payload(
+        host, program.compile(host.timing), fuse=False),
+    "fused": lambda host, program: execute_payload(
+        host, program.compile(host.timing), fuse=True),
 }
 
 

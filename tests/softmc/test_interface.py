@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.dram import AllOnes, DramChip, HammerMode
-from repro.errors import ConfigError
+import repro
+from repro.dram import AllOnes, DramChip, HammerMode, single_row_batch
+from repro.errors import ConfigError, MappingError
+from repro.faults import DEFAULT, FaultInjector
+from repro.obs import traced
 from repro.softmc import SoftMCHost
 from repro.units import ms, us
+from repro.vendors import build_module, get_module
 
 
 @pytest.fixture
@@ -98,3 +105,196 @@ def test_pick_rows_away_from_impossible_request(host):
     protected = list(range(0, host.rows_per_bank, 50))
     with pytest.raises(ConfigError):
         host.pick_rows_away_from(0, protected, count=1, min_distance=100)
+
+
+# -- one validated issue path per opcode --------------------------------------
+
+#: Commands the chip rejects (bad row, negative count, bad bank).
+REJECTED = {
+    "hammer-row": lambda host: host.hammer(0, [(10**6, 5)]),
+    "hammer-count": lambda host: host.hammer(0, [(5, -3)]),
+    "hammer-bank": lambda host: host.hammer(99, [(5, 3)]),
+    "hammer_single-row": lambda host: host.hammer_single(0, 10**6, 7),
+    "hammer_multi-row": lambda host: host.hammer_multi(
+        {0: [(10**6, 4)], 1: [(5, 4)]}),
+    "write_row-row": lambda host: host.write_row(0, 10**6, AllOnes()),
+    "read_row_mismatches-row": lambda host: host.read_row_mismatches(
+        0, 10**6),
+}
+
+
+@pytest.mark.parametrize("issue", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_command_leaves_no_trace(issue, tmp_path):
+    chip = build_module(get_module("A5"), rows_per_bank=1024, row_bits=256)
+    host = SoftMCHost(chip, obs=traced(tmp_path / "trace.jsonl"))
+    host.write_row(0, 5, AllOnes())
+    host.hammer(1, [(7, 3)])
+    ledger = host.ledger()
+    records = host.obs.recorder.events
+    stats = chip.stats.snapshot()
+    now_ps = host.now_ps
+    with pytest.raises((ConfigError, MappingError)):
+        issue(host)
+    assert host.ledger() == ledger
+    assert host.obs.recorder.events == records
+    assert chip.stats.snapshot() == stats
+    assert host.now_ps == now_ps
+
+
+#: Every hammer entry point of one shape must issue the same command.
+SINGLE_BANK = {
+    "hammer": lambda host, bank, row, count: host.hammer(
+        bank, [(row, count)], HammerMode.CASCADED),
+    "hammer_single": lambda host, bank, row, count: host.hammer_single(
+        bank, row, count),
+    "_hammer_prebuilt": lambda host, bank, row, count:
+        host._hammer_prebuilt(single_row_batch(bank, row, count)),
+}
+MULTI_BANK = {
+    "hammer_multi": lambda host, group: host.hammer_multi(
+        {batch.bank: batch.pattern for batch in group}),
+    "_hammer_multi_prebuilt": lambda host, group:
+        host._hammer_multi_prebuilt(group),
+}
+#: No injector, the default profile, and one that duplicates hammers
+#: often enough to take the duplicate branch.
+INJECTORS = {
+    "none": lambda: None,
+    "default": lambda: FaultInjector("default", seed=3),
+    "duplicates": lambda: FaultInjector(
+        DEFAULT.scaled(hammer_duplicate_probability=0.25), seed=3),
+}
+
+
+def _issue_run(config, path, faults, hammers) -> tuple:
+    """Write a few rows, run *hammers(host)*, read them back; return the
+    trace (at *path*) after its header, the ledger, chip stats and
+    opcode counts."""
+    obs = traced(path, profile=True)
+    host = SoftMCHost(DramChip(config), faults=faults, obs=obs)
+    rows = range(996, 1005)
+    for bank in range(4):
+        for row in rows:
+            host.write_row(bank, row, AllOnes())
+    hammers(host)
+    for bank in range(4):
+        for row in rows:
+            host.read_row_mismatches(bank, row)
+    obs.finalize(host)
+    trace = path.read_text(encoding="utf-8").splitlines()[1:]
+    return (trace, host.ledger(), host._chip.stats.snapshot(),
+            dict(obs.profiler.counts))
+
+
+@pytest.mark.parametrize("injector", INJECTORS)
+def test_single_bank_entry_points_issue_the_same_command(
+        small_config, tmp_path, injector):
+    def hammers(issue):
+        def run(host):
+            for index in range(40):
+                issue(host, index % 4, 999 + 2 * (index % 3), 300 + index)
+        return run
+
+    runs = [_issue_run(small_config, tmp_path / f"{name}.jsonl",
+                       INJECTORS[injector](), hammers(issue))
+            for name, issue in SINGLE_BANK.items()]
+    trace = runs[0][0]
+    assert sum('"ACT"' in line for line in trace) == 40
+    if injector == "duplicates":
+        assert any("hammer-duplicate" in line for line in trace)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("injector", INJECTORS)
+def test_multi_bank_entry_points_issue_the_same_command(
+        small_config, tmp_path, injector):
+    # Interned groups, reused as the payload executor reuses them.
+    groups = [tuple(single_row_batch(bank, 1000 + shift, 200 + 10 * bank)
+                    for bank in range(width))
+              for width in (1, 2, 4) for shift in (0, 2)]
+
+    def hammers(issue):
+        def run(host):
+            for index in range(30):
+                issue(host, groups[index % len(groups)])
+        return run
+
+    runs = [_issue_run(small_config, tmp_path / f"{name}.jsonl",
+                       INJECTORS[injector](), hammers(issue))
+            for name, issue in MULTI_BANK.items()]
+    assert sum('"mg"' in line for line in runs[0][0]) == 5 * sum(
+        len(group) for group in groups)
+    assert runs[1] == runs[0]
+
+
+#: The ``SoftMCHost`` methods the traced benchmark (perfbench/tracer.py)
+#: wraps: one span per call, so none may call another.
+TRACED_METHODS = ("write_row", "read_row", "read_row_mismatches", "hammer",
+                  "hammer_single", "_hammer_prebuilt", "_try_fused_hammer",
+                  "hammer_multi", "_hammer_multi_prebuilt", "refresh")
+
+
+def test_no_traced_entry_point_calls_another(small_config, monkeypatch):
+    calls = dict.fromkeys(TRACED_METHODS, 0)
+    for name in TRACED_METHODS:
+        def spy(self, *args, _name=name, _method=getattr(SoftMCHost, name),
+                **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(SoftMCHost, name, spy)
+    host = SoftMCHost(DramChip(small_config))
+    batch = single_row_batch(0, 100, 5)
+    step_ps = host.timing.hammer_duration_ps(batch.total)
+    issue = {
+        "write_row": lambda: host.write_row(0, 101, AllOnes()),
+        "read_row": lambda: host.read_row(0, 101),
+        "read_row_mismatches": lambda: host.read_row_mismatches(0, 101),
+        "hammer": lambda: host.hammer(0, [(100, 5), (102, 5)]),
+        "hammer_single": lambda: host.hammer_single(0, 100, 5),
+        "_hammer_prebuilt": lambda: host._hammer_prebuilt(batch),
+        # Fused for real: the fused bracket must not fall back to the
+        # per-command entry point.
+        "_try_fused_hammer": lambda: host._try_fused_hammer(
+            batch, 4, step_ps) or pytest.fail("fusion refused"),
+        "hammer_multi": lambda: host.hammer_multi(
+            {0: [(100, 5)], 1: [(100, 5)]}),
+        "_hammer_multi_prebuilt": lambda: host._hammer_multi_prebuilt(
+            (batch, single_row_batch(1, 100, 5))),
+        "refresh": lambda: host.refresh(2),
+    }
+    assert issue.keys() == calls.keys()
+    for name, call in issue.items():
+        before = dict(calls)
+        call()
+        assert {key: calls[key] - before[key] for key in calls} == {
+            key: int(key == name) for key in calls}, name
+
+
+#: ``DramChip`` methods that issue a command (or its raw parts).
+CHIP_COMMANDS = {"hammer", "hammer_multi", "hammer_repeated", "write_row",
+                 "read_row", "read_row_mismatches", "refresh", "wait"}
+
+
+def test_only_the_host_issues_chip_commands():
+    """Outside ``repro.dram`` and ``repro.softmc`` every command goes
+    through :class:`SoftMCHost`, so its trace and ledger see it."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root).parts[0] in ("dram", "softmc"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            method = node.func.attr
+            if method not in CHIP_COMMANDS and not method.startswith("raw_"):
+                continue
+            target = node.func.value
+            if ((isinstance(target, ast.Name) and target.id == "chip")
+                    or (isinstance(target, ast.Attribute)
+                        and target.attr in ("chip", "_chip"))):
+                offenders.append(
+                    f"{path.relative_to(root)}:{node.lineno} {method}")
+    assert offenders == []
