@@ -197,6 +197,10 @@ class Bank:
         #: Victim/coupling lists per aggressor (pure function of the
         #: disturbance config and bank geometry).
         self._victims: dict[int, tuple[tuple[int, float], ...]] = {}
+        #: No cell of any row flips below this many effective hammers
+        #: (:attr:`DisturbanceConfig.row_threshold_floor`), so a row
+        #: disturbed less needs no hammer profile.
+        self._hammer_floor = disturbance_config.row_threshold_floor
 
     # -- materialization ---------------------------------------------------
 
@@ -261,8 +265,10 @@ class Bank:
         unrefreshed time has reached the row's retention floor (first
         ``floor_ps``, then the tighter floor of the cells its data
         exposes, :meth:`RowState.decay_floor_ps`), or the disturbance
-        has reached the weakest hammer threshold.  Below both, the
-        settle provably commits nothing; the observation's side effects
+        has reached the weakest hammer threshold (first the bank's
+        threshold floor, so a row disturbed less builds no hammer
+        profile, then the row's own).  Below both, the settle provably
+        commits nothing; the observation's side effects
         (:meth:`_observe`) still come first, since later draws from the
         shared VRT stream depend on them.
         """
@@ -276,11 +282,12 @@ class Bank:
             if failed.size:
                 state.overlay_faults(profile.positions[failed],
                                      1 - profile.polarity[failed])
-        if state.disturbance > 0:
+        disturbance = state.disturbance
+        if disturbance > 0 and disturbance >= self._hammer_floor:
             hammer = self._hammer(row, state)
-            if state.disturbance >= hammer.base_threshold:
+            if disturbance >= hammer.base_threshold:
                 stored = state.stored_bits_at(hammer.positions)
-                flipped = hammer.flipped_cells(state.disturbance, stored)
+                flipped = hammer.flipped_cells(disturbance, stored)
                 if flipped.size:
                     state.overlay_faults(hammer.positions[flipped],
                                          1 - hammer.polarity[flipped])
@@ -425,12 +432,12 @@ class Bank:
             profile = self._retention(aggressor, state)
             if profile.has_vrt or step_ps >= profile.floor_ps:
                 return False
-            if cross[aggressor] > 0.0:
-                # Materializes the hammer profile iff the per-command
-                # path would (an intermediate settle with positive
-                # disturbance), keeping lazy-state parity.
+            added = cross[aggressor]
+            if added > 0.0 and added >= 0.99 * self._hammer_floor:
+                # Below the threshold floor the row's own bound holds
+                # too, so only a row disturbed past it builds a profile.
                 hammer = self._hammer(aggressor, state)
-                if cross[aggressor] >= 0.99 * hammer.base_threshold:
+                if added >= 0.99 * hammer.base_threshold:
                     return False
         return True
 

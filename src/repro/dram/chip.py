@@ -127,8 +127,7 @@ class DramChip:
 
     def wait(self, duration_ps: int) -> None:
         """Let the chip sit idle (no refresh!) for *duration_ps*."""
-        if duration_ps < 0:
-            raise ConfigError("cannot wait a negative duration")
+        self.check_wait(duration_ps)
         self.now_ps += duration_ps
 
     # -- internal helpers -----------------------------------------------------
@@ -211,6 +210,20 @@ class DramChip:
         interned group's plan is memoized (see :meth:`_multi_group`)."""
         if batches:
             self._multi_group(batches)
+
+    def check_refresh(self, count: int,
+                      spacing_ps: int | None = None) -> None:
+        """Raise unless :meth:`refresh` would accept its arguments."""
+        if count < 0:
+            raise ConfigError("refresh count must be non-negative")
+        if (spacing_ps is not None
+                and spacing_ps < self.config.timing.trfc_ps):
+            raise ConfigError("REF spacing below tRFC")
+
+    def check_wait(self, duration_ps: int) -> None:
+        """Raise unless :meth:`wait` would accept *duration_ps*."""
+        if duration_ps < 0:
+            raise ConfigError("cannot wait a negative duration")
 
     # -- host-visible operations (logical addressing) -------------------------
 
@@ -330,11 +343,8 @@ class DramChip:
         (defaults to back-to-back: each REF only consumes tRFC).  Pass
         ``timing.trefi_ps`` to refresh at the nominal controller cadence.
         """
-        if count < 0:
-            raise ConfigError("refresh count must be non-negative")
+        self.check_refresh(count, spacing_ps)
         timing = self.config.timing
-        if spacing_ps is not None and spacing_ps < timing.trfc_ps:
-            raise ConfigError("REF spacing below tRFC")
         for _ in range(count):
             start = self.now_ps
             self.now_ps += timing.trfc_ps

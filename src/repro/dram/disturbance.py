@@ -19,6 +19,11 @@ Model summary
   bit anywhere in the bank.  Each vulnerable row hosts a population of
   victim cells with spread thresholds, so flips-per-row grows as hammer
   counts rise past the threshold (Figure 8).
+* Row base thresholds are truncated at ``row_threshold_floor``, twenty
+  standard deviations of the log-threshold below its mean: a bound
+  known without building any row's profile, so a row disturbed less
+  (a Row Scout scan pass leaves each row about two effective hammers)
+  never builds one.  No draw reaches it, so no threshold changes.
 * Victim-cell bit positions are spatially clustered, reproducing the
   multi-flip 8-byte datawords that break SECDED/Chipkill (Figure 10).
 * Modules C0-8 use *pair isolation* (Vendor C Observation 3): hammering
@@ -66,6 +71,8 @@ class DisturbanceConfig:
     def __post_init__(self) -> None:
         if self.hc_first <= 0:
             raise ConfigError("hc_first must be positive")
+        if self.row_threshold_sigma < 0:
+            raise ConfigError("row_threshold_sigma must be >= 0")
         if not 0 < self.cascade_weight <= 1:
             raise ConfigError("cascade_weight must be in (0, 1]")
         if not self.neighbor_weights:
@@ -77,6 +84,19 @@ class DisturbanceConfig:
             raise ConfigError("victim_cells_mean must be >= 0")
         if not 0 <= self.cluster_fraction <= 1:
             raise ConfigError("cluster_fraction must be in [0, 1]")
+
+    @property
+    def row_threshold_floor(self) -> float:
+        """Effective hammers below which no cell of any row flips.
+
+        :func:`generate_hammer_profile` truncates each row's base
+        threshold here, twenty standard deviations of the log-threshold
+        below its mean, so the bound holds by construction.  numpy's
+        normal sampler never returns a deviate of magnitude 14 or more,
+        so the truncation never changes a drawn threshold.
+        """
+        return 2.0 * self.hc_first * float(np.exp(
+            self.row_threshold_mu - 20.0 * self.row_threshold_sigma))
 
     @property
     def blast_radius(self) -> int:
@@ -182,8 +202,9 @@ def generate_hammer_profile(seeds: SeedSequenceFactory, bank: int, row: int,
     # Table 1's HC_first counts activations *per aggressor* in double-sided
     # hammering; the victim absorbs disturbance from both neighbors, so the
     # weakest cell threshold is ~2x HC_first effective hammers.
-    base = 2.0 * config.hc_first * float(np.exp(rng.normal(
-        config.row_threshold_mu, config.row_threshold_sigma)))
+    base = max(2.0 * config.hc_first * float(np.exp(rng.normal(
+        config.row_threshold_mu, config.row_threshold_sigma))),
+        config.row_threshold_floor)
     count = 1 + int(rng.poisson(config.victim_cells_mean))
     spread = rng.exponential(config.threshold_spread_scale, size=count)
     spread[0] = 0.0  # the weakest cell sits exactly at the row base

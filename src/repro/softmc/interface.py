@@ -315,6 +315,10 @@ class SoftMCHost:
         """
         start = perf_counter() if self._prof is not None else 0.0
         spacing = self.timing.trefi_ps if at_nominal_rate else None
+        # Validated before anything is recorded, counted or ticked: the
+        # injector's one-REF-at-a-time path never asks the chip about
+        # *count* itself.
+        self._chip.check_refresh(count, spacing)
         if self._rec is not None:
             self._rec.on_ref(self._chip.now_ps, self.ref_count, count,
                              nominal=at_nominal_rate)
@@ -355,6 +359,7 @@ class SoftMCHost:
     def wait(self, duration_ps: int) -> None:
         """Idle without issuing any command (refresh stays disabled)."""
         start = perf_counter() if self._prof is not None else 0.0
+        self._chip.check_wait(duration_ps)
         if self._rec is not None:
             self._rec.on_wait(self._chip.now_ps, duration_ps)
         self._chip.wait(duration_ps)

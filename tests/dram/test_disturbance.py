@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram.commands import ActBatch, HammerMode
 from repro.dram.disturbance import DisturbanceConfig, generate_hammer_profile
 from repro.errors import ConfigError
 from repro.rng import SeedSequenceFactory
+from repro.vendors import all_modules
 
 SEEDS = SeedSequenceFactory("disturbance-test")
 
@@ -113,3 +116,41 @@ def test_config_validation():
         DisturbanceConfig(neighbor_weights={-1: 1.0})
     with pytest.raises(ConfigError):
         DisturbanceConfig(cluster_fraction=2.0)
+    with pytest.raises(ConfigError):
+        DisturbanceConfig(row_threshold_sigma=-0.1)
+
+
+# -- the threshold floor ------------------------------------------------------
+
+def untruncated_base(bank: int, row: int, config: DisturbanceConfig) -> float:
+    """A row's base threshold as drawn, before the floor truncates it."""
+    rng = SEEDS.stream("hammer", bank, row)
+    return 2.0 * config.hc_first * float(np.exp(rng.normal(
+        config.row_threshold_mu, config.row_threshold_sigma)))
+
+
+def check_floor(config: DisturbanceConfig, rows) -> None:
+    """No cell threshold lies below the floor, and the floor never
+    truncated a drawn base threshold."""
+    floor = config.row_threshold_floor
+    for row in rows:
+        profile = generate_hammer_profile(SEEDS, 1, row, config, 1024)
+        assert profile.thresholds.min() >= floor
+        assert profile.base_threshold == untruncated_base(1, row, config)
+
+
+@pytest.mark.parametrize("spec", all_modules(),
+                         ids=lambda spec: spec.module_id)
+def test_module_thresholds_sit_above_the_floor(spec):
+    config = spec.device_config().disturbance
+    assert 0 < config.row_threshold_floor < 2 * config.hc_first
+    check_floor(config, range(400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**7), st.floats(-3.0, 3.0), st.floats(0.0, 1.5),
+       st.integers(0, 10**6))
+def test_drawn_thresholds_sit_above_the_floor(hc_first, mu, sigma, first):
+    config = DisturbanceConfig(hc_first=hc_first, row_threshold_mu=mu,
+                               row_threshold_sigma=sigma)
+    check_floor(config, range(first, first + 40))

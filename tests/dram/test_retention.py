@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram.retention import RetentionConfig, generate_profile
 from repro.errors import ConfigError
@@ -124,3 +126,28 @@ def test_config_validation():
         RetentionConfig(vrt_fraction=1.5)
     with pytest.raises(ConfigError):
         RetentionConfig(vrt_ratio_range=(0.0, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 50.0), st.floats(1.0, 4.0), st.floats(40.0, 130.0),
+       st.integers(0, 10**6))
+def test_retention_times_round_like_units_ms(low_ms, decades, temperature,
+                                            first):
+    # Reference: the profile's own draws, converted cell by cell with
+    # ``units.ms``.
+    config = RetentionConfig(weak_cells_per_row_mean=3.0,
+                             min_retention_ms=low_ms,
+                             max_retention_ms=low_ms * 10**decades,
+                             temperature_c=temperature)
+    log_min = np.log(config.min_retention_ms)
+    log_max = np.log(config.max_retention_ms)
+    for row in range(first, first + 20):
+        profile = generate_profile(SEEDS, 2, row, config, ROW_BITS)
+        rng = SEEDS.stream("retention", 2, row)
+        count = int(rng.poisson(config.weak_cells_per_row_mean))
+        if count:
+            rng.choice(ROW_BITS, size=count, replace=False)
+        retention_ms = np.exp(rng.uniform(log_min, log_max, size=count))
+        retention_ms *= config.temperature_factor()
+        assert profile.base_retention_ps.tolist() == [
+            ms(value) for value in retention_ms]

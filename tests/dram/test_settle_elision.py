@@ -1,15 +1,16 @@
 """Settle elision: the bounded settle commits exactly what a full one does.
 
 :meth:`Bank.settle` skips its compares while a bound proves they would
-commit nothing (the retention floors, the weakest hammer threshold), the
-implicit ACT of a row write only observes the row it overwrites, and a
-REF skips the banks with no tracked row in its slot.  The properties run
-random command sequences on two chips of one serial: one as shipped, and
-one whose banks settle through every compare on every observation (the
-settle as it was before the bounds, kept verbatim below as the oracle)
-and settle a row before overwriting it.  The oracle needs no floor to
-force: it has none.  Chip state, read bits, every environment query and
-the banks' shared VRT streams must agree exactly.
+commit nothing (the retention floors, the hammer threshold floor, a
+row's weakest hammer threshold), the implicit ACT of a row write only
+observes the row it overwrites, and a REF skips the banks with no
+tracked row in its slot.  The properties run random command sequences
+on two chips of one serial: one as shipped, and one whose banks settle
+through every compare on every observation (the settle as it was before
+the bounds, kept verbatim below as the oracle) and settle a row before
+overwriting it.  The oracle needs no floor to force: it has none.  Chip
+state, read bits, every environment query and the banks' shared VRT
+streams must agree exactly.
 """
 
 from __future__ import annotations
@@ -20,16 +21,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import RowScout
 from repro.dram import (AllOnes, AllZeros, Checkerboard, DeviceConfig,
                         DisturbanceConfig, DramChip, HammerMode,
                         RetentionConfig)
 from repro.dram.bank import Bank
 from repro.dram.patterns import CustomPattern
 from repro.dram.refresh import RefreshEngine
+from repro.eval.scale import QUICK
+from repro.eval.table1 import _inference_host
 from repro.rng import SeedSequenceFactory
 from repro.softmc import SoftMCHost
 from repro.trr import CounterBasedTrr
 from repro.units import ms
+from repro.vendors import get_module
 
 from ..program.conftest import chip_state
 
@@ -272,3 +277,38 @@ def test_flip_starts_exactly_at_the_weakest_threshold():
     bank.settle(row, 0)
     assert state.fault_positions.tolist() == [
         int(hammer.positions[weakest])]
+
+
+def test_hammer_profile_built_only_from_the_threshold_floor():
+    retention = RetentionConfig(weak_cells_per_row_mean=0.0)
+    floor = DisturbanceConfig(hc_first=1_000).row_threshold_floor
+    row = 100
+    for disturbance, built in ((float(np.nextafter(floor, 0.0)), False),
+                               (floor, True)):
+        ours = make_bank(retention, hc_first=1_000)
+        oracle = make_bank(retention, hc_first=1_000)
+        for bank in (ours, oracle):
+            bank.write(row, AllOnes(), now_ps=0)
+            bank.rows[row].disturbance = disturbance
+        ours.settle(row, ms(1))
+        full_settle(oracle, row, ms(1))
+        state, expected = ours.rows[row], oracle.rows[row]
+        assert (state.hammer_profile is not None) is built
+        assert expected.hammer_profile is not None
+        assert state.fault_positions.tolist() == (
+            expected.fault_positions.tolist())
+        assert state.fault_values.tolist() == expected.fault_values.tolist()
+
+
+def test_row_scout_scan_builds_no_hammer_profile():
+    # One Fig. 6 scan pass over a whole bank of a Table-1 inference
+    # chip: each row is written and read once, which leaves every row
+    # about two effective hammers at its read, far below the floor.
+    host = _inference_host(get_module("A5"), QUICK)
+    bank = host._chip.banks[0]
+    RowScout(host)._scan_failing_rows(0, list(range(host.rows_per_bank)),
+                                      AllOnes(), ms(100))
+    assert len(bank.rows) == host.rows_per_bank
+    assert max(state.disturbance for state in bank.rows.values()) > 0
+    assert all(state.hammer_profile is None
+               for state in bank.rows.values())

@@ -120,6 +120,8 @@ REJECTED = {
     "write_row-row": lambda host: host.write_row(0, 10**6, AllOnes()),
     "read_row_mismatches-row": lambda host: host.read_row_mismatches(
         0, 10**6),
+    "refresh-count": lambda host: host.refresh(-1),
+    "wait-duration": lambda host: host.wait(-5),
 }
 
 
@@ -131,13 +133,29 @@ def test_rejected_command_leaves_no_trace(issue, tmp_path):
     host.hammer(1, [(7, 3)])
     ledger = host.ledger()
     records = host.obs.recorder.events
+    metrics = host.obs.metrics.as_dict()
     stats = chip.stats.snapshot()
     now_ps = host.now_ps
     with pytest.raises((ConfigError, MappingError)):
         issue(host)
     assert host.ledger() == ledger
     assert host.obs.recorder.events == records
+    assert host.obs.metrics.as_dict() == metrics
     assert chip.stats.snapshot() == stats
+    assert host.now_ps == now_ps
+
+
+def test_rejected_refresh_keeps_the_faulty_ref_ledger():
+    # The injector issues REFs one at a time, so the chip never sees
+    # the count; the host itself must refuse it.
+    chip = build_module(get_module("A5"), rows_per_bank=1024, row_bits=256)
+    host = SoftMCHost(chip, faults=FaultInjector("default", seed=1))
+    assert host.faults.perturbs_refs
+    host.refresh(2)
+    now_ps = host.now_ps
+    with pytest.raises(ConfigError):
+        host.refresh(-3)
+    assert host.ref_count == 2
     assert host.now_ps == now_ps
 
 
