@@ -62,8 +62,8 @@ from repro.dram.refresh import RefreshEngine
 from repro.eval import get_scale, run_fig8_many, run_fig9, run_fig10
 from repro.eval.fig8 import SWEEPS
 from repro.obs import (CollapsedStackSampler, CommandProfiler,
-                       RunHistory, TelemetryConfig, build_manifest,
-                       profile_report)
+                       Observability, RunHistory, TelemetryConfig,
+                       build_manifest, profile_report)
 from repro.obs.live import pool_breakdown, read_spool
 from repro.parallel import default_workers
 from repro.program import execute_payload
@@ -507,8 +507,9 @@ def bench_profile(modules: list[str], scale,
     profiler = CommandProfiler()
     sampler = CollapsedStackSampler(interval_s=0.01)
     with sampler:
-        wall, _ = _timed(lambda: run_fig9(modules, scale, workers=1,
-                                          profiler=profiler))
+        wall, _ = _timed(lambda: run_fig9(
+            modules, scale, workers=1,
+            obs=Observability(profiler=profiler)))
     report = profile_report(profiler, wall_s=wall)
     report["stack_samples"] = sampler.total_samples
     if stacks_path is not None:

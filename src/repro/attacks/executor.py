@@ -21,7 +21,6 @@ from typing import NamedTuple
 from ..dram.mapping import RowMapping
 from ..dram.patterns import AllOnes, DataPattern, inverted
 from ..errors import AttackConfigError
-from ..obs import NULL_OBS, Observability
 from ..program import (CompiledPayload, compile_program, execute_payload,
                        payloads_enabled)
 from ..softmc import SoftMCHost
@@ -64,12 +63,11 @@ class AttackExecutor:
 
     def __init__(self, host: SoftMCHost, mapping: RowMapping,
                  victim_pattern: DataPattern | None = None,
-                 obs: Observability | None = None,
                  use_payloads: bool | None = None) -> None:
         self._host = host
         self._mapping = mapping
         self._victim_pattern = victim_pattern or AllOnes()
-        self._obs = obs or getattr(host, "obs", None) or NULL_OBS
+        self._obs = host.obs
         #: Capture pattern windows into compiled payloads and replay
         #: them in one batch (byte-identical command stream); defaults
         #: to the process-wide ``REPRO_PAYLOAD`` setting.

@@ -5,15 +5,13 @@ manifests prove a unit's result is a pure function of its recipe (seed
 + git revision + chip recipe + scale + fault profile + entry-point
 code), so that recipe can *be* the storage key.  :mod:`repro.parallel`
 consults this store before dispatching each :class:`WorkUnit` and
-publishes the result envelope on completion, which buys three things:
+publishes the result envelope on completion, which buys two things:
 
 * **unit-level resume** — a killed sweep re-run with the same arguments
   skips every unit that already completed;
-* **in-flight dedup** — identical units submitted twice in one run
-  execute once, with the envelope fanned out in submission order;
 * **byte-identity** — a warm run's stdout, folded metrics, and history
   rows equal the cold run's, because hits replay the stored per-unit
-  metrics/spans through the same submission-order merge.
+  instrument dump through the same submission-order merge.
 
 ``python -m repro.cache`` provides ``stats`` / ``prune`` / ``verify``
 maintenance; the eval CLI's ``--cache DIR`` / ``--resume`` /
@@ -22,7 +20,7 @@ maintenance; the eval CLI's ``--cache DIR`` / ``--resume`` /
 
 from .envelope import CacheEnvelope, decode, encode
 from .keys import (Uncachable, callable_fingerprint, material_digest,
-                   recipe_digest, unit_key, unit_key_material)
+                   unit_key, unit_key_material)
 from .store import ResultCache, value_digest
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "decode",
     "encode",
     "material_digest",
-    "recipe_digest",
     "unit_key",
     "unit_key_material",
     "value_digest",

@@ -2,11 +2,10 @@
 
 An envelope is everything :mod:`repro.parallel` needs to make a cache
 hit indistinguishable from a fresh execution: the unit's return value,
-its per-unit metrics dump and span timeline (replayed through the same
-submission-order fold a pool worker's envelope goes through), the
-measured wall-clock, and an optional command-bus profile.  It also
-stores the full key *material* so ``python -m repro.cache stats`` can
-explain every object without re-deriving anything.
+its instrument dump (replayed through the same submission-order fold a
+pool worker's outcome goes through) and the measured wall-clock.  It
+also stores the full key *material* so ``python -m repro.cache stats``
+can explain every object without re-deriving anything.
 
 Wire format: a 5-byte magic (``RPRC`` + version), a 4-byte big-endian
 CRC-32 of the body, then the pickled body (protocol 4 — readable by
@@ -23,8 +22,9 @@ from dataclasses import dataclass, field, fields
 
 from ..errors import CacheError
 
-#: 4-byte magic + 1-byte format version.
-MAGIC = b"RPRC\x01"
+#: 4-byte magic + 1-byte format version.  Version 2 carries one
+#: instrument dump; a version-1 object reads as corrupt, i.e. a miss.
+MAGIC = b"RPRC\x02"
 
 
 @dataclass
@@ -34,17 +34,10 @@ class CacheEnvelope:
     key: str
     unit_id: str
     value: object = None
-    #: ``MetricsRegistry.as_dict()`` dump of what the unit recorded
-    #: (None when the unit recorded nothing).
-    metrics: dict | None = None
-    #: ``SpanTracker.as_timeline()`` rows (telemetry side channel).
-    spans: list | None = None
+    #: The unit's ``Observability.dump()``: ``metrics``, ``spans``,
+    #: ``profile`` and ``evidence``, each only when recorded.
+    instruments: dict = field(default_factory=dict)
     wall_s: float | None = None
-    #: ``CommandProfiler.as_dict()`` per-opcode attribution.
-    profile: dict | None = None
-    #: Dumped evidence nodes the unit's provenance ledger recorded
-    #: (None pre-evidence envelopes decode with the default).
-    evidence: list | None = None
     #: The key material (:func:`repro.cache.keys.unit_key_material`) —
     #: stored for stats/debugging, never re-hashed on the read path.
     material: dict = field(default_factory=dict)

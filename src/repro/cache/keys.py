@@ -153,23 +153,6 @@ def material_digest(material: dict) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
-def recipe_digest(material: dict) -> str:
-    """The execution-identity digest behind in-flight dedup.
-
-    Drops the fields that *name* a unit rather than change what it
-    computes — the unit id, its derived seed, and the manifest meta;
-    the callable never sees any of them at execution time.  Two units
-    with equal recipe digests therefore compute the same value, so a
-    run executes the first and fans its envelope out to the rest.
-    The *store* key (:func:`material_digest` over the full material)
-    keeps the unit id, so each alias still gets its own stored
-    envelope for later warm runs.
-    """
-    recipe = {name: value for name, value in material.items()
-              if name not in ("unit", "seed", "meta")}
-    return material_digest(recipe)
-
-
 def unit_key(unit, git: str | None = None) -> str:
     """Content-address one work unit (raises :class:`Uncachable`)."""
     return material_digest(unit_key_material(unit, git=git))

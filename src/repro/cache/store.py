@@ -14,8 +14,8 @@ least-recently-used first.
 
 The store is deliberately dumb about concurrency: two processes
 publishing the same key race benignly (same bytes, last replace wins),
-and the in-flight dedup in :mod:`repro.parallel` already collapses
-same-key units within a run.
+and one run never submits a key twice (:func:`repro.parallel.run_units`
+rejects duplicate unit ids, and the unit id is part of the key).
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from pathlib import Path
 from ..errors import CacheError
 from ..obs.manifest import git_describe
 from .envelope import CacheEnvelope, decode, encode
-from .keys import (Uncachable, material_digest, recipe_digest,
-                   unit_key_material)
+from .keys import Uncachable, material_digest, unit_key_material
 
 #: Suffix of stored objects (RePro Cache).
 OBJECT_SUFFIX = ".rpc"
@@ -48,8 +47,8 @@ def value_digest(value) -> str | None:
 class ResultCache:
     """A content-addressed store plus this run's hit/miss accounting.
 
-    The counters (``hits`` / ``misses`` / ``dedups`` / ``stores`` /
-    ``errors``) are deliberately **not** recorded into any
+    The counters (``hits`` / ``misses`` / ``stores`` / ``errors``) are
+    deliberately **not** recorded into any
     :class:`~repro.obs.MetricsRegistry`: folded metrics are part of the
     byte-identity contract (a cold run would log misses where a warm
     run logs hits, so the histories would diverge).  They surface
@@ -65,7 +64,6 @@ class ResultCache:
         self.verify = verify
         self.hits = 0
         self.misses = 0
-        self.dedups = 0
         self.stores = 0
         self.errors = 0
         # One subprocess per store instance, not one per unit: every
@@ -93,11 +91,6 @@ class ResultCache:
         if material is None:
             return None
         return material_digest(material), material
-
-    def recipe_key(self, material: dict) -> str:
-        """Execution-identity digest for in-flight dedup (drops the
-        unit id / seed / meta — see :func:`recipe_digest`)."""
-        return recipe_digest(material)
 
     # -- object IO -----------------------------------------------------
 
@@ -149,20 +142,16 @@ class ResultCache:
         self.stores += 1
 
     def publish_unit(self, key: str, material: dict, unit_id: str, *,
-                     value, metrics: dict | None = None,
-                     spans: list | None = None,
-                     wall_s: float | None = None,
-                     profile: dict | None = None,
-                     evidence: list | None = None) -> None:
-        """Wrap one completed unit's result into an envelope and store
-        it.  This is the engine-facing entry point: the engine stays
-        duck-typed against the cache object and never constructs a
-        :class:`CacheEnvelope` itself."""
+                     value, instruments: dict,
+                     wall_s: float | None = None) -> None:
+        """Wrap one completed unit's result and instrument dump into an
+        envelope and store it.  This is the engine-facing entry point:
+        the engine stays duck-typed against the cache object and never
+        constructs a :class:`CacheEnvelope` itself."""
         self.publish(CacheEnvelope(
-            key=key, unit_id=unit_id, value=value, metrics=metrics,
-            spans=spans, wall_s=wall_s, profile=profile,
-            evidence=evidence,
-            material=material, value_digest=value_digest(value)))
+            key=key, unit_id=unit_id, value=value,
+            instruments=instruments, wall_s=wall_s, material=material,
+            value_digest=value_digest(value)))
 
     def check_hit(self, envelope: CacheEnvelope, value,
                   metrics: dict | None) -> None:
@@ -173,7 +162,7 @@ class ResultCache:
         run must abort rather than silently serve stale results.
         """
         diverged = []
-        if envelope.metrics != metrics:
+        if envelope.instruments.get("metrics") != metrics:
             diverged.append("metrics")
         fresh_digest = value_digest(value)
         if (envelope.value_digest is not None
@@ -190,16 +179,12 @@ class ResultCache:
 
     # -- run accounting ------------------------------------------------
 
-    def note_dedup(self, count: int = 1) -> None:
-        self.dedups += count
-
     def summary(self) -> dict:
         """This run's cache accounting (history ``extra`` payload)."""
         consulted = self.hits + self.misses
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "dedups": self.dedups,
             "stores": self.stores,
             "errors": self.errors,
             "hit_ratio": (round(self.hits / consulted, 4)

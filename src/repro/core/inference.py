@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from ..dram.commands import HammerMode
 from ..dram.patterns import AllOnes, DataPattern
 from ..errors import ExperimentError, ProfilingError, TransientFaultError
-from ..obs import NULL_OBS, Observability, ev_error, ev_refs, ev_value
+from ..obs import ev_error, ev_refs, ev_value
 from ..softmc import SoftMCHost
 from .mapping_re import CouplingTopology, MappingDiscovery, \
     discover_row_mapping
@@ -154,11 +154,10 @@ class TrrInference:
     """Drives the full §6 reverse-engineering sequence."""
 
     def __init__(self, host: SoftMCHost,
-                 config: InferenceConfig | None = None,
-                 obs: Observability | None = None) -> None:
+                 config: InferenceConfig | None = None) -> None:
         self._host = host
         self.config = config or InferenceConfig()
-        self._obs = obs or getattr(host, "obs", None) or NULL_OBS
+        self._obs = host.obs
         self._mapping_discovery: MappingDiscovery | None = None
         self._scout: RowScout | None = None
         self._cycle: int | None = None
@@ -180,15 +179,14 @@ class TrrInference:
                     self._host, self.config.bank,
                     hammer_count=self.config.mapping_hammer_count,
                     probe_count=self.config.mapping_probe_count,
-                    pattern=self.config.pattern, obs=self._obs)
+                    pattern=self.config.pattern)
         return self._mapping_discovery
 
     @property
     def scout(self) -> RowScout:
         if self._scout is None:
             self._scout = RowScout(self._host,
-                                   self.mapping_discovery.mapping,
-                                   obs=self._obs)
+                                   self.mapping_discovery.mapping)
             # Aggregate the scout's recovery counters into this run's.
             self._scout.stats = self.stats.rowscout
         return self._scout
@@ -232,8 +230,7 @@ class TrrInference:
             # (Obs A7: table entries persist); flush before calibrating.
             self._flush_trr_state(per_bank)
             calibrator = RefreshCalibrator(self._host,
-                                           self.config.pattern,
-                                           obs=self._obs)
+                                           self.config.pattern)
             # Kept for schedule repairs (recalibrate_after_violations):
             # the most recent calibrator already protects the freshest
             # row set.
@@ -344,8 +341,7 @@ class TrrInference:
         """Dummy-hammer + REF bursts to evict every stale TRR entry."""
         groups = [group for groups in per_bank for group in groups]
         analyzer = TrrAnalyzer(self._host, groups, schedule=None,
-                               mapping=self.mapping_discovery.mapping,
-                               obs=self._obs)
+                               mapping=self.mapping_discovery.mapping)
         analyzer.reset_trr_state()
 
     @property
@@ -364,7 +360,7 @@ class TrrInference:
                   schedule: RefreshSchedule) -> TrrAnalyzer:
         analyzer = TrrAnalyzer(self._host, groups, schedule,
                                self.mapping_discovery.mapping,
-                               stats=self.stats.analyzer, obs=self._obs)
+                               stats=self.stats.analyzer)
         analyzer.verify_hits = self._hardened
         return analyzer
 
@@ -890,13 +886,13 @@ class TrrInference:
                 name, default, outcome="degraded",
                 stage="inference." + name, confidence=0.0,
                 evidence=[ev_error(exc)], detail=detail,
-                host=self._host, profiler=self._obs.profiler)
+                host=self._host)
             return default, detail
         confidence[name] = 1.0
         self._obs.evidence.decide(
             name, value, stage="inference." + name, confidence=1.0,
             evidence=self._stage_evidence(detail),
-            host=self._host, profiler=self._obs.profiler)
+            host=self._host)
         return value, detail
 
     def run(self) -> InferredTrrProfile:
@@ -966,7 +962,7 @@ class TrrInference:
                 confidence=1.0,
                 evidence=[ev_value("recency", kind_detail)],
                 detail={"note": persist_detail["note"]},
-                host=self._host, profiler=self._obs.profiler)
+                host=self._host)
         capacity, capacity_detail = self._stage(
             "capacity", lambda: self.estimate_capacity(period, detection),
             None, confidence)

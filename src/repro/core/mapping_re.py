@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ..dram.mapping import RowMapping, available_schemes, make_mapping
 from ..dram.patterns import AllOnes, DataPattern
 from ..errors import MappingError
-from ..obs import NULL_OBS, ev_error, ev_probe
+from ..obs import ev_error, ev_probe
 from ..softmc import SoftMCHost
 
 
@@ -94,8 +94,8 @@ def _probe_adjacency(host: SoftMCHost, bank: int, probe_row: int,
 def discover_row_mapping(host: SoftMCHost, bank: int = 0,
                          hammer_count: int = 2_400_000,
                          probe_count: int = 12, window: int = 4,
-                         pattern: DataPattern | None = None,
-                         obs=None) -> MappingDiscovery:
+                         pattern: DataPattern | None = None
+                         ) -> MappingDiscovery:
     """Recover the row-address mapping and coupling topology.
 
     *hammer_count* must comfortably exceed the module's RowHammer
@@ -104,7 +104,7 @@ def discover_row_mapping(host: SoftMCHost, bank: int = 0,
     the strongest Table 1 modules after cascaded-run attenuation).
     """
     pattern = pattern or AllOnes()
-    obs = obs or getattr(host, "obs", None) or NULL_OBS
+    ledger = host.obs.evidence
     num_rows = host.rows_per_bank
     # Spread probes over the bank, away from the edges so windows fit.
     # The per-probe jitter walks all low-address-bit residues: a scramble
@@ -126,21 +126,21 @@ def discover_row_mapping(host: SoftMCHost, bank: int = 0,
         coupling = _classify_coupling(evidence)
         scheme = _fit_scheme(evidence, coupling, num_rows)
     except MappingError as err:
-        obs.evidence.decide(
+        ledger.decide(
             "mapping_scheme", None, outcome="rejected",
             stage="inference.mapping",
             evidence=[*probes, ev_error(err)],
-            host=host, profiler=obs.profiler)
+            host=host)
         raise
-    obs.evidence.decide(
+    ledger.decide(
         "coupling", coupling.value, stage="inference.mapping",
         confidence=1.0, evidence=probes,
-        host=host, profiler=obs.profiler)
-    obs.evidence.decide(
+        host=host)
+    ledger.decide(
         "mapping_scheme", scheme, stage="inference.mapping",
         confidence=1.0, evidence=probes,
         detail={"probe_rows": list(probe_rows)},
-        host=host, profiler=obs.profiler)
+        host=host)
     return MappingDiscovery(scheme=scheme,
                             mapping=make_mapping(scheme, num_rows),
                             coupling=coupling, evidence=evidence)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..dram.patterns import DataPattern
 from ..errors import ExperimentError, TransientFaultError
-from ..obs import NULL_OBS, Observability, ev_refs, ev_value, ev_window
+from ..obs import ev_refs, ev_value, ev_window
 from ..softmc import SoftMCHost
 
 
@@ -87,11 +87,10 @@ class RefreshCalibrator:
     #: Burst size: large enough to win any sampler/window w.h.p.
     DIVERSION_HAMMERS = 2048
 
-    def __init__(self, host: SoftMCHost, pattern: DataPattern,
-                 obs: Observability | None = None) -> None:
+    def __init__(self, host: SoftMCHost, pattern: DataPattern) -> None:
         self._host = host
         self._pattern = pattern
-        self._obs = obs or getattr(host, "obs", None) or NULL_OBS
+        self._obs = host.obs
         self._diversion: dict[int, int] = {}
         self._protected: dict[int, set[int]] = {}
 
@@ -192,7 +191,7 @@ class RefreshCalibrator:
                     evidence=[ev_value("decay-check",
                                        {"bank": bank, "row": row,
                                         "survived_without_refs": True})],
-                    host=self._host, profiler=self._obs.profiler)
+                    host=self._host)
                 raise TransientFaultError(
                     f"row {row} (bank {bank}) no longer decays within its "
                     "retention bucket — unusable for cycle measurement")
@@ -213,7 +212,7 @@ class RefreshCalibrator:
                     stage="calibrator.find_cycle", evidence=covering,
                     detail={"bank": bank, "row": row,
                             "max_cycle": max_cycle},
-                    host=self._host, profiler=self._obs.profiler)
+                    host=self._host)
                 raise ExperimentError(f"implausible refresh cycle {cycle}")
             if check_decay and cycle < coarse_step:
                 # Two back-to-back "coverings" this close mean the row
@@ -225,7 +224,7 @@ class RefreshCalibrator:
                     detail={"bank": bank, "row": row,
                             "coarse_step": coarse_step,
                             "drifted": True},
-                    host=self._host, profiler=self._obs.profiler)
+                    host=self._host)
                 raise TransientFaultError(
                     f"row {row} (bank {bank}) measured cycle {cycle} < "
                     f"{coarse_step}: retention drifted mid-measurement")
@@ -233,7 +232,7 @@ class RefreshCalibrator:
                 "refresh_cycle", cycle, stage="calibrator.find_cycle",
                 confidence=1.0, evidence=covering,
                 detail={"bank": bank, "row": row},
-                host=self._host, profiler=self._obs.profiler)
+                host=self._host)
             return cycle
 
     def calibrate_rows(self, rows: list[tuple[int, int]], retention_ps: int,
@@ -277,7 +276,7 @@ class RefreshCalibrator:
                     stage="calibrator.calibrate",
                     evidence=[ev_value("immortal-rows", immortal)],
                     detail={"reason": "survived a REF-free decay check"},
-                    host=self._host, profiler=self._obs.profiler)
+                    host=self._host)
         else:
             immortal = []
         coarse_step = max(cycle // 32, window)
@@ -311,7 +310,7 @@ class RefreshCalibrator:
                 evidence=[ev_value("uncovered-rows", missing)],
                 detail={"reason": "never covered within 2 cycles",
                         "dropped": drop_uncovered},
-                host=self._host, profiler=self._obs.profiler)
+                host=self._host)
             if not drop_uncovered:
                 raise ExperimentError(
                     f"rows never covered by regular refresh: {missing}")
@@ -343,7 +342,7 @@ class RefreshCalibrator:
                                        {"bank": bank, "row": row,
                                         "coarse_phase": target})],
                     detail={"dropped": drop_uncovered},
-                    host=self._host, profiler=self._obs.profiler)
+                    host=self._host)
                 if drop_uncovered:
                     schedule.confidence[(bank, row)] = 0.0
                     continue
@@ -363,7 +362,7 @@ class RefreshCalibrator:
                         if schedule.confidence else 1.0),
             evidence=[ev_value("phase-windows", windows),
                       ev_value("cycle-refs", cycle)],
-            host=self._host, profiler=self._obs.profiler)
+            host=self._host)
         return schedule
 
     def _confirm(self, schedule: RefreshSchedule, bank: int, row: int,
@@ -411,7 +410,7 @@ class RefreshCalibrator:
                                         chunk_start + window,
                                         label="covering-ref-window")],
                     detail={"bank": bank, "row": row},
-                    host=self._host, profiler=self._obs.profiler)
+                    host=self._host)
                 return entry
             probed += window
         self._obs.evidence.decide(
@@ -420,7 +419,7 @@ class RefreshCalibrator:
             evidence=[ev_value("uncovered",
                                {"bank": bank, "row": row,
                                 "probed_refs": probed})],
-            host=self._host, profiler=self._obs.profiler)
+            host=self._host)
         raise ExperimentError(
             f"row {row} (bank {bank}) found no covering REF during "
             f"recalibration — broken refresh or wrong retention bucket?")

@@ -51,7 +51,7 @@ from typing import Iterable
 from ..dram.mapping import DirectMapping, RowMapping
 from ..dram.patterns import AllOnes, DataPattern
 from ..errors import ConfigError, RetryExhaustedError
-from ..obs import NULL_OBS, Observability, ev_rows, ev_value
+from ..obs import ev_rows, ev_value
 from ..softmc import SoftMCHost
 from ..units import ms
 from .resilience import RowScoutStats
@@ -108,15 +108,14 @@ class RowScout:
     """Finds retention-profiled row groups through the side channel only."""
 
     def __init__(self, host: SoftMCHost,
-                 mapping: RowMapping | None = None,
-                 obs: Observability | None = None) -> None:
+                 mapping: RowMapping | None = None) -> None:
         self._host = host
         #: Logical<->physical mapping discovered by §5.3 reverse
         #: engineering (identity if the module needs none).
         self._mapping = mapping or DirectMapping(host.rows_per_bank)
-        #: Observability bundle: explicit, inherited from the host, or
-        #: the shared null bundle (all calls no-ops).
-        self._obs = obs or getattr(host, "obs", None) or NULL_OBS
+        #: The host's observability bundle (all calls no-ops when
+        #: it is the shared null bundle).
+        self._obs = host.obs
         #: Recovery-work counters (chaos harness reporting).
         self.stats = RowScoutStats()
         #: Physical rows banned from profiling, per bank.
@@ -148,7 +147,7 @@ class RowScout:
                      "retries": self.flaky_scores.get((bank, physical),
                                                       0)})],
                 detail={"bank": bank},
-                host=self._host, profiler=self._obs.profiler)
+                host=self._host)
 
     def _note_flaky(self, bank: int, physical: int,
                     config: ProfilingConfig) -> None:
@@ -299,7 +298,7 @@ class RowScout:
                             {"max_t_ms": reference.max_t_ms,
                              "attempts": reference.scan_attempts})],
                         detail={"banks": [c.bank for c in configs]},
-                        host=self._host, profiler=self._obs.profiler)
+                        host=self._host)
                 results = self._escalate_once(configs, ranges, reference)
                 if results is not None:
                     return results
@@ -388,7 +387,7 @@ class RowScout:
                                         "t_ps": t_ps})],
                     detail={"bank": config.bank, "base": base,
                             "rounds": config.validation_rounds},
-                    host=self._host, profiler=self._obs.profiler)
+                    host=self._host)
                 used.update(span_rows)
                 if len(groups) >= config.group_count:
                     break
@@ -442,5 +441,5 @@ class RowScout:
                               label="replacement-rows")],
             detail={"bank": bad_group.bank,
                     "bucket_ps": [t_lo_ps, t_ps]},
-            host=self._host, profiler=self._obs.profiler)
+            host=self._host)
         return replacement[0]

@@ -40,7 +40,7 @@ from ..dram.commands import HammerMode
 from ..dram.mapping import DirectMapping, RowMapping
 from ..dram.patterns import AllZeros, DataPattern
 from ..errors import ConfigError
-from ..obs import NULL_OBS, Observability, ev_refs, ev_rows, ev_value
+from ..obs import ev_refs, ev_rows, ev_value
 from ..softmc import SoftMCHost
 from .refclassifier import RefreshSchedule
 from .resilience import AnalyzerStats
@@ -158,8 +158,7 @@ class TrrAnalyzer:
     def __init__(self, host: SoftMCHost, groups: list[RowGroup],
                  schedule: RefreshSchedule | None = None,
                  mapping: RowMapping | None = None, seed: int = 0,
-                 stats: AnalyzerStats | None = None,
-                 obs: Observability | None = None) -> None:
+                 stats: AnalyzerStats | None = None) -> None:
         if not groups:
             raise ConfigError("TrrAnalyzer needs at least one row group")
         retention = {group.retention_ps for group in groups}
@@ -180,7 +179,7 @@ class TrrAnalyzer:
         #: clear of the victims' refresh slots.
         self.schedule = schedule
         self._mapping = mapping or DirectMapping(host.rows_per_bank)
-        self._obs = obs or getattr(host, "obs", None) or NULL_OBS
+        self._obs = host.obs
         self._rng = np.random.default_rng(seed)
         #: Recovery-work counters; pass a shared instance to aggregate
         #: across the many analyzers one inference run creates.
@@ -387,7 +386,7 @@ class TrrAnalyzer:
                 detail={"suspects": len(suspects),
                         "note": "apparent TRR hits failed the zero-REF "
                                 "decay probe"},
-                host=host, profiler=self._obs.profiler)
+                host=host)
         return verified
 
     # -- robust execution (majority vote + re-validation) ---------------------
@@ -463,7 +462,7 @@ class TrrAnalyzer:
                 ],
                 detail={"outliers": outliers,
                         "unstable_groups": list(unstable)},
-                host=self._host, profiler=self._obs.profiler)
+                host=self._host)
         return ExperimentResult(observations=consensus,
                                 ref_indices=runs[-1].ref_indices,
                                 dummy_rows=runs[-1].dummy_rows,
@@ -512,7 +511,7 @@ class TrrAnalyzer:
                                 "reason": reason})],
             detail={"bank": group.bank,
                     "retention_ps": group.retention_ps},
-            host=self._host, profiler=self._obs.profiler)
+            host=self._host)
 
     def _hammer_dummies(self, dummies: dict[int, list[int]],
                         config: ExperimentConfig) -> None:

@@ -214,16 +214,19 @@ class DramChip:
     def check_refresh(self, count: int,
                       spacing_ps: int | None = None) -> None:
         """Raise unless :meth:`refresh` would accept its arguments."""
-        if count < 0:
-            raise ConfigError("refresh count must be non-negative")
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise ConfigError("refresh count must be a non-negative "
+                              f"integer, got {count!r}")
         if (spacing_ps is not None
                 and spacing_ps < self.config.timing.trfc_ps):
             raise ConfigError("REF spacing below tRFC")
 
     def check_wait(self, duration_ps: int) -> None:
         """Raise unless :meth:`wait` would accept *duration_ps*."""
-        if duration_ps < 0:
-            raise ConfigError("cannot wait a negative duration")
+        if not isinstance(duration_ps, (int, np.integer)) or duration_ps < 0:
+            raise ConfigError("wait duration must be a non-negative "
+                              f"integer of picoseconds, got "
+                              f"{duration_ps!r}")
 
     # -- host-visible operations (logical addressing) -------------------------
 

@@ -57,9 +57,9 @@ import sys
 import time
 
 from ..cache import ResultCache
-from ..obs import (CommandProfiler, MetricsRegistry, RunHistory,
-                   SpanTracker, StructuredLog, TelemetryConfig,
-                   build_manifest)
+from ..obs import (CommandProfiler, MetricsRegistry, Observability,
+                   RunHistory, SpanTracker, StructuredLog,
+                   TelemetryConfig, build_manifest)
 from ..parallel import default_workers
 from ..vendors import all_modules
 from . import (REPRESENTATIVE_MODULES, TABLE1_REPRESENTATIVES, get_scale,
@@ -134,9 +134,6 @@ def main(argv: list[str] | None = None) -> int:
     scale = get_scale(args.scale)
     workers = args.workers
     log = StructuredLog(enabled=not args.quiet, elapsed=True)
-    metrics = MetricsRegistry()
-    spans = SpanTracker()
-    profiler = CommandProfiler(spans=spans) if args.profile else None
     telemetry = None
     if args.telemetry:
         telemetry = TelemetryConfig(
@@ -169,6 +166,11 @@ def main(argv: list[str] | None = None) -> int:
         from ..obs.evidence import EvidenceLedger
         evidence = EvidenceLedger()
         log.info("evidence-enabled", sidecar=args.evidence)
+    spans = SpanTracker()
+    obs = Observability(
+        metrics=MetricsRegistry(), spans=spans,
+        profiler=CommandProfiler(spans=spans) if args.profile else None,
+        evidence=evidence)
     manifest = build_manifest(scale=scale.name, artifact=args.artifact,
                               include_time=False)
     log.info("run-start", artifact=args.artifact, scale=scale.name,
@@ -176,9 +178,8 @@ def main(argv: list[str] | None = None) -> int:
              git=manifest["git"])
 
     # The keyword arguments every harness forwards to run_units.
-    engine = dict(workers=workers, log=log, metrics=metrics,
-                  telemetry=telemetry, profiler=profiler, cache=cache,
-                  evidence=evidence)
+    engine = dict(workers=workers, log=log, obs=obs,
+                  telemetry=telemetry, cache=cache)
     started = time.time()
     with spans.span(args.artifact, scale=scale.name, workers=workers):
         if args.artifact == "resilience":
@@ -221,15 +222,15 @@ def main(argv: list[str] | None = None) -> int:
     if cache is not None:
         summary = cache.summary()
         log.info("cache-summary", **summary)
-    if profiler is not None and not args.quiet:
+    if args.profile and not args.quiet:
         sys.stderr.write("command-bus profile:\n"
-                         + profiler.render(wall_s=wall) + "\n")
+                         + obs.profiler.render(wall_s=wall) + "\n")
     if evidence is not None:
         # Fold the provenance counters into the registry *before* the
         # history row is recorded so the sidecar and the history agree
         # on the commands-to-discovery totals.
         from ..obs.evidence import write_evidence
-        evidence.emit_metrics(metrics)
+        evidence.emit_metrics(obs.metrics)
         write_evidence(args.evidence, evidence,
                        meta={"artifact": args.artifact,
                              "scale": scale.name,
@@ -244,8 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         # history gate compares, so warm and cold rows gate alike.
         RunHistory(args.history).record(
             f"eval.{args.artifact}", manifest=row_manifest,
-            metrics=metrics, spans=spans, wall_s=wall,
-            profile=profiler,
+            metrics=obs.metrics, spans=spans, wall_s=wall,
+            profile=obs.profiler,
             extra={"cache": cache.summary()} if cache else None)
         log.info("history-recorded", store=args.history,
                  kind=f"eval.{args.artifact}")

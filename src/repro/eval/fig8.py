@@ -17,7 +17,7 @@ from ..attacks import (VendorAPattern, VendorBPattern, VendorCPattern,
 from ..attacks.sweep import HammerSweepResult
 from ..core.mapping_re import CouplingTopology
 from ..errors import ConfigError
-from ..parallel import WorkUnit, run_units, unit_observability
+from ..parallel import WorkUnit, run_units
 from ..vendors import get_module
 from .report import render_table
 from .scale import STANDARD, EvalScale
@@ -66,14 +66,12 @@ class Fig8Result:
 
 
 def run_fig8(module_id: str, scale: EvalScale = STANDARD,
-             hammer_counts=None, obs=None) -> Fig8Result:
+             hammer_counts=None) -> Fig8Result:
     if module_id not in SWEEPS and hammer_counts is None:
         raise ConfigError(
             f"no default sweep for {module_id}; pass hammer_counts")
-    if obs is None:
-        obs = unit_observability()
     spec = get_module(module_id)
-    host = scale.build_host(spec, obs=obs)
+    host = scale.build_host(spec)
     mapping = host._chip.mapping
     trr_period = spec.trr_parameters()["trr_ref_period"]
     windows = max(2 * scale.scaled_cycle(spec) // trr_period, 1)
@@ -83,7 +81,7 @@ def run_fig8(module_id: str, scale: EvalScale = STANDARD,
                                  scale.fig8_positions, coupling,
                                  margin=64)
     def fresh_host():
-        new_host = scale.build_host(spec, obs=obs)
+        new_host = scale.build_host(spec)
         return new_host, new_host._chip.mapping
 
     sweep = run_hammer_sweep(

@@ -47,8 +47,7 @@ def run_fig9(module_ids: list[str] | None = None,
     """One evaluation unit per module (default: all 45).
 
     *engine* is forwarded to :func:`repro.parallel.run_units`
-    (``workers``, ``log``, ``metrics``, ``telemetry``, ``profiler``,
-    ``cache``, ``evidence``).
+    (``workers``, ``log``, ``obs``, ``telemetry``, ``cache``).
     """
     ids = module_ids or [spec.module_id for spec in all_modules()]
     return Fig9Result(evaluations=evaluate_modules(ids, scale, positions,

@@ -53,14 +53,14 @@ def hardened_inference_config(**overrides) -> InferenceConfig:
     return replace(REDUCED_INFERENCE, **{**hardening, **overrides})
 
 
-def _chaos_host(spec: ModuleSpec, fault_profile: str, seed: int,
-                obs=None) -> SoftMCHost:
+def _chaos_host(spec: ModuleSpec, fault_profile: str,
+                seed: int) -> SoftMCHost:
     """An inference-friendly chip with a seeded injector at its boundary.
 
     Unlike the quiet evaluation chips, a small VRT population is kept so
     the injector's VRT storms have cells to act on — the hardened Row
-    Scout must reject or quarantine them.  *obs* optionally records the
-    chaos run's command stream and fault events.
+    Scout must reject or quarantine them.  The executing work unit's
+    bundle records the chaos run's command stream and fault events.
     """
     config = spec.device_config(rows_per_bank=8192, row_bits=1024,
                                 weak_cells_per_row_mean=2.0,
@@ -69,7 +69,7 @@ def _chaos_host(spec: ModuleSpec, fault_profile: str, seed: int,
                              seed=derive_seed("resilience", seed,
                                               spec.module_id))
     return SoftMCHost(DramChip(config, spec.make_trr()), faults=injector,
-                      obs=obs)
+                      obs=unit_observability())
 
 
 @dataclass
@@ -179,19 +179,16 @@ class ResilienceReport:
 
 def run_module_resilience(module_id: str, fault_profile: str = "default",
                           seed: int = 0,
-                          config: InferenceConfig | None = None,
-                          obs=None) -> ModuleResilience:
+                          config: InferenceConfig | None = None
+                          ) -> ModuleResilience:
     """One chaos run: hardened inference on *module_id* under faults.
 
-    *obs* optionally records the run (trace/metrics/spans) and defaults
-    to the ambient work-unit bundle; the returned artifact is always
-    stamped with a run manifest carrying the fault profile, the
-    injector's per-stream RNG seeds and the recovery counters.
+    The returned artifact is always stamped with a run manifest
+    carrying the fault profile, the injector's per-stream RNG seeds and
+    the recovery counters.
     """
-    if obs is None:
-        obs = unit_observability()
     spec = get_module(module_id)
-    host = _chaos_host(spec, fault_profile, seed, obs=obs)
+    host = _chaos_host(spec, fault_profile, seed)
     inference = TrrInference(host, config or hardened_inference_config())
     profile = inference.run()
     recovery = inference.stats.as_dict()

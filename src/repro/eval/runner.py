@@ -21,7 +21,7 @@ from ..attacks import (AccessPattern, AttackExecutor,
 from ..attacks.sweep import VulnerabilityResult
 from ..core.mapping_re import CouplingTopology
 from ..errors import AttackConfigError
-from ..parallel import WorkUnit, run_units, unit_observability
+from ..parallel import WorkUnit, run_units
 from ..softmc import SoftMCHost
 from ..vendors import ModuleSpec, get_module
 from .scale import EvalScale
@@ -88,17 +88,9 @@ def candidate_patterns(spec: ModuleSpec, host: SoftMCHost,
 
 
 def evaluate_module(spec: ModuleSpec, scale: EvalScale,
-                    positions: int | None = None,
-                    obs=None) -> ModuleEvaluation:
-    """Select the best pattern on canaries, then sweep the bank.
-
-    *obs* defaults to the ambient work-unit bundle
-    (:func:`repro.parallel.unit_observability`), so the host's metrics
-    reach the caller's registry for any worker count.
-    """
-    if obs is None:
-        obs = unit_observability()
-    host = scale.build_host(spec, obs=obs)
+                    positions: int | None = None) -> ModuleEvaluation:
+    """Select the best pattern on canaries, then sweep the bank."""
+    host = scale.build_host(spec)
     mapping = host._chip.mapping
     trr_period = spec.trr_parameters().get("trr_ref_period", 9)
     cycle = scale.scaled_cycle(spec)
@@ -142,7 +134,7 @@ def evaluate_module(spec: ModuleSpec, scale: EvalScale,
         margin=16)
 
     def fresh_host():
-        new_host = scale.build_host(spec, obs=obs)
+        new_host = scale.build_host(spec)
         return new_host, new_host._chip.mapping
 
     result = run_vulnerability_sweep(host, mapping, pattern,
@@ -172,12 +164,12 @@ def evaluate_modules(module_ids, scale: EvalScale,
 
     Results come back in *module_ids* order whatever the scheduling.
     *engine* is forwarded to :func:`repro.parallel.run_units`:
-    ``workers`` shards the units over processes, *metrics* receives
-    every unit's host metrics (identical totals for any worker count),
+    ``workers`` shards the units over processes, *obs* (a
+    :class:`~repro.obs.Observability`) receives every unit's host
+    metrics and, when it profiles, the per-opcode command-bus
+    attribution (identical totals for any worker count), and
     *telemetry* (a :class:`~repro.obs.TelemetryConfig`) publishes live
-    progress into its spool, and *profiler* (a
-    :class:`~repro.obs.CommandProfiler`) collects the folded per-opcode
-    command-bus attribution — side channels that leave the artifacts
+    progress into its spool — side channels that leave the artifacts
     byte-identical.  *cache* (a :class:`~repro.cache.ResultCache`)
     serves previously computed units from the content-addressed store
     and publishes fresh ones — the ``eval/<module>`` unit ids are
@@ -194,11 +186,9 @@ def evaluate_modules(module_ids, scale: EvalScale,
 
 def evaluate_baseline(spec: ModuleSpec, scale: EvalScale,
                       pattern: AccessPattern,
-                      positions: int = 8, obs=None) -> VulnerabilityResult:
+                      positions: int = 8) -> VulnerabilityResult:
     """Run a (classic) pattern against a module for the ablations."""
-    if obs is None:
-        obs = unit_observability()
-    host = scale.build_host(spec, obs=obs)
+    host = scale.build_host(spec)
     mapping = host._chip.mapping
     trr_period = spec.trr_parameters().get("trr_ref_period", 9)
     windows = max(2 * scale.scaled_cycle(spec) // trr_period, 1)
@@ -208,7 +198,7 @@ def evaluate_baseline(spec: ModuleSpec, scale: EvalScale,
                             margin=16)
 
     def fresh_host():
-        new_host = scale.build_host(spec, obs=obs)
+        new_host = scale.build_host(spec)
         return new_host, new_host._chip.mapping
 
     return run_vulnerability_sweep(host, mapping, pattern, rows,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from ..dram import DramChip
 from ..errors import ConfigError
+from ..parallel import unit_observability
 from ..softmc import SoftMCHost
 from ..vendors import ModuleSpec
 
@@ -63,11 +64,12 @@ class EvalScale:
                         // 8192)
         return max(min(proportional, self.refresh_cycle_refs), 64)
 
-    def build_host(self, spec: ModuleSpec, obs=None) -> SoftMCHost:
+    def build_host(self, spec: ModuleSpec) -> SoftMCHost:
         """Build the module at this operating point, TRR attached.
 
-        *obs* is an optional :class:`repro.obs.Observability` bundle the
-        host records into (inherited by every pipeline component).
+        The host records into the executing work unit's bundle
+        (:func:`repro.parallel.unit_observability`), which every
+        pipeline component driving it reaches through ``host.obs``.
         """
         config = spec.device_config(rows_per_bank=self.rows_per_bank,
                                     row_bits=self.row_bits)
@@ -76,7 +78,8 @@ class EvalScale:
             refresh_cycle_refs=self.scaled_cycle(spec),
             disturbance=dataclasses.replace(
                 config.disturbance, hc_first=self.scaled_hc_first(spec)))
-        return SoftMCHost(DramChip(config, spec.make_trr()), obs=obs)
+        return SoftMCHost(DramChip(config, spec.make_trr()),
+                          obs=unit_observability())
 
 
 #: Standard benchmark operating point.

@@ -34,12 +34,13 @@ class Table1Row:
                 == params.get("trr_ref_period"))
 
 
-def _inference_host(spec: ModuleSpec, scale: EvalScale, obs=None):
+def _inference_host(spec: ModuleSpec, scale: EvalScale):
     """Inference needs denser weak rows than the attack sweeps (Row
     Scout must find 16+ same-bucket groups) and a VRT-free population so
     reduced validation rounds stay safe.  RowHammer thresholds stay
     *unscaled*: the §6 experiments' hammer counts are calibrated to
-    trigger TRR without flipping the profiled rows (§6.1.1)."""
+    trigger TRR without flipping the profiled rows (§6.1.1).  The host
+    records into the executing work unit's bundle."""
     import dataclasses as dc
     from ..dram import DramChip
     from ..softmc import SoftMCHost
@@ -51,23 +52,23 @@ def _inference_host(spec: ModuleSpec, scale: EvalScale, obs=None):
         config,
         refresh_cycle_refs=max(scale.scaled_cycle(spec), 2048
                                * spec.refresh_cycle_refs // 8192))
-    return SoftMCHost(DramChip(config, spec.make_trr()), obs=obs)
+    return SoftMCHost(DramChip(config, spec.make_trr()),
+                      obs=unit_observability())
 
 
 def run_table1_module(module_id: str,
                       scale: EvalScale = STANDARD) -> Table1Row:
     spec = get_module(module_id)
-    obs = unit_observability()
-    inference_host = _inference_host(spec, scale, obs=obs)
+    inference_host = _inference_host(spec, scale)
     # Reduced validation rounds are safe: evaluation chips disable VRT.
     inference = TrrInference(inference_host, REDUCED_INFERENCE)
     profile = inference.run()
-    hc_host = scale.build_host(spec, obs=obs)
+    hc_host = scale.build_host(spec)
     measured = measure_hc_first(
         hc_host, hc_host._chip.mapping,
         hi=6 * scale.scaled_hc_first(spec),
         paired=spec.paired_rows)
-    evaluation = evaluate_module(spec, scale, obs=obs)
+    evaluation = evaluate_module(spec, scale)
     return Table1Row(spec=spec, profile=profile,
                      measured_hc_first=scale.unscale_hc(measured),
                      evaluation=evaluation)

@@ -70,9 +70,9 @@ class FaultInjector:
     def bind_observability(self, obs) -> None:
         """Mirror every injected fault into *obs* (metrics + trace).
 
-        Called by the host at construction when both an injector and an
-        observability bundle are present; a null bundle is fine (all the
-        mirrored calls are no-ops then).
+        Called by the host at construction with its bundle, which is
+        the null bundle when the host records nothing (all the mirrored
+        calls are no-ops then).
         """
         self._obs = obs
 

@@ -146,11 +146,12 @@ NULL_EVIDENCE = NullEvidence()
 class Observability:
     """One run's observability bundle: recorder + metrics + spans.
 
-    Components accept an ``obs`` argument and fall back to the host's
-    bundle, and finally to :data:`NULL_OBS`; metrics and span calls are
-    made unconditionally (no-ops when disabled), while the per-command
-    host hot path additionally gates on ``recorder.enabled`` /
-    ``metrics.enabled`` so the disabled path costs nothing.
+    Components reach the bundle through their host (``host.obs``, which
+    is :data:`NULL_OBS` for an uninstrumented host); metrics and span
+    calls are made unconditionally (no-ops when disabled), while the
+    per-command host hot path additionally gates on
+    ``recorder.enabled`` / ``metrics.enabled`` so the disabled path
+    costs nothing.
     """
 
     def __init__(self, recorder=None, metrics=None, spans=None,
@@ -183,11 +184,40 @@ class Observability:
         if self.recorder.enabled:
             self.recorder.event(kind, ps=ps, **fields)
 
-    def export(self) -> dict:
-        """JSON-compatible dump of metrics, spans, and the manifest."""
-        return {"metrics": self.metrics.as_dict(),
-                "spans": self.spans.as_timeline(),
-                "manifest": self.manifest}
+    def dump(self) -> dict:
+        """What the bundle recorded, as one plain dict.
+
+        The keys are ``metrics``, ``spans``, ``profile`` and
+        ``evidence``; each appears only when its instrument recorded
+        something.  This is the form a work unit's instruments travel
+        in: on its outcome, in its cache envelope and in its
+        ``unit-done`` telemetry event.
+        """
+        dump: dict = {}
+        metrics = self.metrics.as_dict()
+        if any(metrics.values()):
+            dump["metrics"] = metrics
+        if self.spans.spans:
+            dump["spans"] = self.spans.as_timeline()
+        if self.profiler.commands:
+            dump["profile"] = self.profiler.as_dict()
+        if self.evidence.nodes:
+            dump["evidence"] = self.evidence.dump()
+        return dump
+
+    def merge(self, dump: dict, unit: str | None = None) -> None:
+        """Fold one :meth:`dump` into this bundle's instruments.
+
+        Metrics, profile and evidence fold (evidence nodes stamped with
+        *unit*); spans do not — a unit's timeline stays a telemetry and
+        cache side channel.  Disabled instruments ignore their part.
+        """
+        if "metrics" in dump:
+            self.metrics.merge(dump["metrics"])
+        if "profile" in dump:
+            self.profiler.merge(dump["profile"])
+        if "evidence" in dump:
+            self.evidence.merge(dump["evidence"], unit=unit)
 
     def finalize(self, host=None) -> None:
         """Close the trace, stamping the host's ledger as the summary.
@@ -205,8 +235,9 @@ class Observability:
         self.recorder.close(summary)
 
 
-#: Shared all-disabled bundle: the default for every instrumented
-#: component.  Never used for a host hot path (hosts gate on ``enabled``).
+#: Shared all-disabled bundle: the ``obs`` of every host built without
+#: one, and so of every component driving it.  Never used for a host hot
+#: path (hosts gate on each instrument's ``enabled``).
 NULL_OBS = Observability(recorder=NullRecorder(), metrics=NullMetrics(),
                          spans=NullSpans(), profiler=NullProfiler())
 

@@ -17,8 +17,8 @@ append-only ledger of **decision nodes**:
 * ``outcome`` is one of :data:`OUTCOMES` — a hypothesis was accepted,
   rejected, or degraded (accepted as a fallback after faults).
 * ``commands`` is the cumulative command stamp at decision time, taken
-  from the host's own ACT/REF ledger (and, when a
-  :class:`~repro.obs.CommandProfiler` is attached, its per-opcode
+  from the host's own ACT/REF ledger (and, when the host's bundle
+  carries a :class:`~repro.obs.CommandProfiler`, its per-opcode
   counts) — never from wall time, so stamps are deterministic for a
   seed and identical across worker counts.
 * ``commands_to_discovery`` is the waterfall delta: commands issued
@@ -87,18 +87,21 @@ def _jsonify(value, _depth: int = 0):
     return repr(value)[:120]
 
 
-def command_stamp(host=None, profiler=None) -> dict:
+def command_stamp(host=None) -> dict:
     """Cumulative command counts at this instant (deterministic).
 
     *host* is anything exposing ``ref_count`` / ``acts_per_bank`` (the
-    SoftMC host's own ledger); *profiler*, when enabled, contributes
-    per-opcode counts.  Wall time never enters a stamp.
+    SoftMC host's own ledger); when its ``obs`` bundle profiles, the
+    profiler contributes per-opcode counts.  Wall time never enters a
+    stamp.
     """
     acts = refs = 0
+    profiler = None
     if host is not None:
         refs = int(getattr(host, "ref_count", 0) or 0)
         per_bank = getattr(host, "acts_per_bank", None) or {}
         acts = int(sum(per_bank.values()))
+        profiler = getattr(getattr(host, "obs", None), "profiler", None)
     stamp = {"acts": acts, "refs": refs, "total": acts + refs}
     if profiler is not None and getattr(profiler, "enabled", False):
         counts = getattr(profiler, "counts", None) or {}
@@ -174,13 +177,13 @@ class EvidenceLedger:
     def decide(self, parameter: str, value=None, *,
                outcome: str = "accepted", stage: str | None = None,
                confidence: float | None = None, evidence=(),
-               detail: dict | None = None, host=None, profiler=None,
+               detail: dict | None = None, host=None,
                module: str | None = None) -> dict:
         """Record one decision node and return it."""
         if outcome not in OUTCOMES:
             raise ValueError(f"outcome must be one of {OUTCOMES}, "
                              f"got {outcome!r}")
-        stamp = command_stamp(host=host, profiler=profiler)
+        stamp = command_stamp(host=host)
         node: dict = {
             "kind": "decision",
             "seq": len(self.nodes),

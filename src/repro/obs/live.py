@@ -341,35 +341,26 @@ def aggregate_metrics(events: list[dict]):
 
 
 def aggregate_evidence(events: list[dict]) -> dict:
-    """Fold per-unit ``unit-done`` evidence summaries into one.
+    """Summarize the evidence nodes per-unit ``unit-done`` events carry.
 
-    Each summary is the :func:`repro.obs.evidence.nodes_summary` shape
+    The result is the :func:`repro.obs.evidence.nodes_summary` shape
     (decisions / outcome counts / commands-to-discovery, plus a
-    per-parameter breakdown); units without decision nodes carry no
-    ``evidence`` field and contribute nothing.
+    per-parameter breakdown) over every unit's nodes, plus ``units``,
+    the number of units that recorded any; units without decision
+    nodes carry no ``evidence`` field and contribute nothing.
     """
-    total: dict = {"decisions": 0, "accepted": 0, "rejected": 0,
-                   "degraded": 0, "empty_chains": 0, "commands": 0,
-                   "units": 0, "parameters": {}}
+    from .evidence import nodes_summary
+    nodes: list[dict] = []
+    units = 0
     for unit_id, unit_events in sorted(_by_unit(events).items()):
-        summary = None
+        unit_nodes = None
         for event in unit_events:
             if event.get("kind") == "unit-done" and event.get("evidence"):
-                summary = event["evidence"]
-        if not summary:
-            continue
-        total["units"] += 1
-        for key in ("decisions", "accepted", "rejected", "degraded",
-                    "empty_chains", "commands"):
-            total[key] += summary.get(key, 0)
-        for parameter, stats in (summary.get("parameters") or {}).items():
-            folded = total["parameters"].setdefault(
-                parameter, {"decisions": 0, "accepted": 0,
-                            "commands": 0, "evidence": 0})
-            for key in folded:
-                folded[key] += stats.get(key, 0)
-    total["parameters"] = dict(sorted(total["parameters"].items()))
-    return total
+                unit_nodes = event["evidence"]
+        if unit_nodes:
+            units += 1
+            nodes.extend(unit_nodes)
+    return {**nodes_summary(nodes), "units": units}
 
 
 def assemble_timeline(events: list[dict]) -> list[dict]:

@@ -26,13 +26,15 @@ What does NOT come for free is *reproducibility discipline*:
 * **Auditability** — every unit gets a :func:`repro.obs.build_manifest`
   manifest (``include_time=False``, no worker identity) so per-unit
   artifacts from a parallel run diff clean against a sequential run.
-* **Complete metrics** — each work unit records into a fresh *ambient*
-  per-unit :class:`~repro.obs.Observability` (reachable inside the
-  unit via :func:`unit_observability`); its registry's dump rides home
-  on the unit's :class:`UnitOutcome` and the engine folds every unit's
-  counters and histograms into the caller's registry **in submission
-  order**, so ``metrics.json`` from a ``--workers N`` run equals the
-  ``--workers 1`` one.
+* **One instrument bundle** — each work unit records into a fresh
+  *ambient* per-unit :class:`~repro.obs.Observability` (reachable
+  inside the unit via :func:`unit_observability`, which the eval host
+  builders attach to every host they build).  Its
+  :meth:`~repro.obs.Observability.dump` rides home on the unit's
+  :class:`UnitOutcome`, and the engine folds every unit's metrics,
+  command-bus profile and evidence nodes into the caller's bundle
+  **in submission order**, so ``metrics.json`` from a ``--workers N``
+  run equals the ``--workers 1`` one.
 * **Live telemetry stays off the artifact path** — a
   :class:`~repro.obs.TelemetryConfig` makes every unit publish
   ``unit-start`` / ``heartbeat`` / ``unit-done`` events (wall-clock,
@@ -42,24 +44,18 @@ What does NOT come for free is *reproducibility discipline*:
   cannot perturb byte-identity.  ``stall_deadline_s`` arms a
   coordinator-side :class:`~repro.obs.Watchdog` that flags pool units
   whose command counters stop advancing.
-* **Per-unit profiling folds like metrics** — a caller-supplied
-  :class:`~repro.obs.CommandProfiler` makes each unit profile its host
-  command bus; dumps ride home on the outcome and fold in submission
-  order.
 * **Results are cacheable** — a caller-supplied
   :class:`~repro.cache.ResultCache` makes the engine consult a
   content-addressed store before dispatching each unit and publish the
-  result envelope (value + metrics + spans + wall) as each unit
-  completes, buying unit-level resume after a crash, in-flight dedup
-  of identical units, and warm re-runs whose stdout / folded metrics /
-  history rows are byte-identical to cold ones (hits replay their
-  stored per-unit metrics through the same submission-order fold).
+  result envelope (value + instrument dump + wall) as each unit
+  completes, buying unit-level resume after a crash and warm re-runs
+  whose stdout / folded metrics / history rows are byte-identical to
+  cold ones (hits replay their stored dump through the same
+  submission-order fold).
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -87,21 +83,20 @@ def unit_seed(unit_id: str) -> int:
 
 #: The ambient per-unit observability bundle: bound while a work unit's
 #: function executes (always a fresh registry the engine folds into
-#: the caller's), None outside any unit.
-_unit_obs: Observability | None = None
+#: the caller's), :data:`~repro.obs.NULL_OBS` outside any unit.
+_unit_obs: Observability = NULL_OBS
 
 
 def unit_observability() -> Observability:
     """The executing work unit's ambient observability bundle.
 
-    Unit functions call this (directly or via an ``obs=None`` fallback)
-    to reach the unit's registry — and, when the run profiles, the span
-    tracker and command profiler — which the engine folds into the
-    caller's instruments.  Outside a unit this is
-    :data:`~repro.obs.NULL_OBS`, so instrumented code never branches.
+    The eval host builders attach it to every host they build, so the
+    unit's components record through ``host.obs`` into the registry —
+    and, when the run profiles or collects evidence, the command
+    profiler and ledger — that the engine folds into the caller's
+    bundle.  Outside a unit this is :data:`~repro.obs.NULL_OBS`, so
+    instrumented code never branches.
     """
-    if _unit_obs is None:
-        return NULL_OBS
     return _unit_obs
 
 
@@ -148,27 +143,18 @@ class UnitOutcome:
     quarantined: bool = False
     error: str | None = None
     manifest: dict = field(default_factory=dict)
-    #: Metrics the unit recorded (``as_dict`` form; None when it
-    #: recorded nothing).
-    metrics: dict | None = None
+    #: What the unit's instruments recorded, as the
+    #: :meth:`~repro.obs.Observability.dump` of its bundle (``metrics``,
+    #: ``spans``, ``profile``, ``evidence``; each only when recorded).
+    instruments: dict = field(default_factory=dict)
     #: Measured wall-clock seconds of the winning attempt.  Side
     #: channel: never part of the manifest or any rendered artifact.
     wall_s: float | None = None
-    #: Per-opcode command-bus profile (``CommandProfiler.as_dict``
-    #: form; only populated when the run profiles).
-    profile: dict | None = None
-    #: Span timeline the unit recorded (``SpanTracker.as_timeline``
-    #: form; only populated when telemetry, profiling or the cache
-    #: tracks spans).
-    spans: list | None = None
-    #: Evidence nodes the unit's provenance ledger recorded (dumped
-    #: dict form; only populated when the run carries a ledger).
-    evidence: list | None = None
     #: True when this outcome was served from the result cache
     #: (``attempts == 0``: the unit never executed this run).
     cached: bool = False
-    #: True when this outcome was fanned out from an identical unit
-    #: earlier in the same run (in-flight dedup).
+    #: Always False: no run coalesces units.  Kept because the traced
+    #: benchmark (``perfbench/tracer.py``) reads it.
     coalesced: bool = False
 
     @property
@@ -198,7 +184,7 @@ class ParallelRun:
     @property
     def retries(self) -> int:
         """Extra attempts spent recovering crashed/failed units."""
-        # max(…, 0): cached/coalesced outcomes carry attempts == 0.
+        # max(…, 0): cached outcomes carry attempts == 0.
         return sum(max(outcome.attempts - 1, 0)
                    for outcome in self.outcomes)
 
@@ -206,11 +192,6 @@ class ParallelRun:
     def cache_hits(self) -> int:
         """Units served from the result cache without executing."""
         return sum(1 for outcome in self.outcomes if outcome.cached)
-
-    @property
-    def deduped(self) -> int:
-        """Units coalesced onto an identical in-flight unit."""
-        return sum(1 for outcome in self.outcomes if outcome.coalesced)
 
     def manifests(self) -> list[dict]:
         """Per-unit manifests, input order — worker-count independent."""
@@ -241,23 +222,19 @@ def _publish(sink, kind: str, **fields) -> None:
 
 
 def _done_fields(outcome: UnitOutcome, origin_ts: float) -> dict:
-    """The ``unit-done`` event payload (progress + distributed spans)."""
-    counters = (outcome.metrics or {}).get("counters", {})
+    """The ``unit-done`` event payload: progress plus the unit's
+    instrument dump as it is (its spans join the distributed
+    timeline)."""
+    dump = outcome.instruments
+    counters = dump.get("metrics", {}).get("counters", {})
     fields: dict = {
         "wall_s": round(outcome.wall_s or 0.0, 6),
         "commands": sum(counters.get(name, 0)
                         for name in COMMAND_COUNTERS),
+        **dump,
     }
-    if outcome.metrics:
-        fields["metrics"] = outcome.metrics
-    if outcome.spans:
-        fields["spans"] = outcome.spans
+    if "spans" in dump:
         fields["origin_ts"] = round(origin_ts, 6)
-    if outcome.profile:
-        fields["profile"] = outcome.profile
-    if outcome.evidence:
-        from ..obs.evidence import nodes_summary
-        fields["evidence"] = nodes_summary(outcome.evidence)
     if outcome.error is not None:
         fields["error"] = outcome.error
     return fields
@@ -265,39 +242,39 @@ def _done_fields(outcome: UnitOutcome, origin_ts: float) -> dict:
 
 def _execute(unit: WorkUnit, telemetry=None, profile: bool = False,
              capture: bool = False, evidence: bool = False) -> UnitOutcome:
-    """Run one unit in this process; return its outcome with the dumps.
+    """Run one unit in this process; return its outcome with the dump.
 
     The one per-unit executor.  It binds a fresh ambient bundle for the
     unit's duration: always a registry; a span tracker when *telemetry*,
     *profile* or *capture* (the cache's envelope) needs one; a command
-    profiler with *profile*; an evidence ledger with *evidence*.  Their
-    dumps and the measured wall ride on the returned outcome for the
-    caller's submission-order fold.  With *telemetry* the unit also
-    publishes ``unit-start`` / ``heartbeat`` / ``unit-done`` events —
-    side channel only.  An exception from the unit propagates after its
-    ``unit-done`` event.
+    profiler with *profile*; an evidence ledger with *evidence*.  The
+    bundle's dump and the measured wall ride on the returned outcome
+    for the caller's submission-order fold.  With *telemetry* the unit
+    also publishes ``unit-start`` / ``heartbeat`` / ``unit-done`` events
+    — side channel only.  An exception from the unit propagates after
+    its ``unit-done`` event.
     """
     global _unit_obs
     live = telemetry is not None
-    registry = MetricsRegistry()
-    spans = SpanTracker() if (live or profile or capture) else None
+    spans = (SpanTracker() if (live or profile or capture)
+             else NULL_OBS.spans)
     origin_ts = time.time()
-    profiler = CommandProfiler(spans=spans) if profile else None
     ledger = None
     if evidence:
         from ..obs.evidence import EvidenceLedger
         ledger = EvidenceLedger()
+    obs = Observability(
+        metrics=MetricsRegistry(), spans=spans,
+        profiler=CommandProfiler(spans=spans) if profile else None,
+        evidence=ledger)
     sink = telemetry.sink(unit.unit_id) if live else None
     heartbeat = None
     if sink is not None:
         _publish(sink, "unit-start", **unit_start_fields())
         if telemetry.heartbeats:
-            heartbeat = Heartbeat(sink, metrics=registry, spans=spans,
+            heartbeat = Heartbeat(sink, metrics=obs.metrics, spans=spans,
                                   interval_s=telemetry.interval_s).start()
-    _unit_obs = Observability(
-        metrics=registry,
-        spans=spans if spans is not None else NULL_OBS.spans,
-        profiler=profiler, evidence=ledger)
+    _unit_obs = obs
     outcome = UnitOutcome(unit_id=unit.unit_id)
     start = perf_counter()
     try:
@@ -306,19 +283,11 @@ def _execute(unit: WorkUnit, telemetry=None, profile: bool = False,
         outcome.error = f"{type(error).__name__}: {error}"
         raise
     finally:
-        _unit_obs = None
+        _unit_obs = NULL_OBS
         outcome.wall_s = round(perf_counter() - start, 6)
         if heartbeat is not None:
             heartbeat.stop()
-        dump = registry.as_dict()
-        if any(dump.values()):
-            outcome.metrics = dump
-        if spans is not None and spans.spans:
-            outcome.spans = spans.as_timeline()
-        if profiler is not None and profiler.commands:
-            outcome.profile = profiler.as_dict()
-        if ledger is not None and ledger.nodes:
-            outcome.evidence = ledger.dump()
+        outcome.instruments = obs.dump()
         if sink is not None:
             _publish(sink, "unit-done", **_done_fields(outcome, origin_ts))
     return outcome
@@ -340,8 +309,8 @@ def _call_unit(unit: WorkUnit, telemetry=None, profile: bool = False,
 
 def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
               max_attempts: int = 2, quarantine: bool = False,
-              log=None, metrics=None, telemetry=None,
-              profiler=None, cache=None, evidence=None) -> ParallelRun:
+              log=None, obs=None, telemetry=None,
+              cache=None) -> ParallelRun:
     """Execute *units*, return outcomes in input order.
 
     Every unit runs through the same executor: with ``workers=1`` in
@@ -356,10 +325,14 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     *log*, when given, is a :class:`repro.obs.StructuredLog`; the engine
     emits ``unit-done`` / ``unit-retry`` / ``unit-quarantined`` events.
 
-    *metrics*, when given, is a :class:`repro.obs.MetricsRegistry` that
-    receives every unit's recorded metrics.  Each unit records into its
-    own registry; the dumps are folded in submission order, so the
-    final registry is identical for any worker count.
+    *obs*, when given, is the caller's :class:`repro.obs.Observability`
+    bundle.  Each unit records into a bundle of its own — with a command
+    profiler when *obs* profiles, and an evidence ledger when *obs*
+    carries one — and the units' dumps fold into *obs* through
+    :meth:`~repro.obs.Observability.merge` in submission order (each
+    evidence node stamped with its unit id), so its metrics, profile
+    and ledger come out identical for any worker count.  Unit spans are
+    not folded; they ride the telemetry and cache side channels.
 
     *telemetry*, when given, is a :class:`repro.obs.TelemetryConfig`:
     the run publishes ``run-start`` / ``run-done`` plus per-unit
@@ -368,27 +341,15 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     watchdog over pool units; flagged units land in
     :attr:`ParallelRun.stalled`.
 
-    *profiler*, when given, is a :class:`repro.obs.CommandProfiler`
-    that receives every unit's per-opcode command-bus attribution,
-    folded in submission order exactly like metrics.
-
     *cache*, when given, is a :class:`repro.cache.ResultCache`: each
     unit is content-addressed by its recipe and looked up before
-    dispatch.  Hits skip execution and replay their stored value,
-    metrics, and spans at the unit's submission-order position, so the
+    dispatch.  Hits skip execution and replay their stored value and
+    instrument dump at the unit's submission-order position, so the
     run's outputs stay byte-identical to an uncached run; misses
-    execute normally and publish their envelope as they complete
-    (so a killed sweep resumes unit-by-unit); identical units within
-    one call execute once and fan out.  With ``cache.verify``, one hit
+    execute normally and publish their envelope as they complete (so a
+    killed sweep resumes unit-by-unit).  With ``cache.verify``, one hit
     per run is re-executed and diffed against its stored envelope
     (:class:`repro.errors.CacheError` on divergence).
-
-    *evidence*, when given, is a
-    :class:`repro.obs.evidence.EvidenceLedger` that receives every
-    unit's provenance nodes, folded in submission order (each node
-    stamped with its unit id at fold time) exactly like metrics — the
-    merged ledger is identical for any worker count, and cache hits
-    replay their stored nodes.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -397,19 +358,15 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     unit_ids = [unit.unit_id for unit in units]
     if len(set(unit_ids)) != len(unit_ids):
         raise ConfigError("work unit ids must be unique")
-    if metrics is not None and not metrics.enabled:
-        metrics = None
-    if profiler is not None and not profiler.enabled:
-        profiler = None
-    if evidence is not None and not evidence.enabled:
-        evidence = None
+    if obs is None:
+        obs = NULL_OBS
     coordinator = telemetry.sink(None) if telemetry is not None else None
     if coordinator is not None:
         _publish(coordinator, "run-start", units_total=len(units),
                  workers=workers)
-    options = dict(telemetry=telemetry, profile=profiler is not None,
+    options = dict(telemetry=telemetry, profile=obs.profiler.enabled,
                    capture=cache is not None,
-                   evidence=evidence is not None)
+                   evidence=obs.evidence.enabled)
 
     def execute(batch, on_result=None) -> ParallelRun:
         return _run(batch, workers, max_attempts=max_attempts,
@@ -423,12 +380,7 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
                           telemetry=telemetry)
     # The one fold: every unit, submission order, cache hits included.
     for outcome in run.outcomes:
-        if metrics is not None and outcome.metrics:
-            metrics.merge(outcome.metrics)
-        if profiler is not None and outcome.profile:
-            profiler.merge(outcome.profile)
-        if evidence is not None and outcome.evidence:
-            evidence.merge(outcome.evidence, unit=outcome.unit_id)
+        obs.merge(outcome.instruments, unit=outcome.unit_id)
     if coordinator is not None:
         done_fields: dict = {
             "units_done": sum(1 for o in run.outcomes if o.ok),
@@ -514,123 +466,78 @@ def _run_cached(units: Sequence[WorkUnit], cache, execute, *, log=None,
                 telemetry=None) -> ParallelRun:
     """Cache-backed execution: plan, run the misses, replay in order.
 
-    1. **Plan**, in submission order: **hits** (stored envelope found),
-       **followers** (a unit with the identical execution recipe — same
-       callable, arguments, and code revision; only its id/meta differ
-       — appeared earlier this run) and **misses** (everything else,
-       uncachable units included).
+    1. **Plan**, in submission order: **hits** (stored envelope found)
+       and **misses** (everything else, uncachable units included).
     2. **Run** the misses through *execute*, the runner uncached runs
        use, publishing each envelope as its unit completes (a killed
        sweep therefore resumes unit-by-unit).
     3. **Replay** every unit's outcome in submission order: misses as
-       they ran, hits from their stored envelopes, followers fanned out
-       from their leader.  The caller folds these like any run's
-       outcomes, which keeps a warm run's folded registry
-       byte-identical to a cold one.
+       they ran, hits from their stored envelopes.  The caller folds
+       these like any run's outcomes, which keeps a warm run's folded
+       instruments byte-identical to a cold one's.
     """
-    keymap: dict[str, str] = {}
-    matmap: dict[str, dict] = {}
-    first_by_recipe: dict[str, str] = {}
+    keyed: dict[str, tuple[str, dict]] = {}
     hits: dict[str, Any] = {}
-    followers: dict[str, str] = {}
     misses: list[WorkUnit] = []
     for unit in units:
-        keyed = cache.keyed(unit)
-        if keyed is None:
-            # Uncachable recipe: always execute, never publish.
-            misses.append(unit)
-            continue
-        key, material = keyed
-        keymap[unit.unit_id] = key
-        matmap[unit.unit_id] = material
-        # Dedup keys on the execution recipe (unit id / seed / meta
-        # dropped — the callable never sees them), because run_units
-        # already rejects duplicate unit ids: identical work under two
-        # ids is the only duplicate shape that can reach this loop.
-        recipe = cache.recipe_key(material)
-        if recipe in first_by_recipe:
-            followers[unit.unit_id] = first_by_recipe[recipe]
-            cache.note_dedup()
-            continue
-        first_by_recipe[recipe] = unit.unit_id
-        envelope = cache.lookup(key)
-        if envelope is not None:
-            hits[unit.unit_id] = envelope
-        else:
-            misses.append(unit)
+        recipe = cache.keyed(unit)
+        if recipe is not None:
+            keyed[unit.unit_id] = recipe
+            envelope = cache.lookup(recipe[0])
+            if envelope is not None:
+                hits[unit.unit_id] = envelope
+                continue
+        # A miss; an uncachable recipe always executes, never publishes.
+        misses.append(unit)
 
     def publish_outcome(unit: WorkUnit, outcome: UnitOutcome) -> None:
-        key = keymap.get(unit.unit_id)
-        if key is None or not outcome.ok:
+        if unit.unit_id not in keyed or not outcome.ok:
             return
-        cache.publish_unit(key, matmap[unit.unit_id], unit.unit_id,
+        key, material = keyed[unit.unit_id]
+        cache.publish_unit(key, material, unit.unit_id,
                            value=outcome.value,
-                           metrics=outcome.metrics,
-                           spans=outcome.spans,
-                           wall_s=outcome.wall_s,
-                           profile=outcome.profile,
-                           evidence=outcome.evidence)
+                           instruments=outcome.instruments,
+                           wall_s=outcome.wall_s)
 
     # 100% warm (or empty): nothing to run, so no pool is ever spawned.
     executed = execute(misses, on_result=publish_outcome)
     ran = {outcome.unit_id: outcome for outcome in executed.outcomes}
 
-    done: dict[str, UnitOutcome] = {}
+    outcomes: list[UnitOutcome] = []
     for unit in units:
         uid = unit.unit_id
-        if uid in ran:
-            done[uid] = ran[uid]
-            continue
-        if uid in hits:
+        outcome = ran.get(uid)
+        if outcome is None:
             envelope = hits[uid]
             outcome = UnitOutcome(
                 unit_id=uid, value=envelope.value, attempts=0,
-                manifest=unit.manifest(), metrics=envelope.metrics,
-                spans=envelope.spans, wall_s=envelope.wall_s,
-                profile=envelope.profile, evidence=envelope.evidence,
-                cached=True)
+                manifest=unit.manifest(),
+                instruments=envelope.instruments,
+                wall_s=envelope.wall_s, cached=True)
             if log is not None:
-                log.info("unit-cached", unit=uid, key=keymap[uid][:12])
-        else:
-            # Follower: fan out the first identical unit's outcome
-            # (deep-copied so callers mutating one result cannot
-            # alias the other, matching independent execution).  Its
-            # store key differs from its leader's (the unit id is part
-            # of it), so publish it too: the next warm run then hits
-            # under either id.
-            leader = done[followers[uid]]
-            outcome = dataclasses.replace(
-                leader, unit_id=uid, value=copy.deepcopy(leader.value),
-                attempts=0, manifest=unit.manifest(), coalesced=True)
-            publish_outcome(unit, outcome)
-            if log is not None:
-                log.info("unit-coalesced", unit=uid,
-                         leader=followers[uid])
-        _replay_unit_events(telemetry, outcome)
-        done[uid] = outcome
+                log.info("unit-cached", unit=uid, key=keyed[uid][0][:12])
+            _replay_unit_events(telemetry, outcome)
+        outcomes.append(outcome)
     if getattr(cache, "verify", False) and hits:
-        _verify_sampled_hit(cache, hits, units, keymap, log)
-    return ParallelRun(outcomes=[done[unit.unit_id] for unit in units],
-                       workers=executed.workers, stalled=executed.stalled)
+        _verify_sampled_hit(cache, hits, units, keyed, log)
+    return ParallelRun(outcomes=outcomes, workers=executed.workers,
+                       stalled=executed.stalled)
 
 
 def _replay_unit_events(telemetry, outcome: UnitOutcome) -> None:
-    """Publish start/done telemetry for a unit that never executed, so
-    live progress and the distributed timeline count cached and
-    coalesced units as completed (flagged ``cached``/``coalesced``)."""
+    """Publish start/done telemetry for a unit served from the cache,
+    so live progress and the distributed timeline count it as
+    completed (flagged ``cached``)."""
     if telemetry is None:
         return
     sink = telemetry.sink(outcome.unit_id)
     _publish(sink, "unit-start", **unit_start_fields())
-    fields = _done_fields(outcome, time.time())
-    fields["cached"] = True
-    if outcome.coalesced:
-        fields["coalesced"] = True
-    _publish(sink, "unit-done", **fields)
+    _publish(sink, "unit-done", **_done_fields(outcome, time.time()),
+             cached=True)
 
 
 def _verify_sampled_hit(cache, hits: dict, units: Sequence[WorkUnit],
-                        keymap: dict, log) -> None:
+                        keyed: dict, log) -> None:
     """Re-execute one deterministically sampled hit and diff it against
     the stored envelope (``--cache-verify``).
 
@@ -639,12 +546,13 @@ def _verify_sampled_hit(cache, hits: dict, units: Sequence[WorkUnit],
     the executor with its own detached registry — nothing it records
     can reach the caller's fold.
     """
-    uid = min(hits, key=lambda unit_id: keymap[unit_id])
+    uid = min(hits, key=lambda unit_id: keyed[unit_id][0])
     unit = next(unit for unit in units if unit.unit_id == uid)
     fresh = _execute(unit)
-    cache.check_hit(hits[uid], fresh.value, fresh.metrics)
+    cache.check_hit(hits[uid], fresh.value,
+                    fresh.instruments.get("metrics"))
     if log is not None:
-        log.info("cache-verify", unit=uid, key=keymap[uid][:12])
+        log.info("cache-verify", unit=uid, key=keyed[uid][0][:12])
 
 
 def _scan_stalls(watchdog, telemetry, reported: set, stalled: list,

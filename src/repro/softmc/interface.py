@@ -23,12 +23,12 @@ import numpy as np
 from ..dram import (ActBatch, DataPattern, DramChip, HammerMode,
                     pattern_spec, single_row_batch)
 from ..errors import ConfigError
+from ..obs import NULL_OBS, Observability
 from ..obs.recorder import data_digest, mismatch_digest
 from ..units import ms, us
 
 if TYPE_CHECKING:
     from ..faults import FaultInjector
-    from ..obs import Observability
 
 
 class SoftMCHost:
@@ -42,31 +42,28 @@ class SoftMCHost:
 
     An optional :class:`~repro.obs.Observability` bundle records the
     command stream the host issues (the experimenter's only window into
-    the module) and the activation pressure per REF window.  The
-    recorder and metrics slots are resolved once at construction: with a
-    null/absent bundle both cache to ``None`` and every per-command hook
-    reduces to a single ``is not None`` check, keeping the disabled path
-    within the benchmarked overhead bound.
+    the module) and the activation pressure per REF window; it is also
+    where every pipeline component driving this host reaches its
+    instruments (:attr:`obs`, :data:`~repro.obs.NULL_OBS` when absent).
+    The recorder, metrics and profiler slots are resolved once at
+    construction: a disabled instrument caches to ``None`` and every
+    per-command hook reduces to a single ``is not None`` check, keeping
+    the disabled path within the benchmarked overhead bound.
     """
 
     def __init__(self, chip: DramChip,
                  faults: "FaultInjector | None" = None,
-                 obs: "Observability | None" = None) -> None:
+                 obs: Observability | None = None) -> None:
         self._chip = chip
         self._faults = faults
+        if obs is None:
+            obs = NULL_OBS
         self._obs = obs
-        recorder = obs.recorder if obs is not None else None
-        self._rec = recorder if (recorder is not None
-                                 and recorder.enabled) else None
-        metrics = obs.metrics if obs is not None else None
-        self._metrics = metrics if (metrics is not None
-                                    and metrics.enabled) else None
-        profiler = getattr(obs, "profiler", None) if obs is not None \
-            else None
+        self._rec = obs.recorder if obs.recorder.enabled else None
+        self._metrics = obs.metrics if obs.metrics.enabled else None
         #: Command-bus profiler, resolved once like the recorder: the
         #: disabled hot path pays one ``is not None`` check per command.
-        self._prof = profiler if (profiler is not None
-                                  and profiler.enabled) else None
+        self._prof = obs.profiler if obs.profiler.enabled else None
         #: ACTs accumulated since the last REF burst (metrics only).
         self._window_acts = 0
         #: Identity-keyed memo of written-pattern trace specs (recording
@@ -75,8 +72,7 @@ class SoftMCHost:
         self._pattern_specs: dict[int, tuple] = {}
         if faults is not None:
             faults.attach(chip)
-            if obs is not None:
-                faults.bind_observability(obs)
+            faults.bind_observability(obs)
         #: REF commands issued by this host (the experimenter's counter;
         #: regular-refresh periodicity is expressed in this index).
         self.ref_count = 0
@@ -89,8 +85,9 @@ class SoftMCHost:
         return self._faults
 
     @property
-    def obs(self) -> "Observability | None":
-        """The observability bundle, inherited by pipeline components."""
+    def obs(self) -> Observability:
+        """The observability bundle every pipeline component records
+        into (never None: :data:`~repro.obs.NULL_OBS` when disabled)."""
         return self._obs
 
     def ledger(self) -> dict:

@@ -11,7 +11,8 @@ from repro.cache.__main__ import main as cache_main
 def _envelope(key: str, unit_id: str = "eval/A5", value=41,
               **overrides) -> CacheEnvelope:
     spec = dict(key=key, unit_id=unit_id, value=value,
-                metrics={"counters": {"host.acts": 3}}, wall_s=0.5,
+                instruments={"metrics": {"counters": {"host.acts": 3}}},
+                wall_s=0.5,
                 material={"unit": unit_id},
                 value_digest=value_digest(value))
     spec.update(overrides)

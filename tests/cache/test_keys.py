@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cache import (Uncachable, callable_fingerprint,
-                         material_digest, recipe_digest, unit_key,
-                         unit_key_material)
+                         material_digest, unit_key, unit_key_material)
 from repro.cache.keys import canonical
 from repro.parallel import WorkUnit
 
@@ -144,16 +143,3 @@ def test_material_names_every_key_ingredient():
     assert material["unit"] == "eval/A5"
     assert material["git"] == "g0"
     assert material_digest(material) == unit_key(_unit(), git="g0")
-
-
-def test_recipe_digest_drops_identity_but_keeps_inputs():
-    base = unit_key_material(_unit(), git="g0")
-    renamed = unit_key_material(_unit(unit_id="eval/alias",
-                                      meta={"module": "alias"}),
-                                git="g0")
-    # Same work under a different name: same recipe, different key.
-    assert recipe_digest(renamed) == recipe_digest(base)
-    assert material_digest(renamed) != material_digest(base)
-    # Different work under any name: different recipe.
-    changed = unit_key_material(_unit(args=(4,)), git="g0")
-    assert recipe_digest(changed) != recipe_digest(base)

@@ -17,7 +17,7 @@ def entry_point(value: int) -> int:
 def _envelope(key: str = "ab" * 32, unit_id: str = "eval/A5",
               value=41, **overrides) -> CacheEnvelope:
     spec = dict(key=key, unit_id=unit_id, value=value,
-                metrics={"counters": {"host.acts": 3}},
+                instruments={"metrics": {"counters": {"host.acts": 3}}},
                 wall_s=0.5, material={"unit": unit_id},
                 value_digest=value_digest(value))
     spec.update(overrides)
@@ -34,7 +34,9 @@ def test_codec_rejects_torn_and_foreign_blobs():
     with pytest.raises(CacheError):
         decode(blob[:8])                       # truncated
     with pytest.raises(CacheError):
-        decode(b"XXXX\x01" + blob[5:])         # bad magic
+        decode(b"XXXX\x02" + blob[5:])         # bad magic
+    with pytest.raises(CacheError):
+        decode(b"RPRC\x01" + blob[5:])         # previous format version
     flipped = bytearray(blob)
     flipped[-1] ^= 0xFF
     with pytest.raises(CacheError):
@@ -86,11 +88,12 @@ def test_value_digest_is_none_for_unpicklable_values():
 def test_check_hit_raises_on_divergence(tmp_path):
     cache = ResultCache(tmp_path)
     envelope = _envelope()
-    cache.check_hit(envelope, 41, envelope.metrics)  # clean: no raise
+    metrics = envelope.instruments["metrics"]
+    cache.check_hit(envelope, 41, metrics)  # clean: no raise
     with pytest.raises(CacheError, match="metrics"):
         cache.check_hit(envelope, 41, {"counters": {"host.acts": 99}})
     with pytest.raises(CacheError, match="value"):
-        cache.check_hit(envelope, 42, envelope.metrics)
+        cache.check_hit(envelope, 42, metrics)
 
 
 def test_stats_summarize_store_contents(tmp_path):

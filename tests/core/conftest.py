@@ -12,7 +12,7 @@ from repro.softmc import SoftMCHost
 
 def make_host(trr=None, *, hc_first=12_000, paired=False, cycle=2_048,
               rows=8_192, banks=4, serial=7, vrt_fraction=0.0,
-              weak_mean=2.0, mapping="direct") -> SoftMCHost:
+              weak_mean=2.0, mapping="direct", obs=None) -> SoftMCHost:
     """A chip dense enough in weak rows for Row Scout to find groups fast."""
     config = DeviceConfig(
         name="core-test", serial=serial, num_banks=banks,
@@ -23,7 +23,7 @@ def make_host(trr=None, *, hc_first=12_000, paired=False, cycle=2_048,
                                   vrt_fraction=vrt_fraction),
         disturbance=DisturbanceConfig(hc_first=hc_first,
                                       paired_coupling=paired))
-    return SoftMCHost(DramChip(config, trr))
+    return SoftMCHost(DramChip(config, trr), obs=obs)
 
 
 def fast_inference_config(**overrides) -> InferenceConfig:

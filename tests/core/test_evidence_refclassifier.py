@@ -29,10 +29,10 @@ def nodes_for(obs, parameter):
 
 
 def test_find_cycle_accepted_node_cites_covering_refs():
-    host = make_host(rows=4096, cycle=512)
-    group = find_group(host)[0]
     obs = evidence_obs()
-    calibrator = RefreshCalibrator(host, AllOnes(), obs=obs)
+    host = make_host(rows=4096, cycle=512, obs=obs)
+    group = find_group(host)[0]
+    calibrator = RefreshCalibrator(host, AllOnes())
     cycle = calibrator.find_cycle(0, group.logical_rows[0],
                                   group.retention_ps)
     accepted = nodes_for(obs, "refresh_cycle")
@@ -53,11 +53,11 @@ def test_find_cycle_accepted_node_cites_covering_refs():
 
 
 def test_find_cycle_decay_check_rejection_records_node():
-    host = make_host(rows=4096, cycle=512)
+    obs = evidence_obs()
+    host = make_host(rows=4096, cycle=512, obs=obs)
     group = find_group(host)[0]
     row = group.logical_rows[0]
-    obs = evidence_obs()
-    calibrator = RefreshCalibrator(host, AllOnes(), obs=obs)
+    calibrator = RefreshCalibrator(host, AllOnes())
     # An absurdly short retention claim survives the REF-free decay
     # check (the row cannot decay that fast), which must be recorded as
     # a rejection before the TransientFaultError propagates.
@@ -72,10 +72,10 @@ def test_find_cycle_decay_check_rejection_records_node():
 
 
 def test_calibrate_rows_accepted_node_carries_phase_windows():
-    host = make_host(rows=4096, cycle=512)
-    group = find_group(host)[0]
     obs = evidence_obs()
-    calibrator = RefreshCalibrator(host, AllOnes(), obs=obs)
+    host = make_host(rows=4096, cycle=512, obs=obs)
+    group = find_group(host)[0]
+    calibrator = RefreshCalibrator(host, AllOnes())
     rows = [(0, row) for row in group.logical_rows]
     schedule = calibrator.calibrate_rows(rows, group.retention_ps,
                                          cycle=512)
@@ -87,10 +87,10 @@ def test_calibrate_rows_accepted_node_carries_phase_windows():
 
 
 def test_calibrate_rows_drop_uncovered_records_rejection():
-    host = make_host(rows=4096, cycle=512)
-    group = find_group(host)[0]
     obs = evidence_obs()
-    calibrator = RefreshCalibrator(host, AllOnes(), obs=obs)
+    host = make_host(rows=4096, cycle=512, obs=obs)
+    group = find_group(host)[0]
+    calibrator = RefreshCalibrator(host, AllOnes())
     rows = [(0, row) for row in group.logical_rows]
     # With an absurdly short retention claim every row survives the
     # REF-free decay check, so all are weeded out as immortal.
@@ -106,11 +106,11 @@ def test_calibrate_rows_drop_uncovered_records_rejection():
 
 
 def test_recalibrate_row_records_accepted_window():
-    host = make_host(rows=4096, cycle=512)
+    obs = evidence_obs()
+    host = make_host(rows=4096, cycle=512, obs=obs)
     group = find_group(host)[0]
     row = group.logical_rows[0]
-    obs = evidence_obs()
-    calibrator = RefreshCalibrator(host, AllOnes(), obs=obs)
+    calibrator = RefreshCalibrator(host, AllOnes())
     schedule = calibrator.calibrate_rows([(0, row)], group.retention_ps,
                                          cycle=512)
     obs.evidence.nodes.clear()
@@ -126,11 +126,11 @@ def test_recalibrate_row_records_accepted_window():
 
 
 def test_recalibrate_row_failure_records_rejection():
-    host = make_host(rows=4096, cycle=512)
+    obs = evidence_obs()
+    host = make_host(rows=4096, cycle=512, obs=obs)
     group = find_group(host)[0]
     row = group.logical_rows[0]
-    obs = evidence_obs()
-    calibrator = RefreshCalibrator(host, AllOnes(), obs=obs)
+    calibrator = RefreshCalibrator(host, AllOnes())
     from repro.core import RefreshSchedule
     schedule = RefreshSchedule(cycle_refs=512)
     with pytest.raises(ExperimentError):

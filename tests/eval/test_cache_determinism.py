@@ -20,7 +20,7 @@ from repro.eval import QUICK, run_fig8_many, run_fig9
 from repro.eval.__main__ import main as eval_main
 from repro.eval.runner import evaluate_module_unit
 from repro.eval.resilience import run_module_resilience
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Observability
 from repro.parallel import WorkUnit
 
 TINY = dataclasses.replace(QUICK, positions=6, fig8_positions=4)
@@ -31,12 +31,13 @@ def test_fig9_cold_and_warm_render_identical_bytes(tmp_path, workers):
     modules = ["A5", "B0"]
     cold_metrics = MetricsRegistry()
     cold = run_fig9(modules, TINY, workers=workers,
-                    metrics=cold_metrics,
+                    obs=Observability(metrics=cold_metrics),
                     cache=ResultCache(tmp_path / "store"))
     warm_cache = ResultCache(tmp_path / "store")
     warm_metrics = MetricsRegistry()
     warm = run_fig9(modules, TINY, workers=workers,
-                    metrics=warm_metrics, cache=warm_cache)
+                    obs=Observability(metrics=warm_metrics),
+                    cache=warm_cache)
     assert warm.render() == cold.render()
     assert warm_metrics.as_dict() == cold_metrics.as_dict()
     assert warm_cache.summary()["hit_ratio"] == 1.0

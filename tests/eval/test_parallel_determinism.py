@@ -73,7 +73,8 @@ def test_resilience_parallel_byte_identical_under_faults():
 def test_fig8_byte_identical_with_telemetry_enabled(tmp_path):
     """Live telemetry is a pure side channel: artifact bytes and the
     folded metrics are unchanged by enabling it, sequential or pooled."""
-    from repro.obs import MetricsRegistry, TelemetryConfig, read_spool
+    from repro.obs import (MetricsRegistry, Observability,
+                           TelemetryConfig, read_spool)
 
     sweeps = ["A5"]
     plain = run_fig8_many(sweeps, TINY)
@@ -85,7 +86,8 @@ def test_fig8_byte_identical_with_telemetry_enabled(tmp_path):
             interval_s=0.05)
         registries[workers] = MetricsRegistry()
         results = run_fig8_many(sweeps, TINY, workers=workers,
-                                metrics=registries[workers],
+                                obs=Observability(
+                                    metrics=registries[workers]),
                                 telemetry=telemetry)
         rendered[workers] = [r.render() for r in results]
         kinds = [e["kind"] for e in read_spool(telemetry.spool)]

@@ -141,7 +141,7 @@ def test_evidence_endpoint_folds_unit_summaries(tmp_path):
         sink = TelemetrySink(tmp_path, TraceContext("run", unit))
         sink.publish("unit-start")
         sink.publish("unit-done", wall_s=1.0,
-                     evidence=ledger.summary())
+                     evidence=ledger.dump())
     status, content_type, body = render_endpoint(tmp_path, "/evidence")
     assert status == 200 and content_type == "application/json"
     folded = json.loads(body)

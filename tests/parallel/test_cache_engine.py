@@ -1,4 +1,4 @@
-"""Cache-backed execution: resume, dedup, replay, byte-identity.
+"""Cache-backed execution: resume, replay, byte-identity.
 
 Worker functions live at module top level (the pool pickles them by
 reference) and count their executions through marker files, so tests
@@ -8,12 +8,15 @@ can assert "this unit never ran again" — the cache's whole point.
 from __future__ import annotations
 
 import os
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.cache import ResultCache
 from repro.errors import CacheError
-from repro.obs import MetricsRegistry, TelemetryConfig, read_spool
+from repro.obs import (MetricsRegistry, Observability, TelemetryConfig,
+                       read_spool)
 from repro.obs.live import progress
 from repro.parallel import WorkUnit, run_units, unit_observability
 
@@ -30,7 +33,11 @@ def counted_square(value: int, counter_dir: str) -> int:
         return value * value
 
 
-def listing(value: int) -> list[int]:
+def counted_listing(value: int, counter_dir: str) -> list[int]:
+    """Lists *value* and its successor, tallying the call like
+    :func:`counted_square`."""
+    with open(os.path.join(counter_dir, f"count-{value}"), "a") as handle:
+        handle.write("x")
     return [value, value + 1]
 
 
@@ -42,16 +49,20 @@ def raises_until_marked(value: int, marker: str) -> int:
     return value * value
 
 
-def crash_if_unmarked(value: int, marker: str) -> int:
+def crash_if_unmarked(value: int, marker: str, store: str,
+                      published: int) -> int:
+    """Kills its worker once, and only after *published* envelopes are
+    in *store*: the units the crash must not cost have then completed,
+    not merely started, whatever the scheduling."""
     if not os.path.exists(marker):
         with open(marker, "w") as handle:
             handle.write("crashed once")
+        deadline = time.monotonic() + 60
+        while (len(list(Path(store).glob("objects/*/*.rpc"))) < published
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
         os._exit(13)
     return value * value
-
-
-def always_raises(value: int) -> int:
-    raise ValueError(f"bad unit {value}")
 
 
 def uncachable_passthrough(value: int, sink: object) -> int:
@@ -86,9 +97,8 @@ def test_warm_run_serves_every_unit_without_executing(tmp_path, workers):
     assert warm.values == cold.values
     assert warm.cache_hits == 3 and warm.retries == 0
     assert all(o.cached and o.attempts == 0 for o in warm.outcomes)
-    assert warm_cache.summary() == {"hits": 3, "misses": 0, "dedups": 0,
-                                    "stores": 0, "errors": 0,
-                                    "hit_ratio": 1.0}
+    assert warm_cache.summary() == {"hits": 3, "misses": 0, "stores": 0,
+                                    "errors": 0, "hit_ratio": 1.0}
     for value in (2, 3, 5):
         assert _executions(tmp_path, value) == 1  # never ran again
 
@@ -98,21 +108,25 @@ def test_folded_metrics_identical_cold_warm_and_uncached(tmp_path,
                                                          workers):
     units = _units([2, 3], tmp_path)
     reference = MetricsRegistry()
-    run_units(units, workers, metrics=reference)
+    run_units(units, workers, obs=Observability(metrics=reference))
 
     cold_metrics = MetricsRegistry()
-    cold = run_units(units, workers, metrics=cold_metrics,
+    cold = run_units(units, workers,
+                     obs=Observability(metrics=cold_metrics),
                      cache=ResultCache(tmp_path / "store"))
     warm_metrics = MetricsRegistry()
-    warm = run_units(units, workers, metrics=warm_metrics,
+    warm = run_units(units, workers,
+                     obs=Observability(metrics=warm_metrics),
                      cache=ResultCache(tmp_path / "store"))
     assert cold_metrics.as_dict() == reference.as_dict()
     assert warm_metrics.as_dict() == reference.as_dict()
     assert [o.manifest for o in warm.outcomes] == \
         [o.manifest for o in cold.outcomes]
-    # Hits replay the stored span timeline at the unit's position.
-    assert [o.spans for o in warm.outcomes] == \
-        [o.spans for o in cold.outcomes]
+    # Hits replay the stored instrument dump, span timeline included,
+    # at the unit's position.
+    assert [o.instruments for o in warm.outcomes] == \
+        [o.instruments for o in cold.outcomes]
+    assert all(o.instruments["spans"] for o in warm.outcomes)
 
 
 def test_interrupted_sweep_resumes_from_published_units(tmp_path):
@@ -142,7 +156,7 @@ def test_resume_survives_worker_crash(tmp_path):
     marker = str(tmp_path / "crash-once.marker")
     units = (_units([2, 3], tmp_path)
              + [WorkUnit(unit_id="crasher", fn=crash_if_unmarked,
-                         args=(5, marker))])
+                         args=(5, marker, str(tmp_path / "store"), 2))])
     first = run_units(units, workers=2, max_attempts=1, quarantine=True,
                       cache=ResultCache(tmp_path / "store"))
     assert [o.unit_id for o in first.quarantined] == ["crasher"]
@@ -157,44 +171,26 @@ def test_resume_survives_worker_crash(tmp_path):
         assert _executions(tmp_path, value) == 1
 
 
-def test_identical_recipes_execute_once_and_fan_out(tmp_path):
-    units = (_units([4], tmp_path, "lead")
-             + _units([4], tmp_path, "tail")   # same recipe, new id
-             + _units([5], tmp_path, "solo"))
+def test_fanned_out_values_do_not_alias(tmp_path):
+    """Identical recipes under two unit ids are two units: each
+    executes and publishes under its own key, both hit warm, and their
+    values never alias."""
+    units = [WorkUnit(unit_id=unit_id, fn=counted_listing,
+                      args=(1, str(tmp_path)))
+             for unit_id in ("a", "b")]
     cache = ResultCache(tmp_path / "store")
     run = run_units(units, workers=1, cache=cache)
-    assert run.values == [16, 16, 25]
-    assert run.deduped == 1 and cache.dedups == 1
-    assert _executions(tmp_path, 4) == 1      # executed once, fanned out
-    follower = run.outcomes[1]
-    assert follower.coalesced and follower.attempts == 0
-    assert follower.manifest["unit"] == "tail/4"
-    # The follower's envelope is published under its own key: a later
-    # run of just that unit is a pure hit.
-    alone = run_units(_units([4], tmp_path, "tail"), workers=1,
-                      cache=ResultCache(tmp_path / "store"))
-    assert alone.cache_hits == 1
-    assert _executions(tmp_path, 4) == 1
-
-
-def test_fanned_out_values_do_not_alias(tmp_path):
-    units = [WorkUnit(unit_id="a", fn=listing, args=(1,)),
-             WorkUnit(unit_id="b", fn=listing, args=(1,))]
-    run = run_units(units, workers=1,
-                    cache=ResultCache(tmp_path / "store"))
-    leader, follower = run.outcomes
-    leader.value.append(99)
-    assert follower.value == [1, 2]  # deep-copied, not shared
-
-
-def test_followers_mirror_a_quarantined_leader(tmp_path):
-    units = [WorkUnit(unit_id="a", fn=always_raises, args=(7,)),
-             WorkUnit(unit_id="b", fn=always_raises, args=(7,))]
-    cache = ResultCache(tmp_path / "store")
-    run = run_units(units, workers=2, max_attempts=1, quarantine=True,
-                    cache=cache)
-    assert [o.unit_id for o in run.quarantined] == ["a", "b"]
-    assert cache.stores == 0  # failures are never published
+    assert _executions(tmp_path, 1) == 2
+    assert cache.stores == 2
+    assert not any(o.coalesced for o in run.outcomes)
+    first, second = run.outcomes
+    first.value.append(99)
+    assert second.value == [1, 2]
+    warm = run_units(units, workers=1,
+                     cache=ResultCache(tmp_path / "store"))
+    assert warm.cache_hits == 2
+    assert warm.values == [[1, 2], [1, 2]]
+    assert _executions(tmp_path, 1) == 2  # neither ran again
 
 
 def test_uncachable_units_always_execute(tmp_path):
@@ -224,7 +220,8 @@ def test_verify_passes_on_faithful_store_and_rejects_tampering(tmp_path):
         envelope = tampered.lookup(key)
         tampered.publish_unit(key, material, unit.unit_id,
                               value=envelope.value,
-                              metrics={"counters": {"bogus": 1}},
+                              instruments={"metrics": {
+                                  "counters": {"bogus": 1}}},
                               wall_s=envelope.wall_s)
     with pytest.raises(CacheError, match="verify failed"):
         run_units(units, workers=1,

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import MetricsRegistry, NullMetrics
+from repro.obs import MetricsRegistry, NullMetrics, Observability
 from repro.parallel import (WorkUnit, default_workers, run_units,
                             unit_observability, unit_seed)
 
@@ -221,9 +221,9 @@ def test_metrics_fold_is_worker_count_independent():
     sequential = MetricsRegistry()
     pooled = MetricsRegistry()
     run_a = run_units(_units(metered_square, values, "met"),
-                      workers=1, metrics=sequential)
+                      workers=1, obs=Observability(metrics=sequential))
     run_b = run_units(_units(metered_square, values, "met"),
-                      workers=2, metrics=pooled)
+                      workers=2, obs=Observability(metrics=pooled))
     assert run_a.values == run_b.values == [4, 9, 25]
     assert sequential.as_dict() == pooled.as_dict()
     assert pooled.counter("unit.calls") == 3
@@ -233,11 +233,12 @@ def test_metrics_fold_is_worker_count_independent():
 
 def test_pool_outcomes_carry_unit_metrics():
     run = run_units(_units(metered_square, [4], "met"), workers=2)
-    assert run.outcomes[0].metrics["counters"]["unit.calls"] == 1
+    assert run.outcomes[0].instruments["metrics"]["counters"][
+        "unit.calls"] == 1
     # Inline units record into their own registry too: same dump.
     inline = run_units(_units(metered_square, [4], "met"), workers=1,
-                       metrics=MetricsRegistry())
-    assert inline.outcomes[0].metrics == run.outcomes[0].metrics
+                       obs=Observability())
+    assert inline.outcomes[0].instruments == run.outcomes[0].instruments
 
 
 def test_units_without_metrics_see_null_obs():
@@ -250,5 +251,5 @@ def test_units_without_metrics_see_null_obs():
 
 def test_disabled_registry_is_ignored():
     run = run_units(_units(metered_square, [2], "met"), workers=2,
-                    metrics=NullMetrics())
+                    obs=Observability(metrics=NullMetrics()))
     assert run.values == [4]

@@ -7,11 +7,6 @@ units that record a metric before raising — and runs it under
 and warm.  Every run must match the uncached ``workers=1`` run on
 values, manifests, quarantined ``(id, attempts, error)``, the folded
 metrics registry and the folded evidence ledger.
-
-Recipes are distinct within an example.  Identical recipes coalesce onto
-one execution in cached runs, and a coalesced copy of a quarantined unit
-carries ``attempts == 0`` by design; ``test_cache_engine.py`` covers
-that fan-out.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ResultCache
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.evidence import EvidenceLedger
 from repro.parallel import WorkUnit, run_units, unit_observability
 
@@ -42,7 +37,7 @@ FAILING = {"bad", "partial"}
 
 recipe_lists = st.lists(
     st.tuples(st.sampled_from(sorted(KINDS)), st.integers(0, 40)),
-    max_size=6, unique=True)
+    max_size=6)
 
 
 def _units(recipes) -> list[WorkUnit]:
@@ -54,8 +49,9 @@ def _units(recipes) -> list[WorkUnit]:
 def _observed(units, workers: int, cache=None) -> dict:
     metrics = MetricsRegistry()
     ledger = EvidenceLedger()
-    run = run_units(units, workers, quarantine=True, metrics=metrics,
-                    evidence=ledger, cache=cache)
+    run = run_units(units, workers, quarantine=True,
+                    obs=Observability(metrics=metrics, evidence=ledger),
+                    cache=cache)
     return {
         "values": run.values,
         "manifests": run.manifests(),

@@ -8,7 +8,7 @@ ledger exactly as the core inference stages do.
 from __future__ import annotations
 
 from repro.cache import ResultCache
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.evidence import EvidenceLedger, ev_refs, write_jsonl
 from repro.parallel import WorkUnit, run_units, unit_observability
 
@@ -39,8 +39,8 @@ def _units(values, fn=deciding_square):
 
 def _run_ledger(values, workers, cache=None):
     ledger = EvidenceLedger()
-    run = run_units(_units(values), workers=workers, evidence=ledger,
-                    cache=cache)
+    run = run_units(_units(values), workers=workers,
+                    obs=Observability(evidence=ledger), cache=cache)
     assert run.values == [v * v for v in values]
     return ledger
 
@@ -67,7 +67,7 @@ def test_workers_fold_is_byte_identical_to_sequential(tmp_path):
 def test_units_without_nodes_contribute_nothing():
     ledger = EvidenceLedger()
     run = run_units(_units([1, 2], fn=silent_square), workers=1,
-                    evidence=ledger)
+                    obs=Observability(evidence=ledger))
     assert run.values == [1, 4]
     assert ledger.nodes == []
 
@@ -75,7 +75,8 @@ def test_units_without_nodes_contribute_nothing():
 def test_disabled_ledger_is_not_threaded():
     ledger = EvidenceLedger()
     ledger.enabled = False
-    run = run_units(_units([2]), workers=1, evidence=ledger)
+    run = run_units(_units([2]), workers=1,
+                    obs=Observability(evidence=ledger))
     assert run.values == [4]
     assert ledger.nodes == []
 
@@ -111,22 +112,27 @@ def test_cache_replay_pool_matches_sequential(tmp_path):
 
 def test_unit_done_events_carry_evidence_summary(tmp_path):
     from repro.obs import TelemetryConfig, read_spool
+    from repro.obs.live import aggregate_evidence
     spool = tmp_path / "spool"
     ledger = EvidenceLedger()
-    run_units(_units([3]), workers=1, evidence=ledger,
-              telemetry=TelemetryConfig(spool=spool, run_id="ev-test"))
-    done = [event for event in read_spool(spool)
-            if event.get("kind") == "unit-done"]
-    assert done and done[0].get("evidence")
-    summary = done[0]["evidence"]
-    assert summary["decisions"] == 2
+    run = run_units(_units([3]), workers=1,
+                    obs=Observability(evidence=ledger),
+                    telemetry=TelemetryConfig(spool=spool,
+                                              run_id="ev-test"))
+    events = read_spool(spool)
+    done = [event for event in events if event.get("kind") == "unit-done"]
+    # The event carries the unit's nodes as dumped, unstamped.
+    assert done[0]["evidence"] == run.outcomes[0].instruments["evidence"]
+    summary = aggregate_evidence(events)
+    assert summary["decisions"] == 2 and summary["units"] == 1
     assert "square_3" in summary["parameters"]
 
 
 def test_evidence_rides_alongside_metrics():
     metrics = MetricsRegistry()
     ledger = EvidenceLedger()
-    run_units(_units([2]), workers=1, metrics=metrics, evidence=ledger)
+    run_units(_units([2]), workers=1,
+              obs=Observability(metrics=metrics, evidence=ledger))
     ledger.emit_metrics(metrics)
     counters = metrics.as_dict()["counters"]
     assert counters["evidence.decisions"] == 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.obs import (CommandProfiler, MetricsRegistry,
+from repro.obs import (CommandProfiler, MetricsRegistry, Observability,
                        TelemetryConfig, aggregate_metrics,
                        assemble_timeline, read_spool)
 from repro.parallel import WorkUnit, run_units, unit_observability
@@ -82,7 +82,7 @@ def test_spool_metrics_match_caller_fold_for_any_worker_count(tmp_path):
         spool = tmp_path / f"w{workers}"
         registries[workers] = MetricsRegistry()
         run_units(_units(metered_unit, [1, 2, 3]), workers,
-                  metrics=registries[workers],
+                  obs=Observability(metrics=registries[workers]),
                   telemetry=_config(spool))
         # The spool's unit-done snapshots fold to the caller's registry.
         folded = aggregate_metrics(read_spool(spool))
@@ -124,7 +124,7 @@ def test_profiler_fold_is_worker_count_independent():
     for workers in (1, 2):
         profiler = CommandProfiler()
         run_units(_units(profiled_unit, [3, 5]), workers,
-                  profiler=profiler)
+                  obs=Observability(profiler=profiler))
         dumps[workers] = profiler.as_dict()
     assert dumps[1] == dumps[2]
     assert dumps[1]["counts"] == {"ACT": 8, "REF": 2}
@@ -133,13 +133,17 @@ def test_profiler_fold_is_worker_count_independent():
 
 def test_profiled_unit_done_events_carry_profiles(tmp_path):
     profiler = CommandProfiler()
-    run = run_units(_units(profiled_unit, [4]), 2, profiler=profiler,
+    run = run_units(_units(profiled_unit, [4]), 2,
+                    obs=Observability(profiler=profiler),
                     telemetry=_config(tmp_path))
     outcome = run.outcomes[0]
-    assert outcome.profile["counts"] == {"ACT": 4, "REF": 1}
+    assert outcome.instruments["profile"]["counts"] == {"ACT": 4, "REF": 1}
     done = [e for e in read_spool(tmp_path)
             if e["kind"] == "unit-done"]
     assert done[0]["profile"]["counts"] == {"ACT": 4, "REF": 1}
+    # The event carries the unit's instrument dump as it is.
+    assert {key: done[0][key] for key in outcome.instruments} == \
+        outcome.instruments
 
 
 def test_watchdog_flags_stalled_unit_without_killing_the_run(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -121,7 +122,9 @@ REJECTED = {
     "read_row_mismatches-row": lambda host: host.read_row_mismatches(
         0, 10**6),
     "refresh-count": lambda host: host.refresh(-1),
+    "refresh-fraction": lambda host: host.refresh(1.5),
     "wait-duration": lambda host: host.wait(-5),
+    "wait-fraction": lambda host: host.wait(1.5),
 }
 
 
@@ -157,6 +160,15 @@ def test_rejected_refresh_keeps_the_faulty_ref_ledger():
         host.refresh(-3)
     assert host.ref_count == 2
     assert host.now_ps == now_ps
+
+
+def test_numpy_integer_operands_are_accepted():
+    chip = build_module(get_module("A5"), rows_per_bank=1024, row_bits=256)
+    host = SoftMCHost(chip)
+    host.wait(np.int64(1_000))
+    host.refresh(np.int32(2))
+    assert host.ref_count == 2
+    assert host.now_ps == 1_000 + 2 * host.timing.trfc_ps
 
 
 #: Every hammer entry point of one shape must issue the same command.
