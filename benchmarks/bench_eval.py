@@ -11,9 +11,9 @@ PRs are measured, not asserted:
   both implementations commit the identical fault overlay.
 * **payload** — the command bus.  Commands per second through the
   compiled-payload batch executor (``repro.program``) versus the
-  per-command reference interpreter, for a fusible hammer-heavy shape
-  and a fusion-free scan-heavy shape.  The first pass asserts the
-  compiled ledger matches the per-command one.
+  per-command reference interpreter, for a fusible hammer-heavy shape.
+  The first pass asserts the compiled ledger matches the per-command
+  one.
 * **figures / eval** — wall-clock per paper artifact (Figures 8, 9, 10)
   at ``quick`` scale, sequential (``--workers 1``) versus the
   ``repro.parallel`` process pool, plus modules evaluated per second.
@@ -66,7 +66,7 @@ from repro.obs import (CollapsedStackSampler, CommandProfiler,
                        build_manifest, profile_report)
 from repro.obs.live import pool_breakdown, read_spool
 from repro.parallel import default_workers
-from repro.program import execute_payload
+from repro.program import compile_program, execute_payload
 from repro.rng import SeedSequenceFactory
 from repro.softmc import SoftMCHost, SoftMCProgram
 
@@ -315,80 +315,60 @@ def _hammer_heavy_program() -> SoftMCProgram:
     return SoftMCProgram().loop(100, body)
 
 
-def _scan_heavy_program() -> SoftMCProgram:
-    """Write/wait/check retention passes (the Row Scout shape): no ACT
-    runs to fuse, so this measures raw interpreter overhead."""
-    program = SoftMCProgram()
-    rows = range(1000, 1040)
-    for round_index in range(10):
-        for row in rows:
-            program.write(0, row, AllOnes())
-        program.wait(int(64e9))
-        for row in rows:
-            program.check(0, row, label=f"r{round_index}:{row}")
-    return program
-
-
-def _ledger(host: SoftMCHost, result) -> tuple:
+def _ledger(host: SoftMCHost) -> tuple:
     chip = host._chip
     return (host.now_ps, host.ref_count,
             tuple(sorted(host.acts_per_bank.items())),
-            chip.stats.activates, chip.stats.refreshes,
-            tuple(sorted((label, tuple(positions))
-                         for label, positions in result.mismatches.items())))
+            chip.stats.activates, chip.stats.refreshes)
 
 
 def bench_payload(repeats: int = 3) -> dict:
     """Commands/sec, per-command interpreter vs compiled batch executor.
 
-    Two program shapes are timed: **hammer-heavy** (where consecutive
-    identical ACT commands fuse into closed-form multi-command settles)
-    and **scan-heavy** (no fusible runs; measures dispatch overhead
-    only).  The first pass asserts the compiled run's ledger — clock,
-    REF/ACT counters, chip stats, read-back mismatches — matches the
-    per-command reference before any timing is trusted.  The headline
-    ``speedup`` (gated in ``--check``) is the hammer-heavy one.
+    The **hammer-heavy** shape is timed: consecutive identical ACT
+    commands the executor fuses into closed-form multi-command settles.
+    The first pass asserts the compiled run's ledger — clock, REF/ACT
+    counters, chip stats — matches the per-command reference before any
+    timing is trusted.  Its ``speedup`` is gated in ``--check``.
     """
-    shapes = {"hammer": _hammer_heavy_program(),
-              "scan": _scan_heavy_program()}
-    results = {}
-    for name, program in shapes.items():
-        reference_host = _payload_host()
-        reference = _ledger(reference_host, program.run(reference_host))
-        payload = program.compile(reference_host.timing)
-        for fuse in (False, True):
+    program = _hammer_heavy_program()
+    reference_host = _payload_host()
+    program.run(reference_host)
+    reference = _ledger(reference_host)
+    payload = compile_program(program.instructions, reference_host.timing)
+    for fuse in (False, True):
+        host = _payload_host()
+        execute_payload(host, payload, fuse=fuse)
+        if _ledger(host) != reference:
+            raise AssertionError(
+                f"compiled hammer payload (fuse={fuse}) diverged from "
+                f"the per-command reference")
+
+    def timed(run_once) -> float:
+        best = float("inf")
+        for _ in range(repeats):
             host = _payload_host()
-            got = _ledger(host, execute_payload(host, payload, fuse=fuse))
-            if got != reference:
-                raise AssertionError(
-                    f"compiled {name} payload (fuse={fuse}) diverged "
-                    f"from the per-command reference")
+            start = time.perf_counter()
+            run_once(host)
+            best = min(best, time.perf_counter() - start)
+        return best
 
-        def timed(run_once) -> float:
-            best = float("inf")
-            for _ in range(repeats):
-                host = _payload_host()
-                start = time.perf_counter()
-                run_once(host)
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        legacy = timed(lambda host: program.run(host))
-        compiled = timed(
-            lambda host: execute_payload(
-                host, program.compile(host.timing), fuse=True))
-        commands = len(payload)
-        results[name] = {
-            "commands": commands,
-            "acts": payload.total_acts(),
-            "per_command_seconds": round(legacy, 6),
-            "compiled_seconds": round(compiled, 6),
-            "per_command_cmds_per_sec": round(commands / legacy, 1),
-            "compiled_cmds_per_sec": round(commands / compiled, 1),
-            "speedup": round(legacy / compiled, 3),
-        }
-    results["speedup"] = results["hammer"]["speedup"]
-    return results
+    legacy = timed(lambda host: program.run(host))
+    compiled = timed(
+        lambda host: execute_payload(
+            host, compile_program(program.instructions, host.timing),
+            fuse=True))
+    commands = len(payload)
+    hammer = {
+        "commands": commands,
+        "acts": payload.total_acts(),
+        "per_command_seconds": round(legacy, 6),
+        "compiled_seconds": round(compiled, 6),
+        "per_command_cmds_per_sec": round(commands / legacy, 1),
+        "compiled_cmds_per_sec": round(commands / compiled, 1),
+        "speedup": round(legacy / compiled, 3),
+    }
+    return {"hammer": hammer, "speedup": hammer["speedup"]}
 
 
 # -- figure wall-clock -----------------------------------------------------
@@ -531,12 +511,11 @@ def run_benchmarks(modules: list[str], scale_name: str, workers: int,
     print("[bench] compiled-payload microbenchmark "
           "(batch executor vs per-command) ...", flush=True)
     payload = bench_payload()
-    for shape in ("hammer", "scan"):
-        numbers = payload[shape]
-        print(f"[bench]   {shape}: "
-              f"{numbers['compiled_cmds_per_sec']:,.0f} cmds/s compiled "
-              f"vs {numbers['per_command_cmds_per_sec']:,.0f} "
-              f"per-command ({numbers['speedup']:.1f}x)", flush=True)
+    numbers = payload["hammer"]
+    print("[bench]   hammer: "
+          f"{numbers['compiled_cmds_per_sec']:,.0f} cmds/s compiled "
+          f"vs {numbers['per_command_cmds_per_sec']:,.0f} "
+          f"per-command ({numbers['speedup']:.1f}x)", flush=True)
     print("[bench] result cache (cold vs warm fig9 sweep) ...",
           flush=True)
     cache = bench_cache(modules, scale)

@@ -9,7 +9,10 @@ Like the real rig, which compiles a pattern's payload once and loops it,
 the executor compiles each distinct window once per run: a window is
 captured and compiled only when the session starts it in a state
 (:meth:`~repro.attacks.base.AccessPattern.window_key`) not yet seen in
-the run; otherwise the stored payload is re-executed.
+the run; otherwise the stored payload is re-executed.  A window the
+capture mirror cannot record
+(:class:`~repro.attacks.capture.CaptureUnsupported`) sends the rest of
+the run live, per command.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from typing import NamedTuple
 from ..dram.mapping import RowMapping
 from ..dram.patterns import AllOnes, DataPattern, inverted
 from ..errors import AttackConfigError
-from ..program import (CompiledPayload, compile_program, execute_payload,
-                       payloads_enabled)
+from ..program import CompiledPayload, compile_program, execute_payload
 from ..softmc import SoftMCHost
 from .base import AccessPattern, AttackContext
 from .capture import CaptureUnsupported, capture_window
@@ -62,17 +64,11 @@ class AttackExecutor:
     """Runs access patterns against a module through the host interface."""
 
     def __init__(self, host: SoftMCHost, mapping: RowMapping,
-                 victim_pattern: DataPattern | None = None,
-                 use_payloads: bool | None = None) -> None:
+                 victim_pattern: DataPattern | None = None) -> None:
         self._host = host
         self._mapping = mapping
         self._victim_pattern = victim_pattern or AllOnes()
         self._obs = host.obs
-        #: Capture pattern windows into compiled payloads and replay
-        #: them in one batch (byte-identical command stream); defaults
-        #: to the process-wide ``REPRO_PAYLOAD`` setting.
-        self._use_payloads = (payloads_enabled() if use_payloads is None
-                              else use_payloads)
 
     def run(self, pattern: AccessPattern, context: AttackContext,
             windows: int,
@@ -99,7 +95,7 @@ class AttackExecutor:
         with self._obs.span("attack.run", pattern=pattern.name,
                             windows=windows):
             session.align_to_period()
-            live = not self._use_payloads
+            live = False
             # One pattern, one context, one host: nothing outlives the run.
             compiled: dict[Hashable, _CompiledWindow] = {}
             for _ in range(windows):

@@ -16,12 +16,17 @@ reproducible from a recipe:
   unit — module id, :class:`~repro.eval.scale.EvalScale` operating
   point (the chip recipe selector), fault profile, positions, seeds.
 
-Deliberately **not** part of the key: worker count, telemetry/profiler
+- the **instruments** the run records into each unit (evidence
+  ledger, command profiler), because the stored instrument dump holds
+  only what those recorded: a store written without ``--evidence``
+  must not serve a run that needs the unit's decision nodes.
+
+Deliberately **not** part of the key: worker count, telemetry
 configuration, log destinations — anything the determinism tests prove
-cannot change a result.  Units whose arguments cannot be canonicalized
-(open handles, lambdas with captured state, foreign objects) raise
-:class:`Uncachable` and simply execute uncached; caching is an
-optimization, never a correctness gate.
+cannot change a result or its stored dump.  Units whose arguments
+cannot be canonicalized (open handles, lambdas with captured state,
+foreign objects) raise :class:`Uncachable` and simply execute uncached;
+caching is an optimization, never a correctness gate.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import fields, is_dataclass
 from ..obs.manifest import git_describe
 
 #: Bump when key material changes meaning (old entries become misses).
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
 
 
 class Uncachable(Exception):
@@ -125,13 +130,15 @@ def _code_parts(code, parts: list) -> None:
             parts.append(repr(const))
 
 
-def unit_key_material(unit, git: str | None = None) -> dict:
+def unit_key_material(unit, git: str | None = None,
+                      instruments=()) -> dict:
     """The full key recipe of one work unit, as a JSON-compatible dict.
 
     *unit* is a :class:`repro.parallel.WorkUnit` (duck-typed: anything
     with ``unit_id`` / ``seed`` / ``fn`` / ``args`` / ``kwargs`` /
-    ``meta``).  Raises :class:`Uncachable` when an argument cannot be
-    canonicalized.
+    ``meta``); *instruments* names what the run records into it, a
+    subset of ``("evidence", "profile")``.  Raises :class:`Uncachable`
+    when an argument cannot be canonicalized.
     """
     return {
         "schema": KEY_SCHEMA,
@@ -143,6 +150,7 @@ def unit_key_material(unit, git: str | None = None) -> dict:
         "args": canonical(tuple(unit.args)),
         "kwargs": canonical(dict(unit.kwargs)),
         "meta": canonical(dict(unit.meta)),
+        "instruments": sorted(instruments),
     }
 
 

@@ -73,10 +73,12 @@ class ResultCache:
 
     # -- keying --------------------------------------------------------
 
-    def key_material(self, unit) -> dict | None:
-        """Key material for *unit*, or None when it is uncachable."""
+    def key_material(self, unit, instruments=()) -> dict | None:
+        """Key material for *unit* in a run recording *instruments*,
+        or None when it is uncachable."""
         try:
-            return unit_key_material(unit, git=self._git)
+            return unit_key_material(unit, git=self._git,
+                                     instruments=instruments)
         except Uncachable:
             return None
 
@@ -85,9 +87,9 @@ class ResultCache:
         keyed = self.keyed(unit)
         return keyed[0] if keyed is not None else None
 
-    def keyed(self, unit) -> tuple[str, dict] | None:
+    def keyed(self, unit, instruments=()) -> tuple[str, dict] | None:
         """``(key, material)`` for *unit*, or None when uncachable."""
-        material = self.key_material(unit)
+        material = self.key_material(unit, instruments=instruments)
         if material is None:
             return None
         return material_digest(material), material
@@ -153,18 +155,26 @@ class ResultCache:
             instruments=instruments, wall_s=wall_s, material=material,
             value_digest=value_digest(value)))
 
-    def check_hit(self, envelope: CacheEnvelope, value,
-                  metrics: dict | None) -> None:
-        """Compare a re-executed result against a stored envelope.
+    def check_hit(self, envelope: CacheEnvelope, fresh) -> None:
+        """Compare a re-executed unit against a stored envelope.
 
-        Raises :class:`CacheError` when they diverge — that means the
-        cache key is missing an input and every hit is suspect, so the
-        run must abort rather than silently serve stale results.
+        *fresh* is the re-executed unit's outcome (its ``value`` and
+        ``instruments`` dump).  Its metrics, evidence nodes, command
+        profile counts and value digest must equal the stored ones;
+        spans and profile seconds are wall-clock values and are not
+        compared.  Raises :class:`CacheError` when they diverge — that
+        means the cache key is missing an input and every hit is
+        suspect, so the run must abort rather than silently serve stale
+        results.
         """
-        diverged = []
-        if envelope.instruments.get("metrics") != metrics:
-            diverged.append("metrics")
-        fresh_digest = value_digest(value)
+        stored = envelope.instruments
+        dump = fresh.instruments
+        diverged = [part for part in ("metrics", "evidence")
+                    if stored.get(part) != dump.get(part)]
+        if (stored.get("profile", {}).get("counts")
+                != dump.get("profile", {}).get("counts")):
+            diverged.append("profile")
+        fresh_digest = value_digest(fresh.value)
         if (envelope.value_digest is not None
                 and fresh_digest is not None
                 and fresh_digest != envelope.value_digest):

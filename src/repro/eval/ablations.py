@@ -23,7 +23,7 @@ from ..attacks import (AttackExecutor, DoubleSidedPattern,
                        ManySidedPattern, SingleSidedPattern,
                        VendorAPattern, default_context)
 from ..dram import AllOnes, DramChip, HammerMode
-from ..parallel import WorkUnit, run_units
+from ..parallel import WorkUnit, run_units, unit_observability
 from ..softmc import SoftMCHost
 from ..trr import ParaMitigation
 from ..vendors import get_module
@@ -129,9 +129,14 @@ def run_mitigation_ablation(scale: EvalScale = STANDARD
                         disturbance=dataclasses.replace(
                             config.disturbance,
                             hc_first=scale.scaled_hc_first(spec)))
+                    # PARA in place of A0's TRR, on the scale's nominal
+                    # refresh cycle rather than the A_TRR1 rows'
+                    # ``scale.scaled_cycle(spec)``: aligning the two
+                    # would change AB4's rows.
                     host = SoftMCHost(DramChip(
                         config, ParaMitigation(probability=probability,
-                                               seed=11)))
+                                               seed=11)),
+                        obs=unit_observability())
                 executor = AttackExecutor(host, host._chip.mapping)
                 windows = 2 * scale.refresh_cycle_refs // 9
                 context = default_context(0, victim, host._chip.mapping,

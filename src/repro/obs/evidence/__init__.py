@@ -91,24 +91,17 @@ def command_stamp(host=None) -> dict:
     """Cumulative command counts at this instant (deterministic).
 
     *host* is anything exposing ``ref_count`` / ``acts_per_bank`` (the
-    SoftMC host's own ledger); when its ``obs`` bundle profiles, the
-    profiler contributes per-opcode counts.  Wall time never enters a
-    stamp.
+    SoftMC host's own ledger).  Only that ledger enters a stamp — never
+    wall time, and never what an optional instrument such as the
+    command profiler saw — so a sidecar's bytes do not depend on which
+    instruments the run carried.
     """
     acts = refs = 0
-    profiler = None
     if host is not None:
         refs = int(getattr(host, "ref_count", 0) or 0)
         per_bank = getattr(host, "acts_per_bank", None) or {}
         acts = int(sum(per_bank.values()))
-        profiler = getattr(getattr(host, "obs", None), "profiler", None)
-    stamp = {"acts": acts, "refs": refs, "total": acts + refs}
-    if profiler is not None and getattr(profiler, "enabled", False):
-        counts = getattr(profiler, "counts", None) or {}
-        opcodes = {op: int(n) for op, n in sorted(counts.items()) if n}
-        if opcodes:
-            stamp["opcodes"] = opcodes
-    return stamp
+    return {"acts": acts, "refs": refs, "total": acts + refs}
 
 
 # -- observation constructors (uniform evidence-chain schema) ----------

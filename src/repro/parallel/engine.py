@@ -376,8 +376,7 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     if cache is None:
         run = execute(units)
     else:
-        run = _run_cached(units, cache, execute, log=log,
-                          telemetry=telemetry)
+        run = _run_cached(units, cache, execute, options, log=log)
     # The one fold: every unit, submission order, cache hits included.
     for outcome in run.outcomes:
         obs.merge(outcome.instruments, unit=outcome.unit_id)
@@ -462,12 +461,15 @@ def _drain_inline(pending: list[WorkUnit], attempts: dict[str, int],
     return [], []
 
 
-def _run_cached(units: Sequence[WorkUnit], cache, execute, *, log=None,
-                telemetry=None) -> ParallelRun:
+def _run_cached(units: Sequence[WorkUnit], cache, execute, options: dict,
+                *, log=None) -> ParallelRun:
     """Cache-backed execution: plan, run the misses, replay in order.
 
     1. **Plan**, in submission order: **hits** (stored envelope found)
        and **misses** (everything else, uncachable units included).
+       A unit's key names the instruments the run records (*options*'
+       ``evidence`` and ``profile``), because its stored dump holds
+       only what those recorded.
     2. **Run** the misses through *execute*, the runner uncached runs
        use, publishing each envelope as its unit completes (a killed
        sweep therefore resumes unit-by-unit).
@@ -476,11 +478,14 @@ def _run_cached(units: Sequence[WorkUnit], cache, execute, *, log=None,
        these like any run's outcomes, which keeps a warm run's folded
        instruments byte-identical to a cold one's.
     """
+    telemetry = options["telemetry"]
+    instruments = tuple(name for name in ("evidence", "profile")
+                        if options[name])
     keyed: dict[str, tuple[str, dict]] = {}
     hits: dict[str, Any] = {}
     misses: list[WorkUnit] = []
     for unit in units:
-        recipe = cache.keyed(unit)
+        recipe = cache.keyed(unit, instruments=instruments)
         if recipe is not None:
             keyed[unit.unit_id] = recipe
             envelope = cache.lookup(recipe[0])
@@ -519,7 +524,7 @@ def _run_cached(units: Sequence[WorkUnit], cache, execute, *, log=None,
             _replay_unit_events(telemetry, outcome)
         outcomes.append(outcome)
     if getattr(cache, "verify", False) and hits:
-        _verify_sampled_hit(cache, hits, units, keyed, log)
+        _verify_sampled_hit(cache, hits, units, keyed, options, log)
     return ParallelRun(outcomes=outcomes, workers=executed.workers,
                        stalled=executed.stalled)
 
@@ -537,20 +542,21 @@ def _replay_unit_events(telemetry, outcome: UnitOutcome) -> None:
 
 
 def _verify_sampled_hit(cache, hits: dict, units: Sequence[WorkUnit],
-                        keyed: dict, log) -> None:
+                        keyed: dict, options: dict, log) -> None:
     """Re-execute one deterministically sampled hit and diff it against
     the stored envelope (``--cache-verify``).
 
     The sample is the hit with the smallest key, so two verify runs of
-    the same sweep check the same unit.  The re-execution runs through
-    the executor with its own detached registry — nothing it records
-    can reach the caller's fold.
+    the same sweep check the same unit.  The re-execution records the
+    run's instruments (*options*' ``profile`` and ``evidence``) into a
+    detached bundle of its own — nothing it records can reach the
+    caller's fold.
     """
     uid = min(hits, key=lambda unit_id: keyed[unit_id][0])
     unit = next(unit for unit in units if unit.unit_id == uid)
-    fresh = _execute(unit)
-    cache.check_hit(hits[uid], fresh.value,
-                    fresh.instruments.get("metrics"))
+    fresh = _execute(unit, profile=options["profile"],
+                     evidence=options["evidence"])
+    cache.check_hit(hits[uid], fresh)
     if log is not None:
         log.info("cache-verify", unit=uid, key=keyed[uid][0][:12])
 

@@ -1,15 +1,14 @@
 """Compile :class:`~repro.softmc.SoftMCProgram` instructions to payloads.
 
-The pipeline mirrors the parse → resolve → unroll → compile shape of
-real payload compilers: loops are unrolled, read labels resolved (and
-duplicate labels rejected with the same errors the interpreter raises),
-data patterns and hammer batches interned into side tables, and each
-command's fault-free clock advance (``dt``) scheduled from the module's
-:class:`~repro.dram.TimingParameters`.  Interning means an unrolled
-loop's N copies of one ``Hammer`` instruction share a single prebuilt
-:class:`~repro.dram.ActBatch`, which is also how the compiler discovers
-fusion groups — runs of identical consecutive ACT commands the executor
-may hand to the chip in one pass.
+The pipeline mirrors the unroll → intern → schedule shape of real
+payload compilers: loops are unrolled, hammer batches interned into
+side tables, and each command's fault-free clock advance (``dt``)
+scheduled from the module's :class:`~repro.dram.TimingParameters`.
+Interning means an unrolled loop's N copies of one ``Hammer``
+instruction share a single prebuilt :class:`~repro.dram.ActBatch`,
+which is also how the compiler discovers fusion groups — runs of
+identical consecutive ACT commands the executor may hand to the chip in
+one pass.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ..softmc.program import (CheckRow, Hammer, Instruction, Loop,
-                              MultiHammer, ReadRow, Refresh, Wait, WriteRow)
-from .ops import (FLAG_NOMINAL, OP_ACT, OP_CHK, OP_MULTI, OP_RD, OP_REF,
-                  OP_WAIT, OP_WR, CompiledPayload)
+from ..softmc.program import (Hammer, Instruction, Loop, MultiHammer,
+                              Refresh, Wait)
+from .ops import (FLAG_NOMINAL, OP_ACT, OP_MULTI, OP_REF, OP_WAIT,
+                  CompiledPayload)
 
 
 class _Emitter:
@@ -32,48 +31,19 @@ class _Emitter:
         self._act_batch = ActBatch
         self.timing = timing
         self.opcode: list[int] = []
-        self.bank: list[int] = []
-        self.row: list[int] = []
         self.arg: list[int] = []
         self.dt: list[int] = []
         self.flags: list[int] = []
-        self._patterns: list = []
-        self._pattern_ids: dict = {}
-        self._labels: list[str] = []
-        self._label_ids: dict[str, int] = {}
         self._batches: list = []
         self._batch_ids: dict = {}
         self._multis: list = []
         self._multi_ids: dict = {}
-        self._wr_dt = timing.trcd_ps + timing.burst_write_ps + timing.trp_ps
-        self._rd_dt = timing.trcd_ps + timing.burst_read_ps + timing.trp_ps
 
-    def emit(self, opcode: int, bank: int, row: int, arg: int, dt: int,
-             flags: int = 0) -> None:
+    def emit(self, opcode: int, arg: int, dt: int, flags: int = 0) -> None:
         self.opcode.append(opcode)
-        self.bank.append(bank)
-        self.row.append(row)
         self.arg.append(arg)
         self.dt.append(dt)
         self.flags.append(flags)
-
-    def intern_pattern(self, pattern) -> int:
-        ident = self._pattern_ids.get(pattern)
-        if ident is None:
-            ident = len(self._patterns)
-            self._patterns.append(pattern)
-            self._pattern_ids[pattern] = ident
-        return ident
-
-    def intern_label(self, label: str) -> int:
-        if label in self._label_ids:
-            raise ConfigError(
-                f"duplicate read label {label!r}; results would "
-                "silently overwrite each other")
-        ident = len(self._labels)
-        self._labels.append(label)
-        self._label_ids[label] = ident
-        return ident
 
     def intern_batch(self, bank: int, pattern, mode) -> int:
         key = (bank, pattern, mode)
@@ -100,30 +70,18 @@ class _Emitter:
     def walk(self, block) -> None:
         timing = self.timing
         for instruction in block:
-            if isinstance(instruction, WriteRow):
-                self.emit(OP_WR, instruction.bank, instruction.row,
-                          self.intern_pattern(instruction.pattern),
-                          self._wr_dt)
-            elif isinstance(instruction, ReadRow):
-                self.emit(OP_RD, instruction.bank, instruction.row,
-                          self.intern_label(_label(instruction)),
-                          self._rd_dt)
-            elif isinstance(instruction, CheckRow):
-                self.emit(OP_CHK, instruction.bank, instruction.row,
-                          self.intern_label(_label(instruction)),
-                          self._rd_dt)
-            elif isinstance(instruction, Hammer):
+            if isinstance(instruction, Hammer):
                 batch_id = self.intern_batch(
                     instruction.bank, instruction.pattern, instruction.mode)
                 batch = self._batches[batch_id]
-                self.emit(OP_ACT, instruction.bank, -1, batch_id,
+                self.emit(OP_ACT, batch_id,
                           timing.hammer_duration_ps(batch.total))
             elif isinstance(instruction, MultiHammer):
                 multi_id = self.intern_multi(instruction.per_bank,
                                              instruction.mode)
                 batches = self._multis[multi_id]
                 max_count = max(batch.total for batch in batches)
-                self.emit(OP_MULTI, -1, -1, multi_id,
+                self.emit(OP_MULTI, multi_id,
                           timing.multi_bank_hammer_duration_ps(
                               max_count, len(batches)))
             elif isinstance(instruction, Refresh):
@@ -131,12 +89,12 @@ class _Emitter:
                 # nominal cadence (the spacing subsumes the tRFC).
                 per_ref = (timing.trefi_ps if instruction.at_nominal_rate
                            else timing.trfc_ps)
-                self.emit(OP_REF, -1, -1, instruction.count,
+                self.emit(OP_REF, instruction.count,
                           instruction.count * per_ref,
                           FLAG_NOMINAL if instruction.at_nominal_rate
                           else 0)
             elif isinstance(instruction, Wait):
-                self.emit(OP_WAIT, -1, -1, instruction.duration_ps,
+                self.emit(OP_WAIT, instruction.duration_ps,
                           instruction.duration_ps)
             elif isinstance(instruction, Loop):
                 self.unroll(instruction)
@@ -148,21 +106,13 @@ class _Emitter:
         """Emit *loop*'s body ``loop.times`` times.
 
         The body is walked once and its commands copied: interning is
-        idempotent, so a further walk would emit the same columns.  A
-        body that interned read labels is walked again instead, so the
-        second iteration raises the duplicate-label error.
+        idempotent, so a further walk would emit the same columns.
         """
         if loop.times <= 0:
             return
         start = len(self.opcode)
-        labels = len(self._labels)
         self.walk(loop.body)
-        if len(self._labels) > labels:
-            for _ in range(loop.times - 1):
-                self.walk(loop.body)
-            return
-        for column in (self.opcode, self.bank, self.row, self.arg, self.dt,
-                       self.flags):
+        for column in (self.opcode, self.arg, self.dt, self.flags):
             column.extend(column[start:] * (loop.times - 1))
 
     def finish(self) -> CompiledPayload:
@@ -170,23 +120,13 @@ class _Emitter:
         arg = np.asarray(self.arg, dtype=np.int64)
         return CompiledPayload(
             opcode=opcode,
-            bank=np.asarray(self.bank, dtype=np.int32),
-            row=np.asarray(self.row, dtype=np.int32),
             arg=arg,
             dt=np.asarray(self.dt, dtype=np.int64),
             flags=np.asarray(self.flags, dtype=np.uint8),
-            patterns=tuple(self._patterns),
-            labels=tuple(self._labels),
             batches=tuple(self._batches),
             multis=tuple(self._multis),
             fuse_groups=_fuse_groups(opcode, arg),
         )
-
-
-def _label(instruction: ReadRow | CheckRow) -> str:
-    if instruction.label is not None:
-        return instruction.label
-    return f"{instruction.bank}:{instruction.row}"
 
 
 def _fuse_groups(opcode: np.ndarray, arg: np.ndarray

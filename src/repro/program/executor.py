@@ -21,55 +21,31 @@ Two engines, one command stream:
 Fusion is enabled by default exactly when the host has no fault
 injector; ``fuse=False`` forces the guarded engine.  The attack
 executor is the one production caller: it compiles each distinct
-attack window once per run and re-executes the payload, unless
-``REPRO_PAYLOAD=legacy`` (:func:`payloads_enabled`) makes it run every
-window live, per command.
+attack window once per run and re-executes the payload.
 """
 
 from __future__ import annotations
 
-import os
-
-from .ops import (OP_ACT, OP_CHK, OP_MULTI, OP_RD, OP_REF, OP_WAIT, OP_WR,
-                  CompiledPayload)
-
-
-def payloads_enabled() -> bool:
-    """Whether attack windows run as compiled payloads: false only
-    when ``REPRO_PAYLOAD=legacy`` is set."""
-    return os.environ.get("REPRO_PAYLOAD", "").strip().lower() != "legacy"
+from .ops import OP_ACT, OP_REF, OP_WAIT, CompiledPayload
 
 
 def execute_payload(host, payload: CompiledPayload, *,
-                    fuse: bool | None = None):
-    """Run *payload* on *host*; returns a ``ProgramResult``.
+                    fuse: bool | None = None) -> None:
+    """Run *payload* on *host*.
 
     ``fuse=None`` resolves to "the host has no fault injector".
     """
-    from ..softmc.program import ProgramResult
-
     if fuse is None:
         fuse = host.faults is None
-    result = ProgramResult(started_ps=host.now_ps)
-    rows = result.rows
-    mismatches = result.mismatches
-
     opcodes = payload.opcode.tolist()
-    banks = payload.bank.tolist()
-    row_col = payload.row.tolist()
     args = payload.arg.tolist()
     dts = payload.dt.tolist()
     flags = payload.flags.tolist()
-    patterns = payload.patterns
-    labels = payload.labels
     batches = payload.batches
     multis = payload.multis
     fuse_starts = ({start: length for start, length in payload.fuse_groups}
                    if fuse else {})
 
-    write_row = host.write_row
-    read_row = host.read_row
-    read_row_mismatches = host.read_row_mismatches
     hammer_prebuilt = host._hammer_prebuilt
     index = 0
     total = len(opcodes)
@@ -83,13 +59,6 @@ def execute_payload(host, payload: CompiledPayload, *,
                 index += length
                 continue
             hammer_prebuilt(batches[arg])
-        elif op == OP_WR:
-            write_row(banks[index], row_col[index], patterns[arg])
-        elif op == OP_CHK:
-            mismatches[labels[arg]] = read_row_mismatches(
-                banks[index], row_col[index])
-        elif op == OP_RD:
-            rows[labels[arg]] = read_row(banks[index], row_col[index])
         elif op == OP_REF:
             host.refresh(arg, bool(flags[index] & 1))
         elif op == OP_WAIT:
@@ -97,6 +66,3 @@ def execute_payload(host, payload: CompiledPayload, *,
         else:  # OP_MULTI
             host._hammer_multi_prebuilt(multis[arg])
         index += 1
-
-    result.finished_ps = host.now_ps
-    return result

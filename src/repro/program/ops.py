@@ -3,23 +3,18 @@
 Real rigs do not interpret experiment scripts command by command: U-TRR's
 SoftMC programs and the LiteX ``payload_executor`` both *compile* the
 experiment into a flat instruction payload first, then execute that.
-:class:`CompiledPayload` is this repository's payload format — parallel
-numpy columns, one slot per DDR command, plus interned side tables for
-the operands that do not fit in a scalar (data patterns, read labels,
-prebuilt :class:`~repro.dram.ActBatch` objects).
+:class:`CompiledPayload` is this repository's payload format for attack
+windows — parallel numpy columns, one slot per DDR command, plus
+interned side tables of prebuilt :class:`~repro.dram.ActBatch` operands.
 
 Columns (all the same length):
 
 ``opcode``
-    One of :data:`OP_WR`, :data:`OP_RD`, :data:`OP_CHK`, :data:`OP_ACT`,
-    :data:`OP_MULTI`, :data:`OP_REF`, :data:`OP_WAIT` (uint8).
-``bank`` / ``row``
-    Logical addressing for WR/RD/CHK; ``bank`` also set for ACT.  ``-1``
-    where not applicable (int32).
+    One of :data:`OP_ACT`, :data:`OP_MULTI`, :data:`OP_REF`,
+    :data:`OP_WAIT` (uint8).
 ``arg``
-    Opcode-specific operand (int64): pattern id for WR, label id for
-    RD/CHK, batch id for ACT, multi-batch id for MULTI, REF count for
-    REF, duration in ps for WAIT.
+    Opcode-specific operand (int64): batch id for ACT, multi-batch id
+    for MULTI, REF count for REF, duration in ps for WAIT.
 ``dt``
     The host-clock advance of the command in the fault-free case (int64
     ps).  The executor does not *apply* these — the chip owns the clock
@@ -37,16 +32,16 @@ hammer path when that is provably equivalent (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..dram import ActBatch, DataPattern
+from ..dram import ActBatch
 
-OP_WR, OP_RD, OP_CHK, OP_ACT, OP_MULTI, OP_REF, OP_WAIT = range(7)
+OP_ACT, OP_MULTI, OP_REF, OP_WAIT = range(4)
 
 #: Index-aligned with the opcode constants.
-OPCODE_NAMES = ("WR", "RD", "CHK", "ACT", "MULTI", "REF", "WAIT")
+OPCODE_NAMES = ("ACT", "MULTI", "REF", "WAIT")
 
 #: REF issued at the nominal tREFI rate rather than back-to-back.
 FLAG_NOMINAL = 0x01
@@ -54,18 +49,12 @@ FLAG_NOMINAL = 0x01
 
 @dataclass(frozen=True)
 class CompiledPayload:
-    """A compiled, loop-unrolled, label-resolved command payload."""
+    """A compiled, loop-unrolled command payload."""
 
     opcode: np.ndarray
-    bank: np.ndarray
-    row: np.ndarray
     arg: np.ndarray
     dt: np.ndarray
     flags: np.ndarray
-    #: Interned data patterns (WR ``arg`` indexes here).
-    patterns: tuple[DataPattern, ...] = ()
-    #: Resolved read labels (RD/CHK ``arg`` indexes here).
-    labels: tuple[str, ...] = ()
     #: Prebuilt logical-row hammer batches (ACT ``arg`` indexes here).
     batches: tuple[ActBatch, ...] = ()
     #: Prebuilt multi-bank batch groups (MULTI ``arg`` indexes here).
@@ -73,7 +62,6 @@ class CompiledPayload:
     #: ``(start_index, run_length)`` for every run of >= 2 identical
     #: consecutive ACT commands — fusion candidates.
     fuse_groups: tuple[tuple[int, int], ...] = ()
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return int(self.opcode.shape[0])
@@ -90,8 +78,8 @@ class CompiledPayload:
                 for op, n in zip(present, tallies)}
 
     def total_acts(self) -> int:
-        """Row activations the payload issues (WR/RD/CHK count one)."""
-        acts = int(np.isin(self.opcode, (OP_WR, OP_RD, OP_CHK)).sum())
+        """Row activations the payload issues."""
+        acts = 0
         ops = self.opcode
         args = self.arg
         for index in np.flatnonzero(ops == OP_ACT):

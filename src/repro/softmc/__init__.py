@@ -2,22 +2,18 @@
 
 from .bus import Ddr, DdrBus, TimedCommand
 from .interface import SoftMCHost
-from .program import (CheckRow, Hammer, Loop, MultiHammer, ProgramResult,
-                      ReadRow, Refresh, SoftMCProgram, Wait, WriteRow)
+from .program import (Hammer, Loop, MultiHammer, Refresh, SoftMCProgram,
+                      Wait)
 
 __all__ = [
-    "CheckRow",
     "Ddr",
     "DdrBus",
     "TimedCommand",
     "Hammer",
     "Loop",
     "MultiHammer",
-    "ProgramResult",
-    "ReadRow",
     "Refresh",
     "SoftMCHost",
     "SoftMCProgram",
     "Wait",
-    "WriteRow",
 ]

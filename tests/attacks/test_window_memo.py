@@ -4,10 +4,12 @@ The attack executor captures and compiles a window only when the
 pattern's :meth:`~repro.attacks.AccessPattern.window_key` is new in the
 run and otherwise re-executes the stored payload.  This differential
 property runs every built-in pattern twice on identically built hosts —
-once live per command (``use_payloads=False``), once through the memo —
+once live per command (capture forced to raise
+:class:`~repro.attacks.CaptureUnsupported`), once through the memo —
 from random REF and ACT phases, with and without a fault injector, and
 requires equal results, ledgers, trace bytes and chip state.  It also
-counts captures: one per distinct key, so the memo is really used.
+counts captures: one per distinct key, so the memo is really used.  A
+slow end-to-end test renders Figure 9 both ways.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ import os
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import (HealthCheck, Phase, assume, example, given,
                         settings)
 from hypothesis import strategies as st
 
-from repro.attacks import (AttackExecutor, DoubleSidedPattern,
-                           ManySidedPattern, PhaseLockedSamplerPattern,
+from repro.attacks import (AttackExecutor, CaptureUnsupported,
+                           DoubleSidedPattern, ManySidedPattern,
+                           PhaseLockedSamplerPattern,
                            SingleSidedPattern, VendorAPattern,
                            VendorBPattern, VendorCPattern, default_context)
 from repro.attacks import executor as executor_module
 from repro.dram import DramChip, HammerMode
+from repro.eval import QUICK, run_fig9
 from repro.faults import FaultInjector
 from repro.obs import traced
 from repro.softmc import SoftMCHost
@@ -117,8 +122,13 @@ def pattern_cases(draw):
             "B13", period)
 
 
+def refuse_capture(*capture_args):
+    """A ``capture_window`` stand-in that sends every run live."""
+    raise CaptureUnsupported("live reference")
+
+
 def run_once(pattern, module_id, period, windows, victim, prefix_refs,
-             prefix_acts, faults, fault_seed, use_payloads, trace_path):
+             prefix_acts, faults, fault_seed, trace_path):
     host = build_host(module_id, faults, fault_seed, trace_path)
     context = default_context(0, victim, host._chip.mapping, period,
                               host.num_banks)
@@ -127,9 +137,8 @@ def run_once(pattern, module_id, period, windows, victim, prefix_refs,
     for bank, count in prefix_acts:
         host.hammer(bank % host.num_banks, [(far_row, count)],
                     HammerMode.CASCADED)
-    executor = AttackExecutor(host, host._chip.mapping,
-                              use_payloads=use_payloads)
-    result = executor.run(pattern, context, windows)
+    result = AttackExecutor(host, host._chip.mapping).run(pattern, context,
+                                                          windows)
     host.obs.finalize(host)
     with open(trace_path, "rb") as handle:
         trace = handle.read().splitlines()
@@ -156,12 +165,14 @@ def assert_memo_matches_live(pattern, module_id, period, windows,
         return real_capture(*capture_args)
 
     with tempfile.TemporaryDirectory() as scratch:
-        live = run_once(*args, use_payloads=False,
-                        trace_path=os.path.join(scratch, "live.jsonl"))
+        with mock.patch.object(executor_module, "capture_window",
+                               refuse_capture):
+            live = run_once(*args,
+                            trace_path=os.path.join(scratch, "live.jsonl"))
         with mock.patch.object(pattern, "window_key", spy_key), \
                 mock.patch.object(executor_module, "capture_window",
                                   spy_capture):
-            memo = run_once(*args, use_payloads=True,
+            memo = run_once(*args,
                             trace_path=os.path.join(scratch, "memo.jsonl"))
 
     result, ledger, trace, state = memo
@@ -203,3 +214,22 @@ def test_memo_matches_live_execution(case, windows, victim, prefix_refs,
         assert_memo_matches_live(pattern, module_id, period, windows,
                                  victim, prefix_refs, prefix_acts, faults,
                                  fault_seed)
+
+
+@pytest.mark.slow
+def test_fig9_renders_identically_with_capture_forced_off(monkeypatch):
+    """One module per vendor pattern covers the window keys of all three
+    custom patterns: the rendered figure must not depend on whether the
+    windows replay compiled or run live, per command."""
+    modules = ["A5", "B0", "C7"]
+    compiled = run_fig9(modules, QUICK, workers=1).render()
+    refused = []
+
+    def counted_refusal(*capture_args):
+        refused.append(capture_args)
+        refuse_capture(*capture_args)
+
+    monkeypatch.setattr(executor_module, "capture_window", counted_refusal)
+    live = run_fig9(modules, QUICK, workers=1).render()
+    assert refused
+    assert live == compiled

@@ -7,7 +7,7 @@ import pytest
 from repro.cache import (CacheEnvelope, ResultCache, decode, encode,
                          value_digest)
 from repro.errors import CacheError
-from repro.parallel import WorkUnit
+from repro.parallel import UnitOutcome, WorkUnit
 
 
 def entry_point(value: int) -> int:
@@ -87,13 +87,31 @@ def test_value_digest_is_none_for_unpicklable_values():
 
 def test_check_hit_raises_on_divergence(tmp_path):
     cache = ResultCache(tmp_path)
-    envelope = _envelope()
-    metrics = envelope.instruments["metrics"]
-    cache.check_hit(envelope, 41, metrics)  # clean: no raise
+    profile = {"counts": {"ACT": 2}, "seconds": {"ACT": 0.25},
+               "commands": 2}
+    stored = {"metrics": {"counters": {"host.acts": 3}},
+              "evidence": [{"parameter": "period", "value": 9}],
+              "profile": profile, "spans": [{"name": "unit"}]}
+    envelope = _envelope(instruments=stored)
+
+    def fresh(value=41, **parts):
+        return UnitOutcome(unit_id="eval/A5", value=value,
+                           instruments={**stored, **parts})
+
+    # Clean; spans and profile seconds are wall-clock and not compared.
+    cache.check_hit(envelope, fresh(
+        spans=[], profile={**profile, "seconds": {"ACT": 0.5}}))
     with pytest.raises(CacheError, match="metrics"):
-        cache.check_hit(envelope, 41, {"counters": {"host.acts": 99}})
+        cache.check_hit(envelope, fresh(
+            metrics={"counters": {"host.acts": 99}}))
+    with pytest.raises(CacheError, match="evidence"):
+        cache.check_hit(envelope, fresh(
+            evidence=[{"parameter": "period", "value": 999}]))
+    with pytest.raises(CacheError, match="profile"):
+        cache.check_hit(envelope, fresh(
+            profile={**profile, "counts": {"ACT": 3}}))
     with pytest.raises(CacheError, match="value"):
-        cache.check_hit(envelope, 42, metrics)
+        cache.check_hit(envelope, fresh(value=42))
 
 
 def test_stats_summarize_store_contents(tmp_path):

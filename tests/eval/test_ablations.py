@@ -6,6 +6,8 @@ import pytest
 
 from repro.eval import QUICK, run_hammer_mode_ablation
 from repro.eval.ablations import run_mitigation_ablation
+from repro.obs import MetricsRegistry, Observability
+from repro.parallel import WorkUnit, run_units
 
 
 def test_hammer_mode_ablation_shape():
@@ -19,7 +21,13 @@ def test_hammer_mode_ablation_shape():
 
 @pytest.mark.slow
 def test_mitigation_ablation_shape():
-    result = run_mitigation_ablation(QUICK)
+    obs = Observability(metrics=MetricsRegistry())
+    unit = WorkUnit(unit_id="ablations/ab4-mitigation",
+                    fn=run_mitigation_ablation, args=(QUICK,))
+    (result,) = run_units([unit], obs=obs).values
+    # Every host AB4 builds records into the unit's bundle, its PARA
+    # hosts included: 3 mitigations x 2 patterns x 4 victims.
+    assert obs.metrics.counter("attack.runs") == 24
     labels = {row[0] for row in result.rows}
     assert labels == {"A_TRR1", "PARA 1/2000", "PARA 1/250"}
     rows = {(row[0], row[1]): row[2] for row in result.rows}

@@ -7,10 +7,21 @@ ledger exactly as the core inference stages do.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cache import ResultCache
-from repro.obs import MetricsRegistry, Observability
+from repro.dram import AllOnes, DeviceConfig, DramChip, RetentionConfig
+from repro.errors import CacheError
+from repro.obs import CommandProfiler, MetricsRegistry, Observability
 from repro.obs.evidence import EvidenceLedger, ev_refs, write_jsonl
 from repro.parallel import WorkUnit, run_units, unit_observability
+from repro.softmc import SoftMCHost
+
+#: A small chip for units that drive a host.
+CHIP = DeviceConfig(name="evidence-engine", serial=2, num_banks=4,
+                    rows_per_bank=2048, row_bits=1024,
+                    refresh_cycle_refs=512,
+                    retention=RetentionConfig(vrt_fraction=0.0))
 
 
 def deciding_square(value: int) -> int:
@@ -30,6 +41,17 @@ def deciding_square(value: int) -> int:
 
 def silent_square(value: int) -> int:
     return value * value
+
+
+def deciding_on_host(refs: int) -> int:
+    """Issues commands on a host bound to the unit's bundle, then
+    records one decision stamped from that host."""
+    host = SoftMCHost(DramChip(CHIP), obs=unit_observability())
+    host.write_row(0, 1, AllOnes())
+    host.refresh(refs)
+    host.obs.evidence.decide("refs", refs, stage="test.host",
+                             evidence=[ev_refs([refs])], host=host)
+    return refs * refs
 
 
 def _units(values, fn=deciding_square):
@@ -98,6 +120,50 @@ def test_cache_replay_reproduces_ledger(tmp_path):
     write_jsonl(cold_path, cold)
     write_jsonl(warm_path, warm)
     assert cold_path.read_bytes() == warm_path.read_bytes()
+
+
+def test_profiling_leaves_evidence_stamps_alone():
+    """A stamp holds only the host's own ledger, so a profiled run
+    folds the nodes an unprofiled one does."""
+    units = _units([3], fn=deciding_on_host)
+    plain = EvidenceLedger()
+    run_units(units, workers=1, obs=Observability(evidence=plain))
+    profiled = EvidenceLedger()
+    run_units(units, workers=1,
+              obs=Observability(evidence=profiled,
+                                profiler=CommandProfiler()))
+    assert plain.nodes
+    assert profiled.nodes == plain.nodes
+
+
+def test_ledger_run_misses_a_store_written_without_one(tmp_path):
+    """The key names the run's instruments: a unit stored by a run
+    without a ledger holds no nodes, so a run with one executes it
+    instead of replaying an empty dump."""
+    store = tmp_path / "store"
+    run_units(_units([2]), workers=1, cache=ResultCache(store))
+    uncached = _run_ledger([2], workers=1)
+    warm = _run_ledger([2], workers=1, cache=ResultCache(store))
+    assert len(uncached.nodes) == 1
+    assert warm.nodes == uncached.nodes
+
+
+def test_cache_verify_rejects_tampered_evidence(tmp_path):
+    store = tmp_path / "store"
+    _run_ledger([3], workers=1, cache=ResultCache(store))
+    tampered = ResultCache(store)
+    (path,) = store.glob("objects/*/*.rpc")
+    envelope = tampered.lookup(path.stem)
+    nodes = [dict(node) for node in envelope.instruments["evidence"]]
+    assert nodes[0]["value"] == 9
+    nodes[0]["value"] = 999
+    tampered.publish_unit(envelope.key, envelope.material,
+                          envelope.unit_id, value=envelope.value,
+                          instruments={**envelope.instruments,
+                                       "evidence": nodes},
+                          wall_s=envelope.wall_s)
+    with pytest.raises(CacheError, match="evidence"):
+        _run_ledger([3], workers=1, cache=ResultCache(store, verify=True))
 
 
 def test_cache_replay_pool_matches_sequential(tmp_path):

@@ -1,4 +1,5 @@
-"""Fixtures for compiled-payload tests: hosts and a mixed workload."""
+"""Fixtures for compiled-payload tests: hosts, a mixed workload, and
+the host-side write/read-back harness around a program run."""
 
 from __future__ import annotations
 
@@ -19,30 +20,48 @@ def payload_host(trr=None, *, obs=None, faults=None, weak_mean=2.0,
     return SoftMCHost(DramChip(config, trr), obs=obs, faults=faults)
 
 
+#: The rows :func:`mixed_program` disturbs, with the data written into
+#: each before it runs.
+MIXED_ROWS = {(0, row): AllOnes() for row in range(999, 1004)}
+MIXED_ROWS[1, 50] = AllZeros()
+
+
 def mixed_program() -> SoftMCProgram:
     """Every instruction type, with fusible ACT runs and real decay.
 
     Ten rounds of eight identical double-sided hammers (a fusible run)
-    plus a REF, bracketed by writes, a long wait, a multi-bank hammer,
-    and per-row checks — the command mix every payload caller produces.
+    plus a REF, then a multi-bank hammer, a lone hammer, a long wait
+    and nominal-rate REFs — the command mix a captured attack window
+    produces.  :func:`run_between_readbacks` with :data:`MIXED_ROWS`
+    observes the decay.
     """
     body = SoftMCProgram()
     for _ in range(8):
         body.hammer(0, ((1000, 6), (1002, 6)), HammerMode.INTERLEAVED)
     body.refresh(1)
     program = SoftMCProgram()
-    for row in (999, 1000, 1001, 1002, 1003):
-        program.write(0, row, AllOnes())
-    program.write(1, 50, AllZeros())
     program.loop(10, body)
     program.hammer_multi({1: [(60, 3)], 2: [(70, 2)]})
     program.hammer(1, ((80, 4),), HammerMode.CASCADED)
     program.wait(int(256e9))
-    for row in (999, 1001, 1003):
-        program.check(0, row)
-    program.read(1, 50, label="readback")
     program.refresh(2, at_nominal_rate=True)
     return program
+
+
+def run_between_readbacks(host: SoftMCHost, rows: dict, run) -> tuple:
+    """Write each of *rows* (``{(bank, row): data}``) through *host*,
+    call ``run(host)``, then read every row back.
+
+    Returns one ``(bank, row, mismatches, bits)`` entry per row:
+    :meth:`~SoftMCHost.read_row_mismatches` first, so a decayed row
+    shows against the data written, then :meth:`~SoftMCHost.read_row`.
+    """
+    for (bank, row), data in rows.items():
+        host.write_row(bank, row, data)
+    run(host)
+    return tuple((bank, row, tuple(host.read_row_mismatches(bank, row)),
+                  tuple(host.read_row(bank, row).tolist()))
+                 for bank, row in rows)
 
 
 def chip_state(host: SoftMCHost) -> tuple:
@@ -64,12 +83,3 @@ def chip_state(host: SoftMCHost) -> tuple:
             tuple(sorted(host.acts_per_bank.items())),
             tuple(sorted(chip.stats.snapshot().items())),
             tuple(sorted(rows)), fault_record)
-
-
-def result_digest(result) -> tuple:
-    return (result.started_ps, result.finished_ps,
-            tuple(sorted((label, tuple(bits.tolist()))
-                         for label, bits in result.rows.items())),
-            tuple(sorted((label, tuple(positions))
-                         for label, positions in
-                         result.mismatches.items())))

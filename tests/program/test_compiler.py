@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import AllOnes, AllZeros, HammerMode
+from repro.dram import HammerMode
 from repro.errors import ConfigError
-from repro.program import (OP_ACT, OP_CHK, OP_MULTI, OP_REF, OP_WAIT, OP_WR,
-                           OPCODE_NAMES, compile_program, execute_payload)
+from repro.program import (OP_ACT, OP_MULTI, OP_REF, OP_WAIT, OPCODE_NAMES,
+                           compile_program, execute_payload)
 from repro.program.compiler import _fuse_groups
 from repro.softmc import SoftMCProgram
-from repro.softmc.program import Loop
+from repro.softmc.program import Loop, Wait
 
 from .conftest import payload_host
 
@@ -30,15 +30,13 @@ def test_empty_program_compiles_and_runs(timing):
     assert payload.counts() == {}
     host = payload_host()
     before = host.now_ps
-    result = execute_payload(host, payload)
+    execute_payload(host, payload)
     assert host.now_ps == before
-    assert result.rows == {} and result.mismatches == {}
-    assert result.duration_ps == 0
 
 
 def test_single_command_payload(timing):
     program = SoftMCProgram().hammer(0, ((100, 7),), HammerMode.CASCADED)
-    payload = program.compile(timing)
+    payload = compile_program(program.instructions, timing)
     assert len(payload) == 1
     assert payload.opcode[0] == OP_ACT
     assert payload.dt[0] == timing.hammer_duration_ps(7)
@@ -47,7 +45,7 @@ def test_single_command_payload(timing):
 
 
 def test_wait_only_payload(timing):
-    payload = SoftMCProgram().wait(123_456).compile(timing)
+    payload = compile_program([Wait(123_456)], timing)
     assert len(payload) == 1
     assert payload.opcode[0] == OP_WAIT
     assert payload.arg[0] == 123_456
@@ -63,7 +61,7 @@ def test_loops_unroll_recursively(timing):
     inner = SoftMCProgram().hammer(0, ((10, 1),))
     outer = SoftMCProgram().refresh(1).loop(3, inner)
     program = SoftMCProgram().loop(2, outer)
-    payload = program.compile(timing)
+    payload = compile_program(program.instructions, timing)
     assert len(payload) == 2 * (1 + 3)
     assert payload.counts() == {"ACT": 6, "REF": 2}
 
@@ -80,69 +78,53 @@ def _flatten(instructions):
 def test_loops_compile_like_their_flat_expansion(timing):
     inner = (SoftMCProgram()
              .hammer(0, ((10, 2), (12, 2)), HammerMode.INTERLEAVED)
-             .write(1, 3, AllOnes()))
+             .wait(7))
     body = (SoftMCProgram().loop(4, inner)
             .refresh(2, at_nominal_rate=True)
             .hammer_multi({0: [(5, 1)], 1: [(6, 1)]})
             .wait(1_000))
     # A loop that never runs interns none of its operands.
-    never = SoftMCProgram().write(0, 9, AllZeros())
-    program = (SoftMCProgram().check(0, 1).loop(3, body).loop(0, never)
-               .check(0, 2))
-    looped = program.compile(timing)
+    never = SoftMCProgram().hammer(0, ((9, 1),), HammerMode.CASCADED)
+    program = (SoftMCProgram().refresh(1).loop(3, body).loop(0, never)
+               .wait(3))
+    looped = compile_program(program.instructions, timing)
     flat = compile_program(list(_flatten(program.instructions)), timing)
-    for column in ("opcode", "bank", "row", "arg", "dt", "flags"):
+    for column in ("opcode", "arg", "dt", "flags"):
         assert getattr(looped, column).tolist() == \
             getattr(flat, column).tolist()
-    for table in ("patterns", "labels", "batches", "multis", "fuse_groups"):
+    for table in ("batches", "multis", "fuse_groups"):
         assert getattr(looped, table) == getattr(flat, table)
-    assert len(looped.patterns) == 1
+    assert len(looped.batches) == 1
 
 
 def test_dt_schedule_matches_timing_formulas(timing):
     program = (SoftMCProgram()
-               .write(0, 1, AllOnes())
-               .read(0, 1)
-               .check(0, 1, label="again")
+               .hammer(0, ((1, 3), (3, 2)), HammerMode.INTERLEAVED)
+               .hammer_multi({0: [(5, 4)], 1: [(6, 2)], 2: [(7, 1)]})
                .refresh(3)
-               .refresh(2, at_nominal_rate=True))
-    payload = program.compile(timing)
-    write_dt = timing.trcd_ps + timing.burst_write_ps + timing.trp_ps
-    read_dt = timing.trcd_ps + timing.burst_read_ps + timing.trp_ps
-    assert payload.dt.tolist() == [write_dt, read_dt, read_dt,
-                                   3 * timing.trfc_ps,
-                                   2 * timing.trefi_ps]
+               .refresh(2, at_nominal_rate=True)
+               .wait(99))
+    payload = compile_program(program.instructions, timing)
+    assert payload.dt.tolist() == [
+        timing.hammer_duration_ps(5),
+        timing.multi_bank_hammer_duration_ps(4, 3),
+        3 * timing.trfc_ps,
+        2 * timing.trefi_ps,
+        99]
     assert [OPCODE_NAMES[op] for op in payload.opcode.tolist()] == [
-        "WR", "RD", "CHK", "REF", "REF"]
-
-
-def test_duplicate_labels_rejected_at_compile(timing):
-    program = SoftMCProgram().check(0, 5).check(0, 5)
-    with pytest.raises(ConfigError, match="duplicate read label"):
-        program.compile(timing)
-
-
-def test_multi_iteration_loop_reads_need_unique_labels(timing):
-    body = SoftMCProgram().check(0, 5)
-    program = SoftMCProgram().loop(2, body)
-    with pytest.raises(ConfigError):
-        program.run(payload_host())
+        "ACT", "MULTI", "REF", "REF", "WAIT"]
 
 
 def test_operand_interning_and_fuse_groups(timing):
-    pattern = AllOnes()
     program = SoftMCProgram()
     for _ in range(4):
         program.hammer(0, ((100, 2), (102, 2)), HammerMode.INTERLEAVED)
     program.hammer(1, ((200, 2),), HammerMode.CASCADED)
     for _ in range(2):
         program.hammer(0, ((100, 2), (102, 2)), HammerMode.INTERLEAVED)
-    program.write(0, 100, pattern).write(0, 102, pattern)
-    payload = program.compile(timing)
-    # Identical (bank, rows, mode) batches share one interned operand;
-    # identical patterns (by content) likewise.
+    payload = compile_program(program.instructions, timing)
+    # Identical (bank, rows, mode) batches share one interned operand.
     assert len(payload.batches) == 2
-    assert len(payload.patterns) == 1
     # Runs of >= 2 identical consecutive ACT commands become fusion
     # groups; the lone bank-1 hammer breaks the run.
     assert payload.fuse_groups == ((0, 4), (5, 2))
@@ -167,7 +149,8 @@ def _fuse_groups_loop(opcode, arg):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([OP_ACT, OP_ACT, OP_WR, OP_REF]),
+@given(st.lists(st.tuples(st.sampled_from([OP_ACT, OP_ACT, OP_MULTI,
+                                           OP_REF]),
                           st.integers(0, 2)), max_size=30))
 def test_fuse_groups_match_the_per_command_scan(commands):
     opcode = np.array([op for op, _ in commands], dtype=np.uint8)
@@ -178,7 +161,7 @@ def test_fuse_groups_match_the_per_command_scan(commands):
 
 def test_multi_hammer_compiles_to_one_command(timing):
     program = SoftMCProgram().hammer_multi({0: [(10, 3)], 2: [(20, 4)]})
-    payload = program.compile(timing)
+    payload = compile_program(program.instructions, timing)
     assert len(payload) == 1
     assert payload.opcode[0] == OP_MULTI
     assert len(payload.multis) == 1
@@ -194,13 +177,12 @@ def test_unknown_instruction_rejected(timing):
 
 def test_counts_and_opcode_constants(timing):
     program = (SoftMCProgram()
-               .write(0, 1, AllOnes())
+               .wait(10)
                .hammer(0, ((5, 1),))
                .refresh(1)
-               .wait(10)
-               .check(0, 1))
-    payload = program.compile(timing)
-    assert payload.counts() == {"WR": 1, "ACT": 1, "REF": 1, "WAIT": 1,
-                                "CHK": 1}
-    assert payload.opcode.tolist() == [OP_WR, OP_ACT, OP_REF, OP_WAIT,
-                                       OP_CHK]
+               .hammer_multi({0: [(6, 1)], 1: [(7, 1)]})
+               .hammer(0, ((5, 1),)))
+    payload = compile_program(program.instructions, timing)
+    assert payload.counts() == {"WAIT": 1, "ACT": 2, "REF": 1, "MULTI": 1}
+    assert payload.opcode.tolist() == [OP_WAIT, OP_ACT, OP_REF, OP_MULTI,
+                                       OP_ACT]

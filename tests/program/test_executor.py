@@ -2,38 +2,47 @@
 
 Every test compares the compiled engines (guarded and fused) against
 the per-command interpreter (``SoftMCProgram.run``) on identically
-seeded hosts: same read-backs, same mismatches, same ledger, same chip
-state to the float bit, same trace bytes.  The last test checks how
-``REPRO_PAYLOAD`` routes the attack executor, the one production
-caller of compiled payloads.
+seeded hosts: same read-backs of the rows the program disturbs, same
+ledger, same chip state to the float bit, same trace bytes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.attacks import AttackExecutor, DoubleSidedPattern, default_context
-from repro.attacks import executor as executor_module
 from repro.dram import HammerMode
 from repro.faults import DEFAULT, FaultInjector
 from repro.obs import CommandProfiler, Observability, traced
-from repro.program import execute_payload
+from repro.program import compile_program, execute_payload
 from repro.softmc import SoftMCProgram
 from repro.trr import CounterBasedTrr
 
-from .conftest import chip_state, mixed_program, payload_host, result_digest
+from .conftest import (MIXED_ROWS, chip_state, mixed_program, payload_host,
+                       run_between_readbacks)
 
 
 def run_legacy(host, program):
-    return program.run(host)
+    program.run(host)
+
+
+def run_default(host, program, fuse=None):
+    execute_payload(host, compile_program(program.instructions, host.timing),
+                    fuse=fuse)
 
 
 def run_guarded(host, program):
-    return execute_payload(host, program.compile(host.timing), fuse=False)
+    run_default(host, program, fuse=False)
 
 
 def run_fused(host, program):
-    return execute_payload(host, program.compile(host.timing), fuse=True)
+    run_default(host, program, fuse=True)
+
+
+def readbacks(host, runner, program) -> tuple:
+    """*program* run by *runner* between writes and read-backs of the
+    rows it disturbs."""
+    return run_between_readbacks(host, MIXED_ROWS,
+                                 lambda host: runner(host, program))
 
 
 @pytest.mark.parametrize("run_compiled", [run_guarded, run_fused],
@@ -41,14 +50,13 @@ def run_fused(host, program):
 def test_compiled_engines_match_per_command(run_compiled):
     program = mixed_program()
     reference_host = payload_host()
-    reference = run_legacy(reference_host, program)
+    reference = readbacks(reference_host, run_legacy, program)
     host = payload_host()
-    result = run_compiled(host, program)
-    assert result_digest(result) == result_digest(reference)
+    assert readbacks(host, run_compiled, program) == reference
     assert chip_state(host) == chip_state(reference_host)
-    # The scan half of the workload must actually observe decay, or the
-    # identity proves nothing.
-    assert any(reference.mismatches.values())
+    # The read-backs must actually observe decay, or the identity
+    # proves nothing.
+    assert any(mismatches for _, _, mismatches, _ in reference)
 
 
 def test_fusion_actually_fuses():
@@ -71,10 +79,9 @@ def test_vendor_trr_payloads_identical():
     """Stateful TRR blocks fusion; the guarded fallback stays exact."""
     program = mixed_program()
     reference_host = payload_host(CounterBasedTrr())
-    reference = run_legacy(reference_host, program)
+    reference = readbacks(reference_host, run_legacy, program)
     host = payload_host(CounterBasedTrr())
-    result = run_fused(host, program)
-    assert result_digest(result) == result_digest(reference)
+    assert readbacks(host, run_fused, program) == reference
     assert chip_state(host) == chip_state(reference_host)
 
 
@@ -86,10 +93,9 @@ def test_fault_injector_payloads_identical():
         return payload_host(faults=FaultInjector(DEFAULT, seed=3))
 
     reference_host = faulty_host()
-    reference = run_legacy(reference_host, program)
+    reference = readbacks(reference_host, run_legacy, program)
     host = faulty_host()
-    result = execute_payload(host, program.compile(host.timing))
-    assert result_digest(result) == result_digest(reference)
+    assert readbacks(host, run_default, program) == reference
     assert chip_state(host) == chip_state(reference_host)
 
 
@@ -100,7 +106,7 @@ def test_traced_run_byte_identical(tmp_path):
         path = tmp_path / f"{name}.jsonl"
         obs = traced(path, manifest={"case": "payload-identity"})
         host = payload_host(obs=obs)
-        runner(host, program)
+        readbacks(host, runner, program)
         obs.finalize(host)
         paths[name] = path.read_bytes()
     assert paths["legacy"] == paths["fused"]
@@ -136,28 +142,3 @@ def test_profiler_attributes_fused_commands_in_full():
         counts[name] = dict(profiler.counts)
     assert counts["fused"] == counts["legacy"]
     assert counts["fused"]["ACT"] == 8 * 10 + 1 + 1
-
-
-@pytest.mark.parametrize("mode, captures", [(None, True), ("legacy", False)],
-                         ids=["default", "legacy"])
-def test_payload_env_routes_attack_windows(monkeypatch, mode, captures):
-    """Unset, ``REPRO_PAYLOAD`` lets the attack executor capture and
-    compile its windows; ``legacy`` makes it run every window live."""
-    if mode is None:
-        monkeypatch.delenv("REPRO_PAYLOAD", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_PAYLOAD", mode)
-    calls = []
-    original = executor_module.capture_window
-
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(executor_module, "capture_window", spy)
-    host = payload_host()
-    context = default_context(0, 600, host._chip.mapping, 4,
-                              host.num_banks)
-    AttackExecutor(host, host._chip.mapping).run(
-        DoubleSidedPattern(), context, windows=3)
-    assert bool(calls) == captures

@@ -7,9 +7,10 @@ built hosts three ways — the per-command interpreter
 (``fuse=True``) — with no TRR and with a counter-based TRR, each with
 no fault injector, the default fault profile, and a command-fault
 profile that leaves the chip environment neutral (so only the host's
-own fault guard keeps the fused engine away).  The read-backs, host
-ledger, chip state (to the float bit, with the injector's record) and
-trace bytes must all be equal.
+own fault guard keeps the fused engine away).  The host writes every
+row a program can touch before it runs and reads each one back after.
+Those read-backs, the host ledger, chip state (to the float bit, with
+the injector's record) and trace bytes must all be equal.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from hypothesis import strategies as st
 from repro.dram import AllOnes, AllZeros, Checkerboard, HammerMode
 from repro.faults import COMMAND_FAULTS, DEFAULT, FaultInjector
 from repro.obs import traced
-from repro.program import execute_payload
+from repro.program import compile_program, execute_payload
 from repro.softmc import SoftMCProgram
-from repro.softmc.program import (CheckRow, Hammer, Loop, MultiHammer,
-                                  ReadRow, Refresh, Wait, WriteRow)
+from repro.softmc.program import Hammer, Loop, MultiHammer, Refresh, Wait
 from repro.trr import CounterBasedTrr
 from repro.units import ms
 
-from .conftest import chip_state, mixed_program, payload_host, result_digest
+from .conftest import (MIXED_ROWS, chip_state, mixed_program, payload_host,
+                       run_between_readbacks)
 
 #: Every row a program touches: close enough that hammers disturb the
 #: rows written and read.
@@ -59,75 +60,64 @@ multi_hammers = st.builds(
 refreshes = st.builds(Refresh, st.integers(1, 4), st.booleans())
 #: The longer two outlast the weakest cells' retention.
 waits = st.builds(Wait, st.sampled_from((0, ms(1), ms(256), ms(1024))))
-writes = st.builds(WriteRow, BANKS, ROWS, DATA)
 
 
 def flatten(parts: list[list]) -> list:
     return [instruction for part in parts for instruction in part]
 
 
-#: Program fragments without reads.  A run of identical hammers is what
-#: the fused engine fuses.
+#: Program fragments.  A run of identical hammers is what the fused
+#: engine fuses.
 commands = st.one_of(
-    st.one_of(hammers, multi_hammers, refreshes, waits,
-              writes).map(lambda command: [command]),
+    st.one_of(hammers, multi_hammers, refreshes,
+              waits).map(lambda command: [command]),
     st.tuples(hammers, st.integers(2, 6)).map(
         lambda run: [run[0]] * run[1]))
 
 
 def loops(body):
-    """A 0-4 iteration loop over 1-3 *body* fragments.  Bodies never
-    read: a multi-iteration loop cannot re-use a read label."""
+    """A 0-4 iteration loop over 1-3 *body* fragments."""
     return st.builds(
         lambda times, parts: [Loop(times, tuple(flatten(parts)))],
         st.integers(0, 4), st.lists(body, min_size=1, max_size=3))
 
 
-#: Reads and checks, top level only; ``programs`` labels them.
-reads = st.tuples(st.sampled_from((ReadRow, CheckRow)), BANKS, ROWS).map(
-    lambda read: [read])
+#: Up to ten fragments: commands, and loops nested up to twice.
+programs = st.lists(
+    st.one_of(commands, loops(st.one_of(loops(commands), commands))),
+    max_size=10).map(lambda parts: SoftMCProgram(flatten(parts)))
 
-
-@st.composite
-def programs(draw) -> SoftMCProgram:
-    """Up to ten fragments — commands, reads, and loops nested up to
-    twice — between writes to every row and checks of every row, so
-    waits show up as decay."""
-    instructions = [WriteRow(bank, row, draw(DATA))
-                    for bank, row in ALL_ROWS]
-    parts = draw(st.lists(
-        st.one_of(commands, reads, loops(st.one_of(loops(commands),
-                                                   commands))),
-        max_size=10))
-    for instruction in flatten(parts):
-        if isinstance(instruction, tuple):
-            kind, bank, row = instruction
-            instruction = kind(bank, row, f"L{len(instructions)}")
-        instructions.append(instruction)
-    instructions += [CheckRow(bank, row) for bank, row in ALL_ROWS]
-    return SoftMCProgram(instructions)
+#: The data written into every row before a program runs, so waits
+#: show up as decay in the read-backs.
+row_data = st.lists(DATA, min_size=len(ALL_ROWS),
+                    max_size=len(ALL_ROWS)).map(
+    lambda data: dict(zip(ALL_ROWS, data)))
 
 
 ENGINES = {
     "per-command": lambda host, program: program.run(host),
     "guarded": lambda host, program: execute_payload(
-        host, program.compile(host.timing), fuse=False),
+        host, compile_program(program.instructions, host.timing),
+        fuse=False),
     "fused": lambda host, program: execute_payload(
-        host, program.compile(host.timing), fuse=True),
+        host, compile_program(program.instructions, host.timing),
+        fuse=True),
 }
 
 
-def observe(program, engine, with_trr, profile, seed, trace_path):
-    """Run *program* on a fresh host; everything the run leaves behind."""
+def observe(program, rows, engine, with_trr, profile, seed, trace_path):
+    """Run *program* on a fresh host between writes and read-backs of
+    *rows*; everything the run leaves behind."""
     faults = None if profile is None else FaultInjector(profile, seed=seed)
     obs = traced(trace_path, manifest={"case": "payload-properties"})
     host = payload_host(CounterBasedTrr(trr_ref_period=2) if with_trr
                         else None, obs=obs, faults=faults)
-    result = ENGINES[engine](host, program)
+    readbacks = run_between_readbacks(
+        host, rows, lambda host: ENGINES[engine](host, program))
     obs.finalize(host)
     with open(trace_path, "rb") as handle:
         trace = handle.read()
-    return result_digest(result), host.ledger(), chip_state(host), trace
+    return readbacks, host.ledger(), chip_state(host), trace
 
 
 # The explicit example's fused run on the TRR-free, fault-free host
@@ -136,21 +126,23 @@ def observe(program, engine, with_trr, profile, seed, trace_path):
 # engine's fast path is held to the reference, not only its fallback.
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(program=programs(), seed=st.integers(0, 3))
-@example(program=mixed_program(), seed=0)
-def test_engines_agree(program, seed):
+@given(program=programs, rows=row_data, seed=st.integers(0, 3))
+@example(program=mixed_program(), rows=MIXED_ROWS, seed=0)
+def test_engines_agree(program, rows, seed):
     with tempfile.TemporaryDirectory() as scratch:
         for with_trr in (False, True):
             for profile in FAULT_PROFILES:
                 runs = {}
                 for engine in ENGINES:
                     trace_path = os.path.join(scratch, f"{engine}.jsonl")
-                    runs[engine] = observe(program, engine, with_trr,
-                                           profile, seed, trace_path)
+                    runs[engine] = observe(program, rows, engine,
+                                           with_trr, profile, seed,
+                                           trace_path)
                 reference = runs.pop("per-command")
                 for engine, got in runs.items():
                     case = (engine, with_trr, profile and profile.name)
                     for part, expected, actual in zip(
-                            ("result", "ledger", "chip state", "trace"),
+                            ("read-backs", "ledger", "chip state",
+                             "trace"),
                             reference, got):
                         assert actual == expected, (case, part)
