@@ -61,10 +61,10 @@ from repro.dram.bank import Bank
 from repro.dram.refresh import RefreshEngine
 from repro.eval import get_scale, run_fig8_many, run_fig9, run_fig10
 from repro.eval.fig8 import SWEEPS
-from repro.obs import (CollapsedStackSampler, CommandProfiler,
-                       Observability, RunHistory, TelemetryConfig,
+from repro.obs import (CollapsedStackSampler, Observability,
                        build_manifest, profile_report)
-from repro.obs.live import pool_breakdown, read_spool
+from repro.obs.history import RunHistory
+from repro.obs.live import TelemetryConfig, pool_breakdown, read_spool
 from repro.parallel import default_workers
 from repro.program import compile_program, execute_payload
 from repro.rng import SeedSequenceFactory
@@ -484,13 +484,12 @@ def bench_profile(modules: list[str], scale,
     wall the opcode rows explain (the rest is Python-side work the
     sampler's flamegraph localizes).
     """
-    profiler = CommandProfiler()
+    obs = Observability.build(("profile",))
     sampler = CollapsedStackSampler(interval_s=0.01)
     with sampler:
-        wall, _ = _timed(lambda: run_fig9(
-            modules, scale, workers=1,
-            obs=Observability(profiler=profiler)))
-    report = profile_report(profiler, wall_s=wall)
+        wall, _ = _timed(lambda: run_fig9(modules, scale, workers=1,
+                                          obs=obs))
+    report = profile_report(obs.profiler, wall_s=wall)
     report["stack_samples"] = sampler.total_samples
     if stacks_path is not None:
         sampler.write(stacks_path)

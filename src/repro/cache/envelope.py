@@ -3,9 +3,7 @@
 An envelope is everything :mod:`repro.parallel` needs to make a cache
 hit indistinguishable from a fresh execution: the unit's return value,
 its instrument dump (replayed through the same submission-order fold a
-pool worker's outcome goes through) and the measured wall-clock.  It
-also stores the full key *material* so ``python -m repro.cache stats``
-can explain every object without re-deriving anything.
+pool worker's outcome goes through) and the measured wall-clock.
 
 Wire format: a 5-byte magic (``RPRC`` + version), a 4-byte big-endian
 CRC-32 of the body, then the pickled body (protocol 4 — readable by
@@ -22,25 +20,23 @@ from dataclasses import dataclass, field, fields
 
 from ..errors import CacheError
 
-#: 4-byte magic + 1-byte format version.  Version 2 carries one
-#: instrument dump; a version-1 object reads as corrupt, i.e. a miss.
-MAGIC = b"RPRC\x02"
+#: 4-byte magic + 1-byte format version.  Version 3 stores only the
+#: dump that folds (no span timeline, no key material); an object of
+#: an older version reads as corrupt, i.e. a miss.
+MAGIC = b"RPRC\x03"
 
 
 @dataclass
 class CacheEnvelope:
-    """One cached unit outcome plus its provenance."""
+    """One cached unit outcome."""
 
     key: str
     unit_id: str
     value: object = None
-    #: The unit's ``Observability.dump()``: ``metrics``, ``spans``,
-    #: ``profile`` and ``evidence``, each only when recorded.
+    #: The unit's ``Observability.dump()``: ``metrics``, ``profile``
+    #: and ``evidence``, each only when recorded.
     instruments: dict = field(default_factory=dict)
     wall_s: float | None = None
-    #: The key material (:func:`repro.cache.keys.unit_key_material`) —
-    #: stored for stats/debugging, never re-hashed on the read path.
-    material: dict = field(default_factory=dict)
     #: SHA-256 of ``pickle(value)`` at publish time; ``verify`` mode
     #: compares digests instead of objects (arrays, nested results).
     value_digest: str | None = None

@@ -161,6 +161,8 @@ def material_digest(material: dict) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
-def unit_key(unit, git: str | None = None) -> str:
-    """Content-address one work unit (raises :class:`Uncachable`)."""
-    return material_digest(unit_key_material(unit, git=git))
+def unit_key(unit, git: str | None = None, instruments=()) -> str:
+    """Content-address one work unit in a run recording *instruments*
+    (raises :class:`Uncachable`)."""
+    return material_digest(unit_key_material(unit, git=git,
+                                             instruments=instruments))

@@ -29,7 +29,7 @@ from pathlib import Path
 from ..errors import CacheError
 from ..obs.manifest import git_describe
 from .envelope import CacheEnvelope, decode, encode
-from .keys import Uncachable, material_digest, unit_key_material
+from .keys import Uncachable, unit_key
 
 #: Suffix of stored objects (RePro Cache).
 OBJECT_SUFFIX = ".rpc"
@@ -73,26 +73,14 @@ class ResultCache:
 
     # -- keying --------------------------------------------------------
 
-    def key_material(self, unit, instruments=()) -> dict | None:
-        """Key material for *unit* in a run recording *instruments*,
-        or None when it is uncachable."""
+    def key(self, unit, instruments=()) -> str | None:
+        """Content address for *unit* in a run recording *instruments*
+        (:attr:`repro.obs.Observability.instruments`), or None when it
+        is uncachable."""
         try:
-            return unit_key_material(unit, git=self._git,
-                                     instruments=instruments)
+            return unit_key(unit, git=self._git, instruments=instruments)
         except Uncachable:
             return None
-
-    def key(self, unit) -> str | None:
-        """Content address for *unit*, or None when it is uncachable."""
-        keyed = self.keyed(unit)
-        return keyed[0] if keyed is not None else None
-
-    def keyed(self, unit, instruments=()) -> tuple[str, dict] | None:
-        """``(key, material)`` for *unit*, or None when uncachable."""
-        material = self.key_material(unit, instruments=instruments)
-        if material is None:
-            return None
-        return material_digest(material), material
 
     # -- object IO -----------------------------------------------------
 
@@ -143,8 +131,8 @@ class ResultCache:
             return
         self.stores += 1
 
-    def publish_unit(self, key: str, material: dict, unit_id: str, *,
-                     value, instruments: dict,
+    def publish_unit(self, key: str, unit_id: str, *, value,
+                     instruments: dict,
                      wall_s: float | None = None) -> None:
         """Wrap one completed unit's result and instrument dump into an
         envelope and store it.  This is the engine-facing entry point:
@@ -152,7 +140,7 @@ class ResultCache:
         constructs a :class:`CacheEnvelope` itself."""
         self.publish(CacheEnvelope(
             key=key, unit_id=unit_id, value=value,
-            instruments=instruments, wall_s=wall_s, material=material,
+            instruments=instruments, wall_s=wall_s,
             value_digest=value_digest(value)))
 
     def check_hit(self, envelope: CacheEnvelope, fresh) -> None:
@@ -161,11 +149,10 @@ class ResultCache:
         *fresh* is the re-executed unit's outcome (its ``value`` and
         ``instruments`` dump).  Its metrics, evidence nodes, command
         profile counts and value digest must equal the stored ones;
-        spans and profile seconds are wall-clock values and are not
-        compared.  Raises :class:`CacheError` when they diverge — that
-        means the cache key is missing an input and every hit is
-        suspect, so the run must abort rather than silently serve stale
-        results.
+        profile seconds are wall-clock values and are not compared.
+        Raises :class:`CacheError` when they diverge — that means the
+        cache key is missing an input and every hit is suspect, so the
+        run must abort rather than silently serve stale results.
         """
         stored = envelope.instruments
         dump = fresh.instruments

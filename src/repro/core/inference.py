@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from ..dram.commands import HammerMode
 from ..dram.patterns import AllOnes, DataPattern
 from ..errors import ExperimentError, ProfilingError, TransientFaultError
-from ..obs import ev_error, ev_refs, ev_value
+from ..obs.evidence import ev_error, ev_refs, ev_value
 from ..softmc import SoftMCHost
 from .mapping_re import CouplingTopology, MappingDiscovery, \
     discover_row_mapping

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ..dram.mapping import RowMapping, available_schemes, make_mapping
 from ..dram.patterns import AllOnes, DataPattern
 from ..errors import MappingError
-from ..obs import ev_error, ev_probe
+from ..obs.evidence import ev_error, ev_probe
 from ..softmc import SoftMCHost
 
 

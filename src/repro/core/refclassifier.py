@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ..dram.patterns import DataPattern
 from ..errors import ExperimentError, TransientFaultError
-from ..obs import ev_refs, ev_value, ev_window
+from ..obs.evidence import ev_refs, ev_value, ev_window
 from ..softmc import SoftMCHost
 
 

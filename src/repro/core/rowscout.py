@@ -51,7 +51,7 @@ from typing import Iterable
 from ..dram.mapping import DirectMapping, RowMapping
 from ..dram.patterns import AllOnes, DataPattern
 from ..errors import ConfigError, RetryExhaustedError
-from ..obs import ev_rows, ev_value
+from ..obs.evidence import ev_rows, ev_value
 from ..softmc import SoftMCHost
 from ..units import ms
 from .resilience import RowScoutStats

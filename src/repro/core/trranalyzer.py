@@ -40,7 +40,7 @@ from ..dram.commands import HammerMode
 from ..dram.mapping import DirectMapping, RowMapping
 from ..dram.patterns import AllZeros, DataPattern
 from ..errors import ConfigError
-from ..obs import ev_refs, ev_rows, ev_value
+from ..obs.evidence import ev_refs, ev_rows, ev_value
 from ..softmc import SoftMCHost
 from .refclassifier import RefreshSchedule
 from .resilience import AnalyzerStats

@@ -57,9 +57,9 @@ import sys
 import time
 
 from ..cache import ResultCache
-from ..obs import (CommandProfiler, MetricsRegistry, Observability,
-                   RunHistory, SpanTracker, StructuredLog,
-                   TelemetryConfig, build_manifest)
+from ..obs import Observability, StructuredLog, build_manifest
+from ..obs.history import RunHistory
+from ..obs.live import TelemetryConfig
 from ..parallel import default_workers
 from ..vendors import all_modules
 from . import (REPRESENTATIVE_MODULES, TABLE1_REPRESENTATIVES, get_scale,
@@ -161,16 +161,12 @@ def main(argv: list[str] | None = None) -> int:
         log.info("cache-enabled", store=cache_dir,
                  resume=args.resume or False,
                  verify=args.cache_verify or False)
-    evidence = None
     if args.evidence:
-        from ..obs.evidence import EvidenceLedger
-        evidence = EvidenceLedger()
         log.info("evidence-enabled", sidecar=args.evidence)
-    spans = SpanTracker()
-    obs = Observability(
-        metrics=MetricsRegistry(), spans=spans,
-        profiler=CommandProfiler(spans=spans) if args.profile else None,
-        evidence=evidence)
+    obs = Observability.build(
+        [name for name, wanted in (("evidence", args.evidence),
+                                   ("profile", args.profile)) if wanted],
+        spans=True)
     manifest = build_manifest(scale=scale.name, artifact=args.artifact,
                               include_time=False)
     log.info("run-start", artifact=args.artifact, scale=scale.name,
@@ -181,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     engine = dict(workers=workers, log=log, obs=obs,
                   telemetry=telemetry, cache=cache)
     started = time.time()
-    with spans.span(args.artifact, scale=scale.name, workers=workers):
+    with obs.span(args.artifact, scale=scale.name, workers=workers):
         if args.artifact == "resilience":
             from .resilience import RESILIENCE_MODULES, run_resilience
             result = run_resilience(_module_ids(args.modules,
@@ -191,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.artifact == "survey":
             from .survey import run_survey
             result = run_survey(_module_ids(args.modules,
-                                            TABLE1_REPRESENTATIVES), scale)
+                                            TABLE1_REPRESENTATIVES), scale,
+                                **engine)
             print(result.render())
         elif args.artifact == "table1":
             result = run_table1(_module_ids(args.modules,
@@ -225,18 +222,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile and not args.quiet:
         sys.stderr.write("command-bus profile:\n"
                          + obs.profiler.render(wall_s=wall) + "\n")
-    if evidence is not None:
+    if args.evidence:
         # Fold the provenance counters into the registry *before* the
         # history row is recorded so the sidecar and the history agree
         # on the commands-to-discovery totals.
         from ..obs.evidence import write_evidence
-        evidence.emit_metrics(obs.metrics)
-        write_evidence(args.evidence, evidence,
+        obs.evidence.emit_metrics(obs.metrics)
+        write_evidence(args.evidence, obs.evidence,
                        meta={"artifact": args.artifact,
                              "scale": scale.name,
                              "modules": args.modules or "default"})
         log.info("evidence-written", sidecar=args.evidence,
-                 **evidence.summary())
+                 **obs.evidence.summary())
     if args.history:
         row_manifest = build_manifest(
             scale=scale.name, artifact=args.artifact,
@@ -245,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         # history gate compares, so warm and cold rows gate alike.
         RunHistory(args.history).record(
             f"eval.{args.artifact}", manifest=row_manifest,
-            metrics=obs.metrics, spans=spans, wall_s=wall,
+            metrics=obs.metrics, spans=obs.spans, wall_s=wall,
             profile=obs.profiler,
             extra={"cache": cache.summary()} if cache else None)
         log.info("history-recorded", store=args.history,

@@ -168,7 +168,7 @@ def evaluate_modules(module_ids, scale: EvalScale,
     :class:`~repro.obs.Observability`) receives every unit's host
     metrics and, when it profiles, the per-opcode command-bus
     attribution (identical totals for any worker count), and
-    *telemetry* (a :class:`~repro.obs.TelemetryConfig`) publishes live
+    *telemetry* (a :class:`~repro.obs.live.TelemetryConfig`) publishes live
     progress into its spool — side channels that leave the artifacts
     byte-identical.  *cache* (a :class:`~repro.cache.ResultCache`)
     serves previously computed units from the content-addressed store

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from ..ecc import assess_ecc, dataword_flip_counts
 from .report import format_pct, render_histogram, render_table
 from .scale import STANDARD, EvalScale
-from .table1 import Table1Row, run_table1_module
+from .table1 import Table1Row, run_table1
 
 
 @dataclass
@@ -74,7 +74,11 @@ class SurveyResult:
                            + [survey.render() for survey in self.surveys])
 
 
-def run_survey(module_ids, scale: EvalScale = STANDARD) -> SurveyResult:
+def run_survey(module_ids, scale: EvalScale = STANDARD,
+               **engine) -> SurveyResult:
+    """One survey per module, built from Table 1's units (so a store
+    ``table1`` wrote serves it); *engine* is forwarded to
+    :func:`repro.parallel.run_units`."""
     return SurveyResult(surveys=[
-        ModuleSurvey(row=run_table1_module(module_id, scale))
-        for module_id in module_ids])
+        ModuleSurvey(row=row)
+        for row in run_table1(module_ids, scale, **engine).rows])

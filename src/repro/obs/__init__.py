@@ -35,11 +35,15 @@ Everything is stdlib + numpy only (numpy solely for the version stamp).
 what the rest of the library passes around; ``NULL_OBS`` is the shared
 all-disabled instance components fall back to, so instrumented code
 never branches on "is observability on?".
+
+The package exports the bundle and the instruments above.  Everything
+else is imported from its own module — :mod:`.evidence`, :mod:`.live`,
+:mod:`.history`, :mod:`.export`, :mod:`.replay`, :mod:`.diff` — because
+several of those double as ``python -m`` entry points, which the
+package must not import.
 """
 
 from __future__ import annotations
-
-import importlib
 
 from .manifest import MANIFEST_SCHEMA, build_manifest, git_describe
 from .metrics import Histogram, MetricsRegistry, NullMetrics, bucket_bound
@@ -51,70 +55,13 @@ from .recorder import (TRACE_VERSION, NullRecorder, TraceRecorder,
 from .spans import NullSpans, SpanTracker
 from .structlog import StructuredLog
 
-#: Lazily-exported names from the replay/diff/history submodules.  Those
-#: modules double as ``python -m`` entry points; importing them eagerly
-#: here would make every such invocation re-import them under runpy.
-_LAZY_EXPORTS = {
-    "TraceDiff": ".diff",
-    "diff_traces": ".diff",
-    "EVIDENCE_SCHEMA": ".evidence",
-    "EvidenceLedger": ".evidence",
-    "command_stamp": ".evidence",
-    "ev_error": ".evidence",
-    "ev_probe": ".evidence",
-    "ev_refs": ".evidence",
-    "ev_rows": ".evidence",
-    "ev_value": ".evidence",
-    "ev_window": ".evidence",
-    "nodes_summary": ".evidence",
-    "read_evidence": ".evidence",
-    "render_evidence_report": ".evidence",
-    "write_evidence": ".evidence",
-    "PROMETHEUS_CONTENT_TYPE": ".export",
-    "parse_prometheus": ".export",
-    "render_prometheus": ".export",
-    "HISTORY_SCHEMA": ".history",
-    "Regression": ".history",
-    "RunHistory": ".history",
-    "flatten_metrics": ".history",
-    "gate": ".history",
-    "span_wallclocks": ".history",
-    "Heartbeat": ".live",
-    "NullTelemetrySink": ".live",
-    "StalledUnit": ".live",
-    "TelemetryConfig": ".live",
-    "TelemetrySink": ".live",
-    "TraceContext": ".live",
-    "Watchdog": ".live",
-    "aggregate_metrics": ".live",
-    "assemble_timeline": ".live",
-    "pool_breakdown": ".live",
-    "progress": ".live",
-    "read_spool": ".live",
-    "render_progress": ".live",
-    "ReplayResult": ".replay",
-    "host_from_manifest": ".replay",
-    "replay_trace": ".replay",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    value = getattr(importlib.import_module(module_name, __name__), name)
-    globals()[name] = value
-    return value
-
 
 class NullEvidence:
     """Strict no-op provenance ledger: the disabled path for
     :class:`~repro.obs.evidence.EvidenceLedger`.
 
     Lives here (not in :mod:`.evidence`) so building ``NULL_OBS`` at
-    package import never pulls in the lazily-imported evidence module
-    — that module doubles as a ``python -m`` entry point.
+    package import never pulls in the evidence module.
     """
 
     enabled = False
@@ -170,11 +117,39 @@ class Observability:
             else NULL_EVIDENCE
         self.manifest = manifest
 
+    @classmethod
+    def build(cls, instruments=(), *, spans: bool = False,
+              recorder=None, manifest: dict | None = None
+              ) -> "Observability":
+        """A fresh bundle recording the named optional *instruments*.
+
+        *instruments* holds names from :attr:`instruments`
+        (``"evidence"``, ``"profile"``).  The bundle always has a
+        metrics registry; a span tracker with *spans* or when profiling
+        (the profiler attributes each command to the open span); a
+        command profiler and an evidence ledger when named.
+        """
+        tracker = (SpanTracker() if spans or "profile" in instruments
+                   else NullSpans())
+        ledger = None
+        if "evidence" in instruments:
+            from .evidence import EvidenceLedger
+            ledger = EvidenceLedger()
+        return cls(recorder=recorder, metrics=MetricsRegistry(),
+                   spans=tracker, manifest=manifest,
+                   profiler=(CommandProfiler(spans=tracker)
+                             if "profile" in instruments else None),
+                   evidence=ledger)
+
     @property
-    def enabled(self) -> bool:
-        return (self.recorder.enabled or self.metrics.enabled
-                or self.spans.enabled or self.profiler.enabled
-                or self.evidence.enabled)
+    def instruments(self) -> tuple[str, ...]:
+        """Sorted names of the optional instruments this bundle
+        records: what a work unit must record for it, and what a cached
+        unit's key names."""
+        return tuple(name for name, instrument
+                     in (("evidence", self.evidence),
+                         ("profile", self.profiler))
+                     if instrument.enabled)
 
     def span(self, name: str, **attrs):
         return self.spans.span(name, **attrs)
@@ -185,20 +160,17 @@ class Observability:
             self.recorder.event(kind, ps=ps, **fields)
 
     def dump(self) -> dict:
-        """What the bundle recorded, as one plain dict.
+        """What the bundle recorded that folds, as one plain dict.
 
-        The keys are ``metrics``, ``spans``, ``profile`` and
-        ``evidence``; each appears only when its instrument recorded
-        something.  This is the form a work unit's instruments travel
-        in: on its outcome, in its cache envelope and in its
-        ``unit-done`` telemetry event.
+        The keys are ``metrics``, ``profile`` and ``evidence``; each
+        appears only when its instrument recorded something.  This is
+        the form a work unit's instruments travel in: on its outcome,
+        in its cache envelope and in its ``unit-done`` telemetry event.
         """
         dump: dict = {}
         metrics = self.metrics.as_dict()
         if any(metrics.values()):
             dump["metrics"] = metrics
-        if self.spans.spans:
-            dump["spans"] = self.spans.as_timeline()
         if self.profiler.commands:
             dump["profile"] = self.profiler.as_dict()
         if self.evidence.nodes:
@@ -206,12 +178,9 @@ class Observability:
         return dump
 
     def merge(self, dump: dict, unit: str | None = None) -> None:
-        """Fold one :meth:`dump` into this bundle's instruments.
-
-        Metrics, profile and evidence fold (evidence nodes stamped with
-        *unit*); spans do not — a unit's timeline stays a telemetry and
-        cache side channel.  Disabled instruments ignore their part.
-        """
+        """Fold one :meth:`dump` into this bundle's instruments
+        (evidence nodes stamped with *unit*).  Disabled instruments
+        ignore their part."""
         if "metrics" in dump:
             self.metrics.merge(dump["metrics"])
         if "profile" in dump:
@@ -220,19 +189,9 @@ class Observability:
             self.evidence.merge(dump["evidence"], unit=unit)
 
     def finalize(self, host=None) -> None:
-        """Close the trace, stamping the host's ledger as the summary.
-
-        *host* is anything exposing ``ref_count`` and ``acts_per_bank``
-        (duck-typed so this package never imports the simulator).
-        """
-        summary = None
-        if host is not None:
-            summary = {
-                "ref_count": host.ref_count,
-                "acts_per_bank": {str(bank): count for bank, count
-                                  in sorted(host.acts_per_bank.items())},
-            }
-        self.recorder.close(summary)
+        """Close the trace, stamping *host*'s ledger (its
+        ``ledger()``) as the summary."""
+        self.recorder.close(host.ledger() if host is not None else None)
 
 
 #: Shared all-disabled bundle: the ``obs`` of every host built without
@@ -254,83 +213,40 @@ def traced(path, *, manifest: dict | None = None,
     :class:`~repro.obs.evidence.EvidenceLedger` capturing inference
     provenance.
     """
-    spans = SpanTracker()
-    profiler = CommandProfiler(spans=spans) if profile else None
-    ledger = None
-    if evidence:
-        from .evidence import EvidenceLedger
-        ledger = EvidenceLedger()
-    return Observability(
-        recorder=TraceRecorder(path, meta=manifest, flush_every=flush_every),
-        metrics=MetricsRegistry(), spans=spans, manifest=manifest,
-        profiler=profiler, evidence=ledger)
+    instruments = [name for name, wanted
+                   in (("evidence", evidence), ("profile", profile))
+                   if wanted]
+    return Observability.build(
+        instruments, spans=True, manifest=manifest,
+        recorder=TraceRecorder(path, meta=manifest,
+                               flush_every=flush_every))
 
 
 __all__ = [
     "CollapsedStackSampler",
     "CommandProfiler",
-    "EVIDENCE_SCHEMA",
-    "EvidenceLedger",
-    "HISTORY_SCHEMA",
-    "Heartbeat",
-    "MANIFEST_SCHEMA",
-    "PROMETHEUS_CONTENT_TYPE",
-    "TRACE_VERSION",
     "Histogram",
+    "MANIFEST_SCHEMA",
     "MetricsRegistry",
+    "NULL_EVIDENCE",
+    "NULL_OBS",
     "NullEvidence",
     "NullMetrics",
     "NullProfiler",
     "NullRecorder",
     "NullSpans",
-    "NullTelemetrySink",
-    "NULL_EVIDENCE",
-    "NULL_OBS",
     "Observability",
-    "Regression",
-    "ReplayResult",
-    "RunHistory",
     "SpanTracker",
-    "StalledUnit",
     "StructuredLog",
-    "TelemetryConfig",
-    "TelemetrySink",
-    "TraceContext",
-    "TraceDiff",
+    "TRACE_VERSION",
     "TraceRecorder",
-    "Watchdog",
-    "aggregate_metrics",
-    "assemble_timeline",
     "bucket_bound",
     "build_manifest",
-    "command_stamp",
     "data_digest",
-    "diff_traces",
-    "ev_error",
-    "ev_probe",
-    "ev_refs",
-    "ev_rows",
-    "ev_value",
-    "ev_window",
-    "flatten_metrics",
-    "gate",
     "git_describe",
-    "host_from_manifest",
     "mismatch_digest",
-    "nodes_summary",
-    "parse_prometheus",
-    "pool_breakdown",
     "profile_report",
-    "progress",
-    "read_evidence",
-    "read_spool",
     "read_trace",
-    "render_evidence_report",
-    "render_progress",
-    "render_prometheus",
     "replay_ledger",
-    "replay_trace",
-    "span_wallclocks",
     "traced",
-    "write_evidence",
 ]

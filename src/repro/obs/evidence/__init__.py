@@ -17,10 +17,10 @@ append-only ledger of **decision nodes**:
 * ``outcome`` is one of :data:`OUTCOMES` — a hypothesis was accepted,
   rejected, or degraded (accepted as a fallback after faults).
 * ``commands`` is the cumulative command stamp at decision time, taken
-  from the host's own ACT/REF ledger (and, when the host's bundle
-  carries a :class:`~repro.obs.CommandProfiler`, its per-opcode
-  counts) — never from wall time, so stamps are deterministic for a
-  seed and identical across worker counts.
+  from the host's own ACT/REF ledger only — never from wall time or an
+  optional instrument such as the command profiler, so stamps are
+  deterministic for a seed, identical across worker counts, and the
+  same whichever instruments the run carried.
 * ``commands_to_discovery`` is the waterfall delta: commands issued
   since the previous decision on the same ledger.  Summed per
   parameter it attributes the whole run's command budget to the
@@ -274,7 +274,7 @@ def nodes_summary(nodes) -> dict:
 
 # -- sidecar IO --------------------------------------------------------
 
-def write_jsonl(path, nodes, meta: dict | None = None) -> Path:
+def write_evidence(path, nodes, meta: dict | None = None) -> Path:
     """Persist *nodes* as the ``evidence.jsonl`` sidecar.
 
     Line 1 is the header (schema + optional run meta); every following
@@ -296,7 +296,7 @@ def write_jsonl(path, nodes, meta: dict | None = None) -> Path:
     return path
 
 
-def read_jsonl(path) -> tuple[dict, list[dict]]:
+def read_evidence(path) -> tuple[dict, list[dict]]:
     """Read a sidecar back as ``(header, nodes)``."""
     header: dict = {}
     nodes: list[dict] = []
@@ -429,13 +429,6 @@ def check_trace(nodes, trace_path) -> tuple[bool, str]:
                    f"only issued {ref_count} REFs")
 
 
-#: Package-level aliases (``repro.obs.write_evidence`` etc. — the bare
-#: ``*_jsonl`` names are too generic to export from the package).
-write_evidence = write_jsonl
-read_evidence = read_jsonl
-render_evidence_report = render_report
-
-
 def _collect_paths(raw_paths) -> list[Path]:
     paths: list[Path] = []
     for raw in raw_paths:
@@ -473,7 +466,7 @@ def main(argv=None) -> int:
     nodes: list[dict] = []
     for path in paths:
         try:
-            header, rows = read_jsonl(path)
+            header, rows = read_evidence(path)
         except (OSError, json.JSONDecodeError) as err:
             print(f"cannot read {path}: {err}", file=sys.stderr)
             return 2

@@ -92,11 +92,11 @@ class RunHistory:
         """Append one run row; returns the row as written.
 
         *profile*, when given, is a
-        :class:`~repro.obs.CommandProfiler` (or a plain
-        ``{name: seconds}`` dict): per-opcode wall-time attribution
-        recorded alongside the spans and gated by the same
-        slowdown-only rule, so a stage-level command-bus regression
-        fails the gate like a wall-clock one.
+        :class:`~repro.obs.CommandProfiler` (its per-opcode
+        ``seconds``) or a plain ``{name: seconds}`` dict: wall-time
+        attribution recorded alongside the spans and gated by the same
+        slowdown-only rule, so a command-bus regression fails the gate
+        like a wall-clock one.
         """
         row: dict = {"schema": HISTORY_SCHEMA, "kind": kind}
         if manifest:
@@ -106,8 +106,7 @@ class RunHistory:
         if spans is not None:
             row["spans"] = span_wallclocks(spans)
         if profile is not None:
-            if hasattr(profile, "as_span_clocks"):
-                profile = profile.as_span_clocks(prefix="")
+            profile = getattr(profile, "seconds", profile)
             if profile:
                 row["profile"] = {name: round(seconds, 6)
                                   for name, seconds
@@ -141,13 +140,6 @@ class RunHistory:
                 if kind is None or row.get("kind") == kind:
                     rows.append(row)
         return rows
-
-    def kinds(self) -> list[str]:
-        """Distinct run kinds, in first-seen order."""
-        seen: dict[str, None] = {}
-        for row in self.rows():
-            seen.setdefault(row.get("kind", "?"), None)
-        return list(seen)
 
 
 @dataclass

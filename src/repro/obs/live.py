@@ -33,7 +33,6 @@ Design rules:
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import zlib
@@ -78,22 +77,18 @@ def spool_filename(unit_id: str | None) -> str:
 class TelemetrySink:
     """One unit's (or the coordinator's) end of the telemetry bus.
 
-    ``publish`` appends one JSON line per event; ``heartbeat`` is the
-    rate-limited periodic variant.  A sink is cheap to construct and
-    holds no open file handle, so it survives fork/pickle boundaries
-    trivially (the engine rebuilds one inside each worker).
+    ``publish`` appends one JSON line per event; ``heartbeat`` publishes
+    one snapshot (the :class:`Heartbeat` thread paces the calls).  A
+    sink is cheap to construct and holds no open file handle, so it
+    survives fork/pickle boundaries trivially (the engine rebuilds one
+    inside each worker).
     """
 
-    enabled = True
-
-    def __init__(self, spool, context: TraceContext,
-                 min_interval_s: float = 0.25) -> None:
+    def __init__(self, spool, context: TraceContext) -> None:
         self.spool = Path(spool)
         self.context = context
-        self.min_interval_s = min_interval_s
         self.path = self.spool / spool_filename(context.unit_id)
         self._seq = 0
-        self._last_heartbeat = 0.0
 
     def publish(self, kind: str, **fields) -> dict:
         """Append one event; returns the event as written."""
@@ -108,18 +103,13 @@ class TelemetrySink:
                          + "\n")
         return event
 
-    def heartbeat(self, metrics=None, spans=None, **fields) -> bool:
-        """Publish a rate-limited ``heartbeat`` snapshot.
+    def heartbeat(self, metrics=None, spans=None, **fields) -> dict:
+        """Publish one ``heartbeat`` snapshot; returns the event.
 
         Carries the ambient registry's command totals and the innermost
         open span, the two facts a dashboard needs to answer "is this
-        unit moving, and in which stage?".  Returns False when the
-        rate limit suppressed the event.
+        unit moving, and in which stage?".
         """
-        now = time.monotonic()
-        if now - self._last_heartbeat < self.min_interval_s:
-            return False
-        self._last_heartbeat = now
         if metrics is not None and getattr(metrics, "enabled", False):
             fields.setdefault("commands", sum(
                 metrics.counter(name) for name in COMMAND_COUNTERS))
@@ -129,20 +119,7 @@ class TelemetrySink:
             current = spans.current_name()
             if current is not None:
                 fields.setdefault("span", current)
-        self.publish("heartbeat", **fields)
-        return True
-
-
-class NullTelemetrySink:
-    """Disabled sink: publishing costs one attribute check."""
-
-    enabled = False
-
-    def publish(self, kind: str, **fields) -> dict:
-        return {}
-
-    def heartbeat(self, metrics=None, spans=None, **fields) -> bool:
-        return False
+        return self.publish("heartbeat", **fields)
 
 
 @dataclass(frozen=True)
@@ -162,9 +139,8 @@ class TelemetryConfig:
     heartbeats: bool = True
 
     def sink(self, unit_id: str | None = None) -> TelemetrySink:
-        context = TraceContext(run_id=self.run_id, unit_id=unit_id)
-        return TelemetrySink(self.spool, context,
-                             min_interval_s=self.interval_s / 2)
+        return TelemetrySink(self.spool, TraceContext(run_id=self.run_id,
+                                                     unit_id=unit_id))
 
 
 class Heartbeat:
@@ -456,25 +432,6 @@ class Watchdog:
         return stalled
 
 
-def render_progress(summary: dict) -> str:
-    """Compact text rendering of a :func:`progress` summary."""
-    lines = [f"run {summary.get('run') or '?'}: "
-             f"{summary['units_done']}/{summary['units_total']} units "
-             f"done, {len(summary['units_running'])} running, "
-             f"{summary['commands']} commands issued"]
-    if summary.get("units_cached"):
-        lines[0] += f", {summary['units_cached']} from cache"
-    if summary.get("eta_s") is not None:
-        lines[0] += f", eta {summary['eta_s']:.1f}s"
-    for unit, state in summary["units_running"].items():
-        span = f" span={state['span']}" if state.get("span") else ""
-        lines.append(f"  running {unit}: {state['age_s']:.1f}s"
-                     f"{span} commands={state['commands']}")
-    for unit in summary.get("units_failed", []):
-        lines.append(f"  FAILED {unit}")
-    return "\n".join(lines)
-
-
 def pool_breakdown(events: list[dict], pool_wall_s: float | None = None,
                    workers: int = 1) -> dict:
     """Straggler and overhead breakdown from one run's spool events.
@@ -506,11 +463,3 @@ def pool_breakdown(events: list[dict], pool_wall_s: float | None = None,
         breakdown["ideal_s"] = round(ideal, 6)
         breakdown["overhead_s"] = round(max(pool_wall_s - ideal, 0.0), 6)
     return breakdown
-
-
-# -- engine-facing helpers (used by repro.parallel) ----------------------
-
-
-def unit_start_fields() -> dict:
-    """Worker-identity fields stamped on ``unit-start`` events."""
-    return {"pid": os.getpid()}

@@ -119,16 +119,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> int:
         return self._counters.get(name, 0)
 
-    def gauge(self, name: str) -> float | None:
-        return self._gauges.get(name)
-
-    def histogram(self, name: str) -> Histogram | None:
-        return self._histograms.get(name)
-
-    def counters_with_prefix(self, prefix: str) -> dict[str, int]:
-        return {name: value for name, value in sorted(self._counters.items())
-                if name.startswith(prefix)}
-
     # -- merging -------------------------------------------------------------
 
     def merge(self, other) -> None:
@@ -167,20 +157,6 @@ class MetricsRegistry:
                            in sorted(self._histograms.items())},
         }
 
-    def render(self) -> str:
-        """Human-readable dump, one metric per line."""
-        lines = []
-        for name, value in sorted(self._counters.items()):
-            lines.append(f"  {name} = {value}")
-        for name, value in sorted(self._gauges.items()):
-            lines.append(f"  {name} = {value}")
-        for name, histogram in sorted(self._histograms.items()):
-            lines.append(
-                f"  {name} : count={histogram.count} "
-                f"mean={histogram.mean:.1f} min={histogram.min} "
-                f"max={histogram.max}")
-        return "\n".join(lines) if lines else "  (no metrics)"
-
 
 class NullMetrics:
     """The disabled registry: all writers are strict no-ops."""
@@ -199,20 +175,8 @@ class NullMetrics:
     def counter(self, name: str) -> int:
         return 0
 
-    def gauge(self, name: str) -> float | None:
-        return None
-
-    def histogram(self, name: str) -> Histogram | None:
-        return None
-
-    def counters_with_prefix(self, prefix: str) -> dict[str, int]:
-        return {}
-
     def merge(self, other) -> None:
         pass
 
     def as_dict(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def render(self) -> str:
-        return "  (metrics disabled)"

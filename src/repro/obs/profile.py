@@ -22,10 +22,9 @@ Two instruments:
   result merging).
 
 Profiles fold across process-pool workers exactly like metrics do
-(:meth:`CommandProfiler.merge`, submission order), and
-:meth:`CommandProfiler.as_span_clocks` renders a profile in run-history
-span shape so stage-level regressions gate like wall-clock does
-(``python -m repro.obs.history --gate``).
+(:meth:`CommandProfiler.merge`, submission order), and a run-history
+row records the per-opcode seconds so command-bus regressions gate like
+wall-clock does (``python -m repro.obs.history --gate``).
 """
 
 from __future__ import annotations
@@ -123,16 +122,6 @@ class CommandProfiler:
             "commands": self.commands,
         }
 
-    def as_span_clocks(self, prefix: str = "opcode:") -> dict:
-        """Profile in run-history span shape (name -> seconds).
-
-        Recorded into a :class:`~repro.obs.RunHistory` row, these
-        entries are gated by the same slowdown-only rule as stage
-        spans — a per-opcode regression fails CI like a wall-clock one.
-        """
-        return {f"{prefix}{opcode}": round(seconds, 6)
-                for opcode, seconds in sorted(self.seconds.items())}
-
     def render(self, wall_s: float | None = None) -> str:
         """The attribution table: one row per opcode, sums at the foot.
 
@@ -162,21 +151,6 @@ class CommandProfiler:
                          f"{wall_s:.3f}s measured wall")
         return "\n".join(lines)
 
-    def render_stages(self) -> str:
-        """Per-stage opcode breakdown (one line per stage x opcode)."""
-        if not self.stages:
-            return "  (no stage attribution)"
-        lines = []
-        for stage, per_op in sorted(
-                self.stages.items(),
-                key=lambda kv: -sum(kv[1].values())):
-            total = sum(per_op.values())
-            ops = " ".join(f"{op}={seconds:.3f}s" for op, seconds
-                           in sorted(per_op.items(),
-                                     key=lambda kv: -kv[1]))
-            lines.append(f"  {stage:<32} {total:>8.3f}s  {ops}")
-        return "\n".join(lines)
-
 
 class NullProfiler:
     """The disabled profiler: the hot path sees one identity check."""
@@ -201,13 +175,7 @@ class NullProfiler:
         return {"seconds": {}, "counts": {}, "stages": {},
                 "total_s": 0.0, "commands": 0}
 
-    def as_span_clocks(self, prefix: str = "opcode:") -> dict:
-        return {}
-
     def render(self, wall_s: float | None = None) -> str:
-        return "  (profiling disabled)"
-
-    def render_stages(self) -> str:
         return "  (profiling disabled)"
 
 

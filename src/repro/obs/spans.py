@@ -4,7 +4,7 @@ A *span* brackets one pipeline stage in wall-clock time; spans nest
 (scan -> calibrate -> analyze -> infer), and the tracker exports the
 whole run as a flat timeline — each entry carrying its name, depth,
 parent, and start/end relative to the tracker's creation — suitable for
-JSON export or the indented text rendering.
+JSON export.
 
 Wall time is deliberately kept *out* of the command trace (which must be
 deterministic); spans are the one place wall-clock profiling lives.
@@ -75,21 +75,6 @@ class SpanTracker:
             timeline.append(entry)
         return timeline
 
-    def render(self) -> str:
-        """Indented text timeline (one line per span)."""
-        if not self.spans:
-            return "  (no spans)"
-        lines = []
-        for entry in self.as_timeline():
-            duration = ("..." if entry["duration_s"] is None
-                        else f"{entry['duration_s']:.3f}s")
-            indent = "  " * (entry["depth"] + 1)
-            attrs = entry.get("attrs")
-            suffix = (" " + " ".join(f"{k}={v}" for k, v in attrs.items())
-                      if attrs else "")
-            lines.append(f"{indent}{entry['name']} {duration}{suffix}")
-        return "\n".join(lines)
-
 
 class _NullContext:
     def __enter__(self):
@@ -116,6 +101,3 @@ class NullSpans:
 
     def as_timeline(self) -> list[dict]:
         return []
-
-    def render(self) -> str:
-        return "  (spans disabled)"

@@ -2,9 +2,9 @@
 
 Shards independent work units (one module × scale × seed each) across a
 process pool with ordered result merging, per-unit seed derivation,
-worker crash→retry, quarantine for units that keep failing, and
-per-unit run manifests, so parallel artifacts diff byte-for-byte
-against sequential ones.  See :mod:`repro.parallel.engine`.
+worker crash→retry, and quarantine for units that keep failing, so
+parallel artifacts diff byte-for-byte against sequential ones.  See
+:mod:`repro.parallel.engine`.
 """
 
 from .engine import (ENGINE_SEEDS, ParallelRun, UnitOutcome, WorkUnit,

@@ -23,27 +23,26 @@ What does NOT come for free is *reproducibility discipline*:
   record the failure and keep going), mirroring the Row Scout
   quarantine semantics of :mod:`repro.faults` — misbehaving work is
   isolated, named in the report, and never silently dropped.
-* **Auditability** — every unit gets a :func:`repro.obs.build_manifest`
-  manifest (``include_time=False``, no worker identity) so per-unit
-  artifacts from a parallel run diff clean against a sequential run.
-* **One instrument bundle** — each work unit records into a fresh
-  *ambient* per-unit :class:`~repro.obs.Observability` (reachable
-  inside the unit via :func:`unit_observability`, which the eval host
-  builders attach to every host they build).  Its
+* **One instrument bundle** — the caller's
+  :class:`~repro.obs.Observability` names the optional instruments the
+  run records (:attr:`~repro.obs.Observability.instruments`), and each
+  work unit records into a fresh *ambient* bundle built from those
+  names (reachable inside the unit via :func:`unit_observability`,
+  which the eval host builders attach to every host they build).  Its
   :meth:`~repro.obs.Observability.dump` rides home on the unit's
   :class:`UnitOutcome`, and the engine folds every unit's metrics,
   command-bus profile and evidence nodes into the caller's bundle
   **in submission order**, so ``metrics.json`` from a ``--workers N``
   run equals the ``--workers 1`` one.
 * **Live telemetry stays off the artifact path** — a
-  :class:`~repro.obs.TelemetryConfig` makes every unit publish
+  :class:`~repro.obs.live.TelemetryConfig` makes every unit publish
   ``unit-start`` / ``heartbeat`` / ``unit-done`` events (wall-clock,
   PID, counter snapshots, the open span, the unit's span timeline)
-  into a spool directory; nothing telemetry-derived ever reaches a
-  manifest, the metrics fold, or a rendered artifact, so enabling it
-  cannot perturb byte-identity.  ``stall_deadline_s`` arms a
-  coordinator-side :class:`~repro.obs.Watchdog` that flags pool units
-  whose command counters stop advancing.
+  into a spool directory; nothing telemetry-derived ever reaches the
+  metrics fold or a rendered artifact, so enabling it cannot perturb
+  byte-identity.  ``stall_deadline_s`` arms a coordinator-side
+  :class:`~repro.obs.live.Watchdog` that flags pool units whose
+  command counters stop advancing.
 * **Results are cacheable** — a caller-supplied
   :class:`~repro.cache.ResultCache` makes the engine consult a
   content-addressed store before dispatching each unit and publish the
@@ -65,10 +64,8 @@ from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigError
-from ..obs import (NULL_OBS, CommandProfiler, MetricsRegistry,
-                   Observability, SpanTracker, build_manifest)
-from ..obs.live import (COMMAND_COUNTERS, Heartbeat, Watchdog,
-                        read_spool, unit_start_fields)
+from ..obs import NULL_OBS, Observability
+from ..obs.live import COMMAND_COUNTERS, Heartbeat, Watchdog, read_spool
 from ..rng import SeedSequenceFactory
 
 #: Root of every engine-derived seed; unit seeds depend only on the
@@ -110,8 +107,8 @@ class WorkUnit:
     """One shard of work: a picklable call plus its reproduction recipe.
 
     ``fn`` must be an importable top-level function (process pools pickle
-    it by reference).  ``meta`` is merged verbatim into the unit's
-    manifest — put the module id, scale name, and fault profile there.
+    it by reference).  ``meta`` is part of the unit's cache key — put
+    the module id, scale name, and fault profile there.
     """
 
     unit_id: str
@@ -123,11 +120,6 @@ class WorkUnit:
     @property
     def seed(self) -> int:
         return unit_seed(self.unit_id)
-
-    def manifest(self) -> dict:
-        """Per-unit run manifest — identical for any worker count."""
-        return build_manifest(include_time=False, unit=self.unit_id,
-                              unit_seed=self.seed, **self.meta)
 
     def run(self) -> Any:
         return self.fn(*self.args, **self.kwargs)
@@ -142,13 +134,12 @@ class UnitOutcome:
     attempts: int = 1
     quarantined: bool = False
     error: str | None = None
-    manifest: dict = field(default_factory=dict)
     #: What the unit's instruments recorded, as the
     #: :meth:`~repro.obs.Observability.dump` of its bundle (``metrics``,
-    #: ``spans``, ``profile``, ``evidence``; each only when recorded).
+    #: ``profile``, ``evidence``; each only when recorded).
     instruments: dict = field(default_factory=dict)
     #: Measured wall-clock seconds of the winning attempt.  Side
-    #: channel: never part of the manifest or any rendered artifact.
+    #: channel: never part of any rendered artifact.
     wall_s: float | None = None
     #: True when this outcome was served from the result cache
     #: (``attempts == 0``: the unit never executed this run).
@@ -169,7 +160,7 @@ class ParallelRun:
     outcomes: list[UnitOutcome]
     workers: int
     #: Units the telemetry watchdog flagged as stalled mid-run
-    #: (:class:`~repro.obs.StalledUnit`); empty without a deadline.
+    #: (:class:`~repro.obs.live.StalledUnit`); empty without a deadline.
     stalled: list = field(default_factory=list)
 
     @property
@@ -188,28 +179,6 @@ class ParallelRun:
         return sum(max(outcome.attempts - 1, 0)
                    for outcome in self.outcomes)
 
-    @property
-    def cache_hits(self) -> int:
-        """Units served from the result cache without executing."""
-        return sum(1 for outcome in self.outcomes if outcome.cached)
-
-    def manifests(self) -> list[dict]:
-        """Per-unit manifests, input order — worker-count independent."""
-        return [outcome.manifest for outcome in self.outcomes]
-
-    def unit_walls(self) -> dict[str, float]:
-        """Measured per-unit wall-clock seconds (side channel)."""
-        return {outcome.unit_id: outcome.wall_s
-                for outcome in self.outcomes
-                if outcome.wall_s is not None}
-
-    def stragglers(self, count: int = 3) -> list[UnitOutcome]:
-        """The *count* slowest units, slowest first."""
-        timed = [outcome for outcome in self.outcomes
-                 if outcome.wall_s is not None]
-        timed.sort(key=lambda outcome: -outcome.wall_s)
-        return timed[:count]
-
 
 def _publish(sink, kind: str, **fields) -> None:
     """Publish one telemetry event; the spool must never kill work."""
@@ -221,10 +190,12 @@ def _publish(sink, kind: str, **fields) -> None:
         pass
 
 
-def _done_fields(outcome: UnitOutcome, origin_ts: float) -> dict:
-    """The ``unit-done`` event payload: progress plus the unit's
-    instrument dump as it is (its spans join the distributed
-    timeline)."""
+def _done_fields(outcome: UnitOutcome, spans=None,
+                 origin_ts: float = 0.0) -> dict:
+    """The ``unit-done`` event payload: progress, the unit's instrument
+    dump, and the timeline of its span tracker *spans* (with the
+    wall-clock instant the tracker was created, so it joins the
+    distributed timeline)."""
     dump = outcome.instruments
     counters = dump.get("metrics", {}).get("counters", {})
     fields: dict = {
@@ -233,46 +204,38 @@ def _done_fields(outcome: UnitOutcome, origin_ts: float) -> dict:
                         for name in COMMAND_COUNTERS),
         **dump,
     }
-    if "spans" in dump:
+    if spans is not None and spans.spans:
+        fields["spans"] = spans.as_timeline()
         fields["origin_ts"] = round(origin_ts, 6)
     if outcome.error is not None:
         fields["error"] = outcome.error
     return fields
 
 
-def _execute(unit: WorkUnit, telemetry=None, profile: bool = False,
-             capture: bool = False, evidence: bool = False) -> UnitOutcome:
+def _execute(unit: WorkUnit, instruments: tuple = (),
+             telemetry=None) -> UnitOutcome:
     """Run one unit in this process; return its outcome with the dump.
 
-    The one per-unit executor.  It binds a fresh ambient bundle for the
-    unit's duration: always a registry; a span tracker when *telemetry*,
-    *profile* or *capture* (the cache's envelope) needs one; a command
-    profiler with *profile*; an evidence ledger with *evidence*.  The
-    bundle's dump and the measured wall ride on the returned outcome
-    for the caller's submission-order fold.  With *telemetry* the unit
-    also publishes ``unit-start`` / ``heartbeat`` / ``unit-done`` events
-    — side channel only.  An exception from the unit propagates after
-    its ``unit-done`` event.
+    The one per-unit executor.  It binds a fresh ambient bundle
+    recording *instruments* for the unit's duration
+    (:meth:`~repro.obs.Observability.build`), with a span tracker under
+    *telemetry*.  The bundle's dump and the measured wall ride on the
+    returned outcome for the caller's submission-order fold.  With
+    *telemetry* the unit also publishes ``unit-start`` / ``heartbeat``
+    / ``unit-done`` events — side channel only.  An exception from the
+    unit propagates after its ``unit-done`` event.
     """
     global _unit_obs
     live = telemetry is not None
-    spans = (SpanTracker() if (live or profile or capture)
-             else NULL_OBS.spans)
+    obs = Observability.build(instruments, spans=live)
     origin_ts = time.time()
-    ledger = None
-    if evidence:
-        from ..obs.evidence import EvidenceLedger
-        ledger = EvidenceLedger()
-    obs = Observability(
-        metrics=MetricsRegistry(), spans=spans,
-        profiler=CommandProfiler(spans=spans) if profile else None,
-        evidence=ledger)
     sink = telemetry.sink(unit.unit_id) if live else None
     heartbeat = None
     if sink is not None:
-        _publish(sink, "unit-start", **unit_start_fields())
+        _publish(sink, "unit-start", pid=os.getpid())
         if telemetry.heartbeats:
-            heartbeat = Heartbeat(sink, metrics=obs.metrics, spans=spans,
+            heartbeat = Heartbeat(sink, metrics=obs.metrics,
+                                  spans=obs.spans,
                                   interval_s=telemetry.interval_s).start()
     _unit_obs = obs
     outcome = UnitOutcome(unit_id=unit.unit_id)
@@ -289,13 +252,13 @@ def _execute(unit: WorkUnit, telemetry=None, profile: bool = False,
             heartbeat.stop()
         outcome.instruments = obs.dump()
         if sink is not None:
-            _publish(sink, "unit-done", **_done_fields(outcome, origin_ts))
+            _publish(sink, "unit-done",
+                     **_done_fields(outcome, obs.spans, origin_ts))
     return outcome
 
 
-def _call_unit(unit: WorkUnit, telemetry=None, profile: bool = False,
-               capture: bool = False, evidence: bool = False
-               ) -> UnitOutcome:
+def _call_unit(unit: WorkUnit, instruments: tuple = (),
+               telemetry=None) -> UnitOutcome:
     """The callable the pool submits: :func:`_execute` in a worker.
 
     A module-level function of its own because the pool pickles it by
@@ -304,7 +267,7 @@ def _call_unit(unit: WorkUnit, telemetry=None, profile: bool = False,
     each worker unit its own span tree, which in-process units (run
     through :func:`_execute` directly) must not get.
     """
-    return _execute(unit, telemetry, profile, capture, evidence)
+    return _execute(unit, instruments, telemetry)
 
 
 def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
@@ -326,15 +289,16 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     emits ``unit-done`` / ``unit-retry`` / ``unit-quarantined`` events.
 
     *obs*, when given, is the caller's :class:`repro.obs.Observability`
-    bundle.  Each unit records into a bundle of its own — with a command
-    profiler when *obs* profiles, and an evidence ledger when *obs*
-    carries one — and the units' dumps fold into *obs* through
+    bundle.  Its :attr:`~repro.obs.Observability.instruments` are read
+    once: each unit records into a bundle of its own with those
+    instruments, the cache keys each unit by them, and ``--cache-verify``
+    re-executes with them.  The units' dumps fold into *obs* through
     :meth:`~repro.obs.Observability.merge` in submission order (each
     evidence node stamped with its unit id), so its metrics, profile
     and ledger come out identical for any worker count.  Unit spans are
-    not folded; they ride the telemetry and cache side channels.
+    not folded; they ride the telemetry side channel.
 
-    *telemetry*, when given, is a :class:`repro.obs.TelemetryConfig`:
+    *telemetry*, when given, is a :class:`repro.obs.live.TelemetryConfig`:
     the run publishes ``run-start`` / ``run-done`` plus per-unit
     progress events into its spool directory, strictly off the
     artifact path.  A ``stall_deadline_s`` arms a coordinator-side
@@ -360,23 +324,23 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
         raise ConfigError("work unit ids must be unique")
     if obs is None:
         obs = NULL_OBS
+    instruments = obs.instruments
     coordinator = telemetry.sink(None) if telemetry is not None else None
     if coordinator is not None:
         _publish(coordinator, "run-start", units_total=len(units),
                  workers=workers)
-    options = dict(telemetry=telemetry, profile=obs.profiler.enabled,
-                   capture=cache is not None,
-                   evidence=obs.evidence.enabled)
 
     def execute(batch, on_result=None) -> ParallelRun:
         return _run(batch, workers, max_attempts=max_attempts,
-                    quarantine=quarantine, log=log, options=options,
+                    quarantine=quarantine, log=log,
+                    instruments=instruments, telemetry=telemetry,
                     coordinator=coordinator, on_result=on_result)
 
     if cache is None:
         run = execute(units)
     else:
-        run = _run_cached(units, cache, execute, options, log=log)
+        run = _run_cached(units, cache, execute, instruments, telemetry,
+                          log=log)
     # The one fold: every unit, submission order, cache hits included.
     for outcome in run.outcomes:
         obs.merge(outcome.instruments, unit=outcome.unit_id)
@@ -393,8 +357,8 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
 
 
 def _run(units: Sequence[WorkUnit], workers: int, *, max_attempts: int,
-         quarantine: bool, log, options: dict, coordinator=None,
-         on_result=None) -> ParallelRun:
+         quarantine: bool, log, instruments: tuple, telemetry,
+         coordinator=None, on_result=None) -> ParallelRun:
     """Run *units* through the executor: one failure policy for any
     worker count.  *on_result* sees each unit as it completes."""
     attempts = {unit.unit_id: 0 for unit in units}
@@ -403,7 +367,6 @@ def _run(units: Sequence[WorkUnit], workers: int, *, max_attempts: int,
 
     def finish(unit: WorkUnit, outcome: UnitOutcome) -> None:
         outcome.attempts = attempts[unit.unit_id]
-        outcome.manifest = unit.manifest()
         if log is not None:
             log.info("unit-done", unit=unit.unit_id,
                      attempts=outcome.attempts)
@@ -415,11 +378,12 @@ def _run(units: Sequence[WorkUnit], workers: int, *, max_attempts: int,
     while pending:
         if workers == 1:
             pending, failed = _drain_inline(pending, attempts, finish,
-                                            max_attempts, log, options)
+                                            max_attempts, log,
+                                            instruments, telemetry)
         else:
             pending, failed = _drain_pool(pending, min(workers, len(units)),
                                           attempts, finish, max_attempts,
-                                          log, options,
+                                          log, instruments, telemetry,
                                           coordinator=coordinator,
                                           stalled=stalled)
         for unit, error in failed:
@@ -431,15 +395,15 @@ def _run(units: Sequence[WorkUnit], workers: int, *, max_attempts: int,
                          error=type(error).__name__)
             slots[unit.unit_id] = UnitOutcome(
                 unit_id=unit.unit_id, attempts=attempts[unit.unit_id],
-                quarantined=True, error=f"{type(error).__name__}: {error}",
-                manifest=unit.manifest())
+                quarantined=True, error=f"{type(error).__name__}: {error}")
     outcomes = [slots[unit.unit_id] for unit in units]
     return ParallelRun(outcomes=outcomes, workers=workers,
                        stalled=stalled)
 
 
 def _drain_inline(pending: list[WorkUnit], attempts: dict[str, int],
-                  finish, max_attempts: int, log, options: dict):
+                  finish, max_attempts: int, log, instruments: tuple,
+                  telemetry):
     """Run *pending* in this process, in order, until a unit fails.
 
     Returns ``(pending, failed)`` like :func:`_drain_pool`: a unit that
@@ -450,7 +414,7 @@ def _drain_inline(pending: list[WorkUnit], attempts: dict[str, int],
     for index, unit in enumerate(pending):
         attempts[unit.unit_id] += 1
         try:
-            outcome = _execute(unit, **options)
+            outcome = _execute(unit, instruments, telemetry)
         except Exception as error:
             retryable: list[WorkUnit] = []
             failed: list[tuple[WorkUnit, BaseException]] = []
@@ -461,15 +425,14 @@ def _drain_inline(pending: list[WorkUnit], attempts: dict[str, int],
     return [], []
 
 
-def _run_cached(units: Sequence[WorkUnit], cache, execute, options: dict,
-                *, log=None) -> ParallelRun:
+def _run_cached(units: Sequence[WorkUnit], cache, execute,
+                instruments: tuple, telemetry, *, log=None) -> ParallelRun:
     """Cache-backed execution: plan, run the misses, replay in order.
 
     1. **Plan**, in submission order: **hits** (stored envelope found)
        and **misses** (everything else, uncachable units included).
-       A unit's key names the instruments the run records (*options*'
-       ``evidence`` and ``profile``), because its stored dump holds
-       only what those recorded.
+       A unit's key names the run's *instruments*, because its stored
+       dump holds only what those recorded.
     2. **Run** the misses through *execute*, the runner uncached runs
        use, publishing each envelope as its unit completes (a killed
        sweep therefore resumes unit-by-unit).
@@ -478,17 +441,14 @@ def _run_cached(units: Sequence[WorkUnit], cache, execute, options: dict,
        these like any run's outcomes, which keeps a warm run's folded
        instruments byte-identical to a cold one's.
     """
-    telemetry = options["telemetry"]
-    instruments = tuple(name for name in ("evidence", "profile")
-                        if options[name])
-    keyed: dict[str, tuple[str, dict]] = {}
+    keys: dict[str, str] = {}
     hits: dict[str, Any] = {}
     misses: list[WorkUnit] = []
     for unit in units:
-        recipe = cache.keyed(unit, instruments=instruments)
-        if recipe is not None:
-            keyed[unit.unit_id] = recipe
-            envelope = cache.lookup(recipe[0])
+        key = cache.key(unit, instruments)
+        if key is not None:
+            keys[unit.unit_id] = key
+            envelope = cache.lookup(key)
             if envelope is not None:
                 hits[unit.unit_id] = envelope
                 continue
@@ -496,13 +456,11 @@ def _run_cached(units: Sequence[WorkUnit], cache, execute, options: dict,
         misses.append(unit)
 
     def publish_outcome(unit: WorkUnit, outcome: UnitOutcome) -> None:
-        if unit.unit_id not in keyed or not outcome.ok:
-            return
-        key, material = keyed[unit.unit_id]
-        cache.publish_unit(key, material, unit.unit_id,
-                           value=outcome.value,
-                           instruments=outcome.instruments,
-                           wall_s=outcome.wall_s)
+        if unit.unit_id in keys and outcome.ok:
+            cache.publish_unit(keys[unit.unit_id], unit.unit_id,
+                               value=outcome.value,
+                               instruments=outcome.instruments,
+                               wall_s=outcome.wall_s)
 
     # 100% warm (or empty): nothing to run, so no pool is ever spawned.
     executed = execute(misses, on_result=publish_outcome)
@@ -516,49 +474,44 @@ def _run_cached(units: Sequence[WorkUnit], cache, execute, options: dict,
             envelope = hits[uid]
             outcome = UnitOutcome(
                 unit_id=uid, value=envelope.value, attempts=0,
-                manifest=unit.manifest(),
                 instruments=envelope.instruments,
                 wall_s=envelope.wall_s, cached=True)
             if log is not None:
-                log.info("unit-cached", unit=uid, key=keyed[uid][0][:12])
+                log.info("unit-cached", unit=uid, key=keys[uid][:12])
             _replay_unit_events(telemetry, outcome)
         outcomes.append(outcome)
     if getattr(cache, "verify", False) and hits:
-        _verify_sampled_hit(cache, hits, units, keyed, options, log)
+        _verify_sampled_hit(cache, hits, units, keys, instruments, log)
     return ParallelRun(outcomes=outcomes, workers=executed.workers,
                        stalled=executed.stalled)
 
 
 def _replay_unit_events(telemetry, outcome: UnitOutcome) -> None:
     """Publish start/done telemetry for a unit served from the cache,
-    so live progress and the distributed timeline count it as
-    completed (flagged ``cached``)."""
+    so live progress counts it as completed (flagged ``cached``).  It
+    ran no spans this run, so its event carries no timeline."""
     if telemetry is None:
         return
     sink = telemetry.sink(outcome.unit_id)
-    _publish(sink, "unit-start", **unit_start_fields())
-    _publish(sink, "unit-done", **_done_fields(outcome, time.time()),
-             cached=True)
+    _publish(sink, "unit-start", pid=os.getpid())
+    _publish(sink, "unit-done", **_done_fields(outcome), cached=True)
 
 
 def _verify_sampled_hit(cache, hits: dict, units: Sequence[WorkUnit],
-                        keyed: dict, options: dict, log) -> None:
+                        keys: dict, instruments: tuple, log) -> None:
     """Re-execute one deterministically sampled hit and diff it against
     the stored envelope (``--cache-verify``).
 
     The sample is the hit with the smallest key, so two verify runs of
     the same sweep check the same unit.  The re-execution records the
-    run's instruments (*options*' ``profile`` and ``evidence``) into a
-    detached bundle of its own — nothing it records can reach the
-    caller's fold.
+    run's *instruments* into a detached bundle of its own — nothing it
+    records can reach the caller's fold.
     """
-    uid = min(hits, key=lambda unit_id: keyed[unit_id][0])
+    uid = min(hits, key=lambda unit_id: keys[unit_id])
     unit = next(unit for unit in units if unit.unit_id == uid)
-    fresh = _execute(unit, profile=options["profile"],
-                     evidence=options["evidence"])
-    cache.check_hit(hits[uid], fresh)
+    cache.check_hit(hits[uid], _execute(unit, instruments))
     if log is not None:
-        log.info("cache-verify", unit=uid, key=keyed[uid][0][:12])
+        log.info("cache-verify", unit=uid, key=keys[uid][:12])
 
 
 def _scan_stalls(watchdog, telemetry, reported: set, stalled: list,
@@ -584,7 +537,7 @@ def _scan_stalls(watchdog, telemetry, reported: set, stalled: list,
 
 def _drain_pool(pending: list[WorkUnit], pool_size: int,
                 attempts: dict[str, int], finish, max_attempts: int, log,
-                options: dict, coordinator=None,
+                instruments: tuple, telemetry, coordinator=None,
                 stalled: list | None = None):
     """One pool lifetime: run *pending* until done or the pool breaks.
 
@@ -597,7 +550,6 @@ def _drain_pool(pending: list[WorkUnit], pool_size: int,
     watchdog = None
     wait_timeout = None
     reported: set[str] = set()
-    telemetry = options["telemetry"]
     if telemetry is not None and telemetry.stall_deadline_s:
         watchdog = Watchdog(telemetry.stall_deadline_s)
         # Poll at half the deadline so a stall is flagged at most one
@@ -607,7 +559,8 @@ def _drain_pool(pending: list[WorkUnit], pool_size: int,
         futures = {}
         for unit in pending:
             attempts[unit.unit_id] += 1
-            futures[pool.submit(_call_unit, unit, **options)] = unit
+            futures[pool.submit(_call_unit, unit, instruments,
+                                telemetry)] = unit
         not_done = set(futures)
         while not_done:
             done, not_done = wait(not_done, timeout=wait_timeout,

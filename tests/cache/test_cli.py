@@ -13,7 +13,6 @@ def _envelope(key: str, unit_id: str = "eval/A5", value=41,
     spec = dict(key=key, unit_id=unit_id, value=value,
                 instruments={"metrics": {"counters": {"host.acts": 3}}},
                 wall_s=0.5,
-                material={"unit": unit_id},
                 value_digest=value_digest(value))
     spec.update(overrides)
     return CacheEnvelope(**spec)

@@ -18,8 +18,7 @@ def _envelope(key: str = "ab" * 32, unit_id: str = "eval/A5",
               value=41, **overrides) -> CacheEnvelope:
     spec = dict(key=key, unit_id=unit_id, value=value,
                 instruments={"metrics": {"counters": {"host.acts": 3}}},
-                wall_s=0.5, material={"unit": unit_id},
-                value_digest=value_digest(value))
+                wall_s=0.5, value_digest=value_digest(value))
     spec.update(overrides)
     return CacheEnvelope(**spec)
 
@@ -34,9 +33,10 @@ def test_codec_rejects_torn_and_foreign_blobs():
     with pytest.raises(CacheError):
         decode(blob[:8])                       # truncated
     with pytest.raises(CacheError):
-        decode(b"XXXX\x02" + blob[5:])         # bad magic
-    with pytest.raises(CacheError):
-        decode(b"RPRC\x01" + blob[5:])         # previous format version
+        decode(b"XXXX\x03" + blob[5:])         # bad magic
+    for version in (b"\x01", b"\x02"):        # previous format versions
+        with pytest.raises(CacheError):
+            decode(b"RPRC" + version + blob[5:])
     flipped = bytearray(blob)
     flipped[-1] ^= 0xFF
     with pytest.raises(CacheError):
@@ -61,23 +61,29 @@ def test_absent_key_is_a_miss(tmp_path):
 
 
 def test_corrupt_object_reads_as_miss_and_is_evicted(tmp_path):
-    cache = ResultCache(tmp_path)
-    envelope = _envelope()
-    cache.publish(envelope)
-    path = cache._path(envelope.key)
-    path.write_bytes(path.read_bytes()[:10])   # tear the object
-    assert cache.lookup(envelope.key) is None
-    assert cache.errors == 1 and cache.misses == 1
-    assert not path.exists()                   # evicted, not trusted
+    for corrupt in (lambda blob: blob[:10],            # a torn write
+                    lambda blob: b"RPRC\x02" + blob[5:]):  # format 2
+        cache = ResultCache(tmp_path)
+        envelope = _envelope()
+        cache.publish(envelope)
+        path = cache._path(envelope.key)
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert cache.lookup(envelope.key) is None
+        assert cache.errors == 1 and cache.misses == 1
+        assert not path.exists()               # evicted, not trusted
+        cache.publish(envelope)                # the re-run replaces it
+        assert cache.lookup(envelope.key) == envelope
 
 
 def test_keyed_returns_none_for_uncachable_units(tmp_path):
     cache = ResultCache(tmp_path)
     cachable = WorkUnit(unit_id="ok", fn=entry_point, args=(2,))
-    assert cache.keyed(cachable) is not None
+    assert cache.key(cachable) is not None
+    # The key names the run's instruments.
+    assert cache.key(cachable, ("evidence",)) != cache.key(cachable)
     foreign = WorkUnit(unit_id="bad", fn=entry_point, args=(object(),))
-    assert cache.keyed(foreign) is None
     assert cache.key(foreign) is None
+    assert cache.key(foreign, ("evidence", "profile")) is None
 
 
 def test_value_digest_is_none_for_unpicklable_values():
@@ -91,16 +97,16 @@ def test_check_hit_raises_on_divergence(tmp_path):
                "commands": 2}
     stored = {"metrics": {"counters": {"host.acts": 3}},
               "evidence": [{"parameter": "period", "value": 9}],
-              "profile": profile, "spans": [{"name": "unit"}]}
+              "profile": profile}
     envelope = _envelope(instruments=stored)
 
     def fresh(value=41, **parts):
         return UnitOutcome(unit_id="eval/A5", value=value,
                            instruments={**stored, **parts})
 
-    # Clean; spans and profile seconds are wall-clock and not compared.
+    # Clean; profile seconds are wall-clock and not compared.
     cache.check_hit(envelope, fresh(
-        spans=[], profile={**profile, "seconds": {"ACT": 0.5}}))
+        profile={**profile, "seconds": {"ACT": 0.5}}))
     with pytest.raises(CacheError, match="metrics"):
         cache.check_hit(envelope, fresh(
             metrics={"counters": {"host.acts": 99}}))

@@ -62,7 +62,7 @@ def test_fig8_cold_and_warm_render_identical_bytes(tmp_path, workers):
 def test_worker_count_and_telemetry_do_not_split_the_store(tmp_path):
     """A store warmed at one worker count serves any other: neither
     workers nor telemetry are key material."""
-    from repro.obs import TelemetryConfig
+    from repro.obs.live import TelemetryConfig
 
     sweeps = ["A5"]
     run_fig8_many(sweeps, TINY, workers=1,

@@ -73,8 +73,8 @@ def test_resilience_parallel_byte_identical_under_faults():
 def test_fig8_byte_identical_with_telemetry_enabled(tmp_path):
     """Live telemetry is a pure side channel: artifact bytes and the
     folded metrics are unchanged by enabling it, sequential or pooled."""
-    from repro.obs import (MetricsRegistry, Observability,
-                           TelemetryConfig, read_spool)
+    from repro.obs import MetricsRegistry, Observability
+    from repro.obs.live import TelemetryConfig, read_spool
 
     sweeps = ["A5"]
     plain = run_fig8_many(sweeps, TINY)
@@ -109,7 +109,7 @@ def test_cli_workers_flag_keeps_stdout_byte_stable(capsys):
 
 def test_cli_telemetry_and_profile_leave_stdout_untouched(tmp_path,
                                                           capsys):
-    from repro.obs import read_spool
+    from repro.obs.live import read_spool
 
     args = ["fig9", "--modules", "B0", "--scale", "quick", "--quiet",
             "--workers", "1"]

@@ -11,7 +11,8 @@ from repro.obs.evidence import (EVIDENCE_SCHEMA, EvidenceLedger,
                                 check_trace, command_stamp, ev_error,
                                 ev_probe, ev_refs, ev_rows, ev_value,
                                 ev_window, main, nodes_summary,
-                                read_jsonl, render_report, write_jsonl)
+                                read_evidence, render_report,
+                                write_evidence)
 
 
 class FakeHost:
@@ -132,10 +133,10 @@ def test_sidecar_round_trip_and_byte_determinism(tmp_path):
                   host=FakeHost(acts=40, refs=8))
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
-    write_jsonl(first, ledger, meta={"seed": 0})
-    write_jsonl(second, ledger.dump(), meta={"seed": 0})
+    write_evidence(first, ledger, meta={"seed": 0})
+    write_evidence(second, ledger.dump(), meta={"seed": 0})
     assert first.read_bytes() == second.read_bytes()
-    header, nodes = read_jsonl(first)
+    header, nodes = read_evidence(first)
     assert header["schema"] == EVIDENCE_SCHEMA
     assert header["decisions"] == 1
     assert nodes == ledger.dump()
@@ -183,13 +184,13 @@ def test_cli_reports_and_gates_empty_chains(tmp_path, capsys):
     ledger = EvidenceLedger(module="A5")
     ledger.decide("period", 16, evidence=[ev_refs([2])],
                   host=FakeHost(acts=5))
-    write_jsonl(sidecar, ledger)
+    write_evidence(sidecar, ledger)
     assert main([str(sidecar)]) == 0
     out = capsys.readouterr().out
     assert "Evidence report" in out and "## A5" in out
 
     ledger.decide("capacity", None, outcome="rejected")  # empty chain
-    write_jsonl(sidecar, ledger)
+    write_evidence(sidecar, ledger)
     assert main([str(sidecar), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["empty_chains"] == 1
@@ -205,6 +206,6 @@ def test_cli_searches_directories(tmp_path, capsys):
     ledger = EvidenceLedger(module="B0")
     ledger.decide("period", 16, evidence=[ev_refs([1])],
                   host=FakeHost(acts=2))
-    write_jsonl(tmp_path / "evidence.jsonl", ledger)
+    write_evidence(tmp_path / "evidence.jsonl", ledger)
     assert main([str(tmp_path), "--no-chains"]) == 0
     assert "## B0" in capsys.readouterr().out

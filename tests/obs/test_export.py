@@ -9,8 +9,9 @@ scraped endpoint is as trustworthy as the registry behind it.
 
 from __future__ import annotations
 
-from repro.obs import (MetricsRegistry, PROMETHEUS_CONTENT_TYPE,
-                       parse_prometheus, render_prometheus)
+from repro.obs import MetricsRegistry
+from repro.obs.export import (PROMETHEUS_CONTENT_TYPE, parse_prometheus,
+                              render_prometheus)
 
 
 def populated_registry() -> MetricsRegistry:

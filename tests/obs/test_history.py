@@ -64,7 +64,6 @@ def test_record_and_rows_round_trip(tmp_path):
     rows = store.rows()
     assert [r["kind"] for r in rows] == ["eval.fig9", "eval.table1"]
     assert store.rows(kind="eval.fig9")[0]["wall_s"] == 1.25
-    assert store.kinds() == ["eval.fig9", "eval.table1"]
 
 
 def test_record_profile_and_gate_per_opcode_regressions(tmp_path):

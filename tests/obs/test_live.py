@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import (MetricsRegistry, SpanTracker, TelemetryConfig,
-                       aggregate_metrics, assemble_timeline, read_spool)
-from repro.obs.live import (NullTelemetrySink, TelemetrySink,
-                            TraceContext, Watchdog, pool_breakdown,
-                            progress, render_progress, spool_filename)
+from repro.obs import MetricsRegistry, SpanTracker
+from repro.obs.live import (Heartbeat, TelemetryConfig, TelemetrySink,
+                            TraceContext, Watchdog, aggregate_metrics,
+                            assemble_timeline, pool_breakdown, progress,
+                            read_spool, spool_filename)
 
 
 def test_spool_filename_is_safe_and_collision_tagged():
@@ -43,12 +43,12 @@ def test_heartbeat_rate_limit_and_snapshot_fields(tmp_path):
     metrics.inc("host.acts", 640)
     metrics.inc("host.refs", 8)
     spans = SpanTracker()
-    sink = TelemetrySink(tmp_path, TraceContext("run", "u"),
-                         min_interval_s=60.0)
+    sink = TelemetrySink(tmp_path, TraceContext("run", "u"))
     with spans.span("scout"):
-        assert sink.heartbeat(metrics, spans) is True
-        # Inside the rate-limit window the event is suppressed.
-        assert sink.heartbeat(metrics, spans) is False
+        # The heartbeat thread paces the sink: it publishes nothing
+        # before its first interval has passed.
+        Heartbeat(sink, metrics, spans, interval_s=60.0).start().stop()
+        assert sink.heartbeat(metrics, spans)["kind"] == "heartbeat"
     events = read_spool(tmp_path)
     assert len(events) == 1
     beat = events[0]
@@ -57,19 +57,11 @@ def test_heartbeat_rate_limit_and_snapshot_fields(tmp_path):
     assert beat["span"] == "scout"
 
 
-def test_null_sink_is_inert():
-    sink = NullTelemetrySink()
-    assert sink.enabled is False
-    assert sink.publish("unit-start") == {}
-    assert sink.heartbeat() is False
-
-
 def test_telemetry_config_builds_sinks(tmp_path):
     config = TelemetryConfig(spool=str(tmp_path), run_id="eval.fig8",
                              interval_s=2.0)
     sink = config.sink("fig8/B8")
     assert sink.context == TraceContext("eval.fig8", "fig8/B8")
-    assert sink.min_interval_s == 1.0
     coordinator = config.sink()
     assert coordinator.path.name == "_coordinator.jsonl"
 
@@ -115,9 +107,6 @@ def test_progress_counts_eta_and_running_spans(tmp_path):
     assert running["age_s"] >= 0
     # 2 remaining at mean wall 4.0s over 2 workers → 4s.
     assert summary["eta_s"] == 4.0
-    text = render_progress(summary)
-    assert "1/3 units done" in text
-    assert "running t/b" in text and "span=scout" in text
 
 
 def test_progress_flags_failed_units(tmp_path):
@@ -126,7 +115,6 @@ def test_progress_flags_failed_units(tmp_path):
     sink.publish("unit-done", wall_s=0.5, error="BrokenChip: bank 3")
     summary = progress(read_spool(tmp_path))
     assert summary["units_failed"] == ["t/bad"]
-    assert "FAILED t/bad" in render_progress(summary)
 
 
 def test_aggregate_metrics_folds_done_and_inflight(tmp_path):

@@ -84,16 +84,6 @@ def test_profiler_merge_folds_stage_breakdowns():
     assert abs(folded.stages["scout"]["ACT"] - 0.2) < 1e-9
 
 
-def test_as_span_clocks_shape_for_history_gating():
-    profiler = CommandProfiler()
-    profiler.add("ACT", 1.5)
-    profiler.add("WAIT", 0.125)
-    assert profiler.as_span_clocks() == {"opcode:ACT": 1.5,
-                                         "opcode:WAIT": 0.125}
-    assert profiler.as_span_clocks(prefix="op/") == {"op/ACT": 1.5,
-                                                     "op/WAIT": 0.125}
-
-
 def test_render_table_and_coverage():
     profiler = CommandProfiler()
     profiler.add("ACT", 3.0)
@@ -108,23 +98,11 @@ def test_render_table_and_coverage():
     assert CommandProfiler().render() == "  (no commands profiled)"
 
 
-def test_render_stages_orders_by_cost():
-    spans = SpanTracker()
-    profiler = CommandProfiler(spans=spans)
-    with spans.span("cheap"):
-        profiler.add("RD", 0.1)
-    with spans.span("dear"):
-        profiler.add("ACT", 2.0)
-    lines = profiler.render_stages().splitlines()
-    assert lines[0].split()[0] == "dear"
-    assert lines[1].split()[0] == "cheap"
-
-
 def test_null_profiler_is_inert_and_cheap():
     profiler = NullProfiler()
     profiler.add("ACT", 1.0)
     assert profiler.as_dict()["commands"] == 0
-    assert profiler.as_span_clocks() == {}
+    assert profiler.seconds == {}
     assert "disabled" in profiler.render()
     # A host built with the null profiler resolves to the no-op branch.
     host = small_host(obs=Observability(profiler=profiler))

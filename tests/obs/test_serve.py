@@ -12,7 +12,8 @@ import json
 import threading
 import urllib.request
 
-from repro.obs import MetricsRegistry, parse_prometheus
+from repro.obs import MetricsRegistry
+from repro.obs.export import parse_prometheus
 from repro.obs.live import TelemetrySink, TraceContext
 from repro.obs.serve import ENDPOINTS, main, render_endpoint, serve
 

@@ -45,16 +45,11 @@ def test_registry_counters_gauges_histograms():
 
     assert metrics.counter("scout.rows") == 5
     assert metrics.counter("missing") == 0
-    assert metrics.gauge("host.temp_c") == 45.0
-    assert metrics.gauge("missing") is None
-    assert metrics.histogram("acts_per_ref").count == 2
-    assert metrics.counters_with_prefix("scout.") == {"scout.rows": 5}
 
     exported = metrics.as_dict()
     assert exported["counters"] == {"scout.rows": 5}
     assert exported["gauges"] == {"host.temp_c": 45.0}
     assert exported["histograms"]["acts_per_ref"]["count"] == 2
-    assert "scout.rows = 5" in metrics.render()
 
 
 def test_histogram_merge_exact():
@@ -94,8 +89,9 @@ def test_registry_merge_folds_all_families():
     parent.merge(child)
     assert parent.counter("host.acts") == 15
     assert parent.counter("host.refs") == 2
-    assert parent.gauge("scale") == 2.0  # last writer wins
-    assert parent.histogram("acts_per_ref").count == 1
+    folded = parent.as_dict()
+    assert folded["gauges"]["scale"] == 2.0  # last writer wins
+    assert folded["histograms"]["acts_per_ref"]["count"] == 1
     # Merging the dict dump gives the same totals.
     dumped = MetricsRegistry()
     dumped.inc("host.acts", 10)
@@ -114,9 +110,8 @@ def test_null_metrics_is_inert():
     metrics.set_gauge("z", 1.0)
     assert metrics.enabled is False
     assert metrics.counter("x") == 0
-    assert metrics.histogram("y") is None
-    assert metrics.counters_with_prefix("") == {}
-    assert metrics.render() == "  (metrics disabled)"
+    assert metrics.as_dict() == {"counters": {}, "gauges": {},
+                                 "histograms": {}}
 
 
 # -- spans -------------------------------------------------------------------
@@ -136,8 +131,6 @@ def test_span_nesting_with_injected_clock():
     # Origin is tick 0; outer spans ticks 1-4, inner spans ticks 2-3.
     assert outer["duration_s"] == 3
     assert inner["duration_s"] == 1
-    render = tracker.render()
-    assert "outer" in render and "    inner" in render
 
 
 def test_span_closed_even_on_exception():

@@ -85,15 +85,6 @@ def test_inline_and_pool_agree():
         run_units(units, workers=2).values
 
 
-def test_manifests_are_worker_count_independent():
-    units = _units(square, [1, 2], prefix="manifest")
-    sequential = run_units(units, workers=1).manifests()
-    parallel = run_units(units, workers=2).manifests()
-    assert sequential == parallel
-    assert all(m["unit"].startswith("manifest/") for m in sequential)
-    assert all("unit_seed" in m for m in sequential)
-
-
 def test_unit_seed_is_stable_and_distinct():
     assert unit_seed("eval/A5") == unit_seed("eval/A5")
     assert unit_seed("eval/A5") != unit_seed("eval/B0")
@@ -228,7 +219,7 @@ def test_metrics_fold_is_worker_count_independent():
     assert sequential.as_dict() == pooled.as_dict()
     assert pooled.counter("unit.calls") == 3
     assert pooled.counter("unit.total") == 10
-    assert pooled.histogram("unit.value").count == 3
+    assert pooled.as_dict()["histograms"]["unit.value"]["count"] == 3
 
 
 def test_pool_outcomes_carry_unit_metrics():

@@ -1,12 +1,15 @@
 """Differential property: random unit sets fold to one result.
 
 Each example draws a list of work units — metered units (counters and
-histograms), units that record evidence, units that always raise, and
-units that record a metric before raising — and runs it under
-``quarantine=True`` at workers 1 and 2, with the result cache off, cold
-and warm.  Every run must match the uncached ``workers=1`` run on
-values, manifests, quarantined ``(id, attempts, error)``, the folded
-metrics registry and the folded evidence ledger.
+histograms), units that record evidence, units that profile commands,
+units that always raise, and units that record a metric before raising
+— plus the instruments the run records (none, evidence, profile, or
+both).  It runs the units under ``quarantine=True`` at workers 1 and 2,
+with the result cache off, cold, warm and warm with ``verify``.  Every
+run must match the uncached ``workers=1`` run on values, quarantined
+``(id, attempts, error)``, the folded metrics registry, the folded
+evidence ledger and the folded profile counts.  A warm run recording an
+instrument its store was written without must miss.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ResultCache
-from repro.obs import MetricsRegistry, Observability
-from repro.obs.evidence import EvidenceLedger
+from repro.obs import Observability
 from repro.parallel import WorkUnit, run_units, unit_observability
 
 from .test_engine import always_raises, metered_square
 from .test_evidence_engine import deciding_square
+from .test_telemetry import profiled_unit
 
 
 def metered_then_raises(value: int) -> int:
@@ -32,8 +35,10 @@ def metered_then_raises(value: int) -> int:
 
 
 KINDS = {"met": metered_square, "ev": deciding_square,
-         "bad": always_raises, "partial": metered_then_raises}
+         "prof": profiled_unit, "bad": always_raises,
+         "partial": metered_then_raises}
 FAILING = {"bad", "partial"}
+INSTRUMENTS = ((), ("evidence",), ("profile",), ("evidence", "profile"))
 
 recipe_lists = st.lists(
     st.tuples(st.sampled_from(sorted(KINDS)), st.integers(0, 40)),
@@ -46,37 +51,44 @@ def _units(recipes) -> list[WorkUnit]:
             for index, (kind, value) in enumerate(recipes)]
 
 
-def _observed(units, workers: int, cache=None) -> dict:
-    metrics = MetricsRegistry()
-    ledger = EvidenceLedger()
-    run = run_units(units, workers, quarantine=True,
-                    obs=Observability(metrics=metrics, evidence=ledger),
+def _observed(units, workers: int, instruments, cache=None) -> dict:
+    obs = Observability.build(instruments)
+    run = run_units(units, workers, quarantine=True, obs=obs,
                     cache=cache)
     return {
         "values": run.values,
-        "manifests": run.manifests(),
         "quarantined": [(outcome.unit_id, outcome.attempts, outcome.error)
                         for outcome in run.quarantined],
-        "metrics": metrics.as_dict(),
-        "evidence": ledger.dump(),
+        "metrics": obs.metrics.as_dict(),
+        "evidence": obs.evidence.dump(),
+        "profile": obs.profiler.counts,
     }
 
 
 @settings(max_examples=20, deadline=None)
-@given(recipe_lists)
-def test_runs_fold_identically_across_workers_and_cache(recipes):
+@given(recipe_lists, st.sampled_from(INSTRUMENTS))
+def test_runs_fold_identically_across_workers_and_cache(recipes,
+                                                        instruments):
     units = _units(recipes)
-    reference = _observed(units, workers=1)
+    reference = _observed(units, 1, instruments)
     assert len(reference["quarantined"]) == sum(
         kind in FAILING for kind, _ in recipes)
     assert all(attempts == 2
                for _, attempts, _ in reference["quarantined"])
+    stored = len(units) - len(reference["quarantined"])
     for workers in (1, 2):
-        assert _observed(units, workers) == reference
+        assert _observed(units, workers, instruments) == reference
         with tempfile.TemporaryDirectory() as store:
-            assert _observed(units, workers, ResultCache(store)) == \
-                reference
-            warm = ResultCache(store)
-            assert _observed(units, workers, warm) == reference
-            # Failures are never published, so only they run again.
-            assert warm.hits == len(units) - len(reference["quarantined"])
+            assert _observed(units, workers, instruments,
+                             ResultCache(store)) == reference
+            for verify in (False, True):
+                warm = ResultCache(store, verify=verify)
+                assert _observed(units, workers, instruments,
+                                 warm) == reference
+                # Failures are never published, so only they run again.
+                assert warm.hits == stored
+            for extra in {"evidence", "profile"} - set(instruments):
+                other = ResultCache(store)
+                _observed(units, workers,
+                          tuple(sorted({*instruments, extra})), other)
+                assert other.hits == 0

@@ -13,7 +13,7 @@ from repro.cache import ResultCache
 from repro.dram import AllOnes, DeviceConfig, DramChip, RetentionConfig
 from repro.errors import CacheError
 from repro.obs import CommandProfiler, MetricsRegistry, Observability
-from repro.obs.evidence import EvidenceLedger, ev_refs, write_jsonl
+from repro.obs.evidence import EvidenceLedger, ev_refs, write_evidence
 from repro.parallel import WorkUnit, run_units, unit_observability
 from repro.softmc import SoftMCHost
 
@@ -81,8 +81,8 @@ def test_workers_fold_is_byte_identical_to_sequential(tmp_path):
     pooled = _run_ledger(values, workers=3)
     seq_path = tmp_path / "seq.jsonl"
     pool_path = tmp_path / "pool.jsonl"
-    write_jsonl(seq_path, sequential)
-    write_jsonl(pool_path, pooled)
+    write_evidence(seq_path, sequential)
+    write_evidence(pool_path, pooled)
     assert seq_path.read_bytes() == pool_path.read_bytes()
 
 
@@ -117,8 +117,8 @@ def test_cache_replay_reproduces_ledger(tmp_path):
     assert warm_cache.summary()["hits"] == 2
     cold_path = tmp_path / "cold.jsonl"
     warm_path = tmp_path / "warm.jsonl"
-    write_jsonl(cold_path, cold)
-    write_jsonl(warm_path, warm)
+    write_evidence(cold_path, cold)
+    write_evidence(warm_path, warm)
     assert cold_path.read_bytes() == warm_path.read_bytes()
 
 
@@ -157,8 +157,8 @@ def test_cache_verify_rejects_tampered_evidence(tmp_path):
     nodes = [dict(node) for node in envelope.instruments["evidence"]]
     assert nodes[0]["value"] == 9
     nodes[0]["value"] = 999
-    tampered.publish_unit(envelope.key, envelope.material,
-                          envelope.unit_id, value=envelope.value,
+    tampered.publish_unit(envelope.key, envelope.unit_id,
+                          value=envelope.value,
                           instruments={**envelope.instruments,
                                        "evidence": nodes},
                           wall_s=envelope.wall_s)
@@ -177,8 +177,8 @@ def test_cache_replay_pool_matches_sequential(tmp_path):
 
 
 def test_unit_done_events_carry_evidence_summary(tmp_path):
-    from repro.obs import TelemetryConfig, read_spool
-    from repro.obs.live import aggregate_evidence
+    from repro.obs.live import (TelemetryConfig, aggregate_evidence,
+                                read_spool)
     spool = tmp_path / "spool"
     ledger = EvidenceLedger()
     run = run_units(_units([3]), workers=1,

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import time
 
-from repro.obs import (CommandProfiler, MetricsRegistry, Observability,
-                       TelemetryConfig, aggregate_metrics,
-                       assemble_timeline, read_spool)
+from repro.obs import CommandProfiler, MetricsRegistry, Observability
+from repro.obs.live import (TelemetryConfig, aggregate_metrics,
+                            assemble_timeline, pool_breakdown, read_spool)
 from repro.parallel import WorkUnit, run_units, unit_observability
 
 
@@ -106,17 +106,21 @@ def test_unit_done_events_assemble_distributed_timeline(tmp_path):
     assert all("origin_ts" in e and e["spans"] for e in done)
 
 
-def test_outcomes_carry_wall_clock_and_stragglers():
-    run = run_units(_units(metered_unit, [1, 2, 3, 4]), 2)
-    walls = run.unit_walls()
-    assert set(walls) == {o.unit_id for o in run.outcomes}
+def test_outcomes_carry_wall_clock_and_stragglers(tmp_path):
+    run = run_units(_units(metered_unit, [1, 2, 3, 4]), 2,
+                    telemetry=_config(tmp_path, heartbeats=False))
+    walls = {o.unit_id: o.wall_s for o in run.outcomes}
     assert all(wall >= 0 for wall in walls.values())
-    stragglers = run.stragglers(2)
-    assert len(stragglers) == 2
-    assert stragglers[0].wall_s >= stragglers[1].wall_s
+    # The spool's unit-done walls are the outcomes' walls, and rank
+    # the stragglers slowest first.
+    breakdown = pool_breakdown(read_spool(tmp_path))
+    assert breakdown["unit_walls"] == walls
+    stragglers = [entry["wall_s"] for entry in breakdown["stragglers"]]
+    assert len(stragglers) == 3
+    assert stragglers == sorted(walls.values(), reverse=True)[:3]
     # Inline runs measure walls too — same envelope contract.
     inline = run_units(_units(metered_unit, [1, 2]), 1)
-    assert len(inline.unit_walls()) == 2
+    assert all(o.wall_s is not None for o in inline.outcomes)
 
 
 def test_profiler_fold_is_worker_count_independent():
