@@ -61,8 +61,7 @@ from repro.dram.bank import Bank
 from repro.dram.refresh import RefreshEngine
 from repro.eval import get_scale, run_fig8_many, run_fig9, run_fig10
 from repro.eval.fig8 import SWEEPS
-from repro.obs import (CollapsedStackSampler, Observability,
-                       build_manifest, profile_report)
+from repro.obs import Observability, build_manifest
 from repro.obs.history import RunHistory
 from repro.obs.live import TelemetryConfig, pool_breakdown, read_spool
 from repro.parallel import default_workers
@@ -474,32 +473,24 @@ def bench_cache(modules: list[str], scale) -> dict:
     }
 
 
-def bench_profile(modules: list[str], scale,
-                  stacks_path: pathlib.Path | None = None) -> dict:
+def bench_profile(modules: list[str], scale) -> dict:
     """Per-opcode command-bus attribution for one sequential fig9 run.
 
-    Runs with a :class:`CommandProfiler` on the host hot path and a
-    collapsed-stack sampler on the driving thread; the report carries
-    the opcode table plus ``coverage`` — the fraction of the measured
-    wall the opcode rows explain (the rest is Python-side work the
-    sampler's flamegraph localizes).
+    Runs with a :class:`CommandProfiler` on the host hot path; the
+    report carries the opcode table plus the measured ``wall_s`` and
+    ``coverage``, the fraction of that wall the opcode rows explain
+    (the rest is Python-side work between commands).
     """
     obs = Observability.build(("profile",))
-    sampler = CollapsedStackSampler(interval_s=0.01)
-    with sampler:
-        wall, _ = _timed(lambda: run_fig9(modules, scale, workers=1,
-                                          obs=obs))
-    report = profile_report(obs.profiler, wall_s=wall)
-    report["stack_samples"] = sampler.total_samples
-    if stacks_path is not None:
-        sampler.write(stacks_path)
-        report["stacks_file"] = str(stacks_path)
+    wall, _ = _timed(lambda: run_fig9(modules, scale, workers=1, obs=obs))
+    report = obs.profiler.as_dict()
+    report["wall_s"] = round(wall, 6)
+    report["coverage"] = round(obs.profiler.total_s / wall, 4)
     return report
 
 
 def run_benchmarks(modules: list[str], scale_name: str, workers: int,
-                   profile: bool = False,
-                   stacks_path: pathlib.Path | None = None) -> dict:
+                   profile: bool = False) -> dict:
     scale = get_scale(scale_name)
     print(f"[bench] settle microbenchmark "
           f"(vectorized vs legacy loop) ...", flush=True)
@@ -552,13 +543,11 @@ def run_benchmarks(modules: list[str], scale_name: str, workers: int,
     if profile:
         print("[bench] command-bus profile (sequential fig9) ...",
               flush=True)
-        results["profile"] = bench_profile(modules, scale,
-                                           stacks_path=stacks_path)
-        coverage = results["profile"].get("coverage")
+        results["profile"] = bench_profile(modules, scale)
         print(f"[bench]   {results['profile']['commands']} commands, "
               f"{results['profile']['total_s']:.2f}s on the command "
-              f"bus" + (f" ({coverage:.0%} of wall)"
-                        if coverage is not None else ""), flush=True)
+              f"bus ({results['profile']['coverage']:.0%} of wall)",
+              flush=True)
     return results
 
 
@@ -686,8 +675,7 @@ def main(argv=None) -> int:
                              "results file and exit")
     parser.add_argument("--profile", action="store_true",
                         help="additionally record per-opcode command-bus "
-                             "attribution and a collapsed-stack profile "
-                             "for a sequential fig9 run")
+                             "attribution for a sequential fig9 run")
     parser.add_argument("--history", type=pathlib.Path, default=None,
                         metavar="PATH",
                         help="append the profiled run (wall + per-opcode "
@@ -699,17 +687,11 @@ def main(argv=None) -> int:
         return report_parallel(args.report_parallel)
 
     modules = [m.strip() for m in args.modules.split(",") if m.strip()]
-    stacks_path = (args.out.with_suffix(".stacks.txt")
-                   if args.profile else None)
     results = run_benchmarks(modules, args.scale, max(args.workers, 1),
-                             profile=args.profile,
-                             stacks_path=stacks_path)
+                             profile=args.profile)
     args.out.write_text(json.dumps(results, indent=2, sort_keys=True)
                         + "\n")
     print(f"[bench] wrote {args.out}")
-    if stacks_path is not None:
-        print(f"[bench] wrote {stacks_path} (collapsed stacks — feed "
-              f"to flamegraph.pl / speedscope)")
 
     if args.history is not None and args.profile:
         profile = results.get("profile", {})

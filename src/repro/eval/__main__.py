@@ -23,13 +23,13 @@ metrics, span wall-clocks, and — with ``--profile`` — per-opcode
 command-bus attribution) to an append-only run-history store; gate it
 across runs with ``python -m repro.obs.history PATH --gate``.
 
-``--telemetry DIR`` publishes live progress into a spool directory
-readable mid-run by ``python -m repro.obs.serve DIR`` (curl
-``/metrics``, ``/progress``, ``/spans``); ``--stall-deadline S`` arms
-the watchdog that flags units whose command counters stop advancing.
-``--profile`` attributes host wall time per DDR opcode and prints the
-attribution table to stderr.  All three are side channels: artifact
-bytes on stdout are unaffected.
+``--telemetry DIR`` publishes per-unit progress events (start,
+heartbeats, done) into a spool directory of JSONL files, readable with
+:func:`repro.obs.live.read_spool`; ``--stall-deadline S`` (with
+``--workers 2`` or more) arms the watchdog that flags units whose
+command counters stop advancing.  ``--profile`` attributes host wall
+time per DDR opcode and prints the attribution table to stderr.  All
+three are side channels: artifact bytes on stdout are unaffected.
 
 ``--evidence PATH`` records the run's inference-provenance ledger —
 every accepted/rejected/degraded decision with its supporting
@@ -98,9 +98,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="append this run (manifest, metrics, span "
                              "wall-clocks) to a run-history store")
     parser.add_argument("--telemetry", default=None, metavar="DIR",
-                        help="publish live progress events into this "
-                             "spool directory (serve it with python -m "
-                             "repro.obs.serve DIR)")
+                        help="publish per-unit progress events into "
+                             "this spool directory (JSONL, one file per "
+                             "unit)")
     parser.add_argument("--telemetry-interval", type=float, default=1.0,
                         metavar="S", help="heartbeat period in seconds "
                                           "(default 1.0)")
@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="S",
                         help="flag units whose command counters do not "
                              "advance within S seconds (requires "
-                             "--telemetry)")
+                             "--telemetry and --workers 2 or more)")
     parser.add_argument("--profile", action="store_true",
                         help="attribute host wall time per DDR opcode; "
                              "table goes to stderr, totals to --history")
@@ -134,6 +134,13 @@ def main(argv: list[str] | None = None) -> int:
     scale = get_scale(args.scale)
     workers = args.workers
     log = StructuredLog(enabled=not args.quiet, elapsed=True)
+    if args.stall_deadline is not None:
+        if not args.telemetry:
+            parser.error("--stall-deadline requires --telemetry")
+        if workers == 1:
+            # Each unit runs on this thread, so nothing would ever scan
+            # the spool for stalls.
+            parser.error("--stall-deadline requires --workers 2 or more")
     telemetry = None
     if args.telemetry:
         telemetry = TelemetryConfig(
@@ -143,8 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         log.info("telemetry-enabled", spool=args.telemetry,
                  interval_s=args.telemetry_interval,
                  stall_deadline_s=args.stall_deadline or "off")
-    elif args.stall_deadline is not None:
-        parser.error("--stall-deadline requires --telemetry")
     cache_dir = args.cache or os.environ.get("REPRO_CACHE") or None
     if args.no_cache:
         cache_dir = None

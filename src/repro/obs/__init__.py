@@ -38,17 +38,16 @@ never branches on "is observability on?".
 
 The package exports the bundle and the instruments above.  Everything
 else is imported from its own module — :mod:`.evidence`, :mod:`.live`,
-:mod:`.history`, :mod:`.export`, :mod:`.replay`, :mod:`.diff` — because
-several of those double as ``python -m`` entry points, which the
-package must not import.
+:mod:`.history`, :mod:`.replay`, :mod:`.diff` — because several of
+those double as ``python -m`` entry points, which the package must not
+import.
 """
 
 from __future__ import annotations
 
 from .manifest import MANIFEST_SCHEMA, build_manifest, git_describe
 from .metrics import Histogram, MetricsRegistry, NullMetrics, bucket_bound
-from .profile import (CollapsedStackSampler, CommandProfiler,
-                      NullProfiler, profile_report)
+from .profile import CommandProfiler, NullProfiler
 from .recorder import (TRACE_VERSION, NullRecorder, TraceRecorder,
                        data_digest, mismatch_digest, read_trace,
                        replay_ledger)
@@ -61,29 +60,19 @@ class NullEvidence:
     :class:`~repro.obs.evidence.EvidenceLedger`.
 
     Lives here (not in :mod:`.evidence`) so building ``NULL_OBS`` at
-    package import never pulls in the evidence module.
+    package import never pulls in the evidence module.  It keeps only
+    the writers instrumented code calls unconditionally; readers
+    (``dump``, ``summary``, ``emit_metrics``) run on real ledgers only.
     """
 
     enabled = False
     nodes: tuple = ()
-    module = None
 
     def decide(self, parameter, value=None, **kwargs) -> None:
         return None
 
     def merge(self, other, unit=None) -> None:
         return None
-
-    def dump(self) -> list:
-        return []
-
-    def emit_metrics(self, metrics) -> None:
-        return None
-
-    def summary(self) -> dict:
-        return {"decisions": 0, "accepted": 0, "rejected": 0,
-                "degraded": 0, "empty_chains": 0, "commands": 0,
-                "parameters": {}}
 
 
 #: Shared disabled evidence ledger (the default ``evidence`` slot).
@@ -164,8 +153,8 @@ class Observability:
 
         The keys are ``metrics``, ``profile`` and ``evidence``; each
         appears only when its instrument recorded something.  This is
-        the form a work unit's instruments travel in: on its outcome,
-        in its cache envelope and in its ``unit-done`` telemetry event.
+        the form a work unit's instruments travel in: on its outcome
+        and in its cache envelope.
         """
         dump: dict = {}
         metrics = self.metrics.as_dict()
@@ -223,7 +212,6 @@ def traced(path, *, manifest: dict | None = None,
 
 
 __all__ = [
-    "CollapsedStackSampler",
     "CommandProfiler",
     "Histogram",
     "MANIFEST_SCHEMA",
@@ -245,7 +233,6 @@ __all__ = [
     "data_digest",
     "git_describe",
     "mismatch_digest",
-    "profile_report",
     "read_trace",
     "replay_ledger",
     "traced",

@@ -228,8 +228,7 @@ class EvidenceLedger:
         Emits ``evidence.*`` counters plus one
         ``inference.commands_to_discovery.<parameter>`` counter per
         parameter (summed over that parameter's decisions, retries
-        included) — the counters the history gate and the Prometheus
-        export surface.
+        included) — the counters the history gate compares.
         """
         for node in self.nodes:
             metrics.inc("evidence.decisions")
@@ -246,8 +245,8 @@ class EvidenceLedger:
 
 
 def nodes_summary(nodes) -> dict:
-    """Aggregate node dicts into the compact per-parameter summary used
-    by telemetry ``unit-done`` events and the ``/evidence`` endpoint."""
+    """Aggregate node dicts into the compact per-parameter summary the
+    CLIs log and print."""
     out: dict = {"decisions": 0, "accepted": 0, "rejected": 0,
                  "degraded": 0, "empty_chains": 0, "commands": 0,
                  "parameters": {}}

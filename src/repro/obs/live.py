@@ -1,12 +1,14 @@
 """Live telemetry: the side channel a running sweep reports into.
 
-Everything in :mod:`repro.obs` so far is post-hoc — traces, metrics,
-and history rows exist only after a run finishes.  This module is the
-*live* layer: workers publish periodic snapshots (units done, counter
-totals, the currently open span, commands issued) into a **spool
-directory** of JSONL files, strictly off the artifact path, so a
-coordinator — or ``python -m repro.obs.serve`` — can report progress,
-ETA, and stalls while the sweep is still executing.
+Traces, metrics, and history rows exist only after a run finishes.
+This module is the *live* layer: every work unit publishes
+``unit-start``, periodic ``heartbeat`` snapshots (commands issued, the
+open span) and ``unit-done`` (wall-clock, commands) into a **spool
+directory** of JSONL files, strictly off the artifact path.  Two
+readers consume the spool: the coordinator's :class:`Watchdog` flags
+stalled units while the sweep runs, and :func:`pool_breakdown` turns a
+finished run's unit wall-clocks into a straggler and pool-overhead
+breakdown (``benchmarks/bench_eval.py --report-parallel``).
 
 Design rules:
 
@@ -18,12 +20,11 @@ Design rules:
 - **Crash-tolerant transport.**  Each work unit appends to its own
   file (open-append-close per event), so a worker dying mid-line can
   corrupt at most its own tail; :func:`read_spool` skips unparseable
-  lines instead of failing the whole scrape.
+  lines instead of failing the whole read.
 - **Trace-context propagation.**  Every event is stamped with the
   coordinator's ``run_id`` and its own ``unit`` id
-  (:class:`TraceContext`), so the per-unit span timelines shipped in
-  ``unit-done`` events reassemble into one *distributed* timeline
-  (:func:`assemble_timeline`) covering the whole worker pool.
+  (:class:`TraceContext`), so one spool holds a whole worker pool's
+  events, each attributable to its unit.
 - **Liveness is observable.**  :class:`Watchdog` flags units whose
   command counters stopped advancing within a deadline — a worker that
   is *alive but wedged* still heartbeats, so staleness is judged on
@@ -39,8 +40,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-#: Counter names summed into each heartbeat's ``commands`` figure (the
-#: host command-bus pressure a live dashboard wants first).
+#: Counter names summed into the ``commands`` figure of heartbeat and
+#: ``unit-done`` events (the progress the watchdog judges).
 COMMAND_COUNTERS = ("host.acts", "host.refs")
 
 
@@ -50,8 +51,8 @@ class TraceContext:
 
     ``run_id`` names the coordinating run; ``unit_id`` the work unit a
     worker is executing (None for coordinator-side events).  Stamped
-    verbatim on every published event, the pair is what lets per-unit
-    timelines from many processes assemble into one.
+    verbatim on every published event, the pair is what attributes
+    each event in a shared spool to its run and unit.
     """
 
     run_id: str
@@ -106,15 +107,13 @@ class TelemetrySink:
     def heartbeat(self, metrics=None, spans=None, **fields) -> dict:
         """Publish one ``heartbeat`` snapshot; returns the event.
 
-        Carries the ambient registry's command totals and the innermost
-        open span, the two facts a dashboard needs to answer "is this
+        Carries the ambient registry's command total and the innermost
+        open span, the two facts the watchdog needs to answer "is this
         unit moving, and in which stage?".
         """
         if metrics is not None and getattr(metrics, "enabled", False):
             fields.setdefault("commands", sum(
                 metrics.counter(name) for name in COMMAND_COUNTERS))
-            fields.setdefault("counters", dict(
-                metrics.as_dict()["counters"]))
         if spans is not None and getattr(spans, "enabled", False):
             current = spans.current_name()
             if current is not None:
@@ -186,7 +185,7 @@ def read_spool(spool) -> list[dict]:
     """All events in a spool directory, oldest first.
 
     Corrupt lines (a worker died mid-write) and foreign files are
-    skipped: a live endpoint must serve whatever is readable *now*.
+    skipped: a mid-run read must return whatever is readable *now*.
     """
     spool = Path(spool)
     if not spool.is_dir():
@@ -218,160 +217,6 @@ def _by_unit(events: list[dict]) -> dict[str, list[dict]]:
         if unit is not None:
             units.setdefault(unit, []).append(event)
     return units
-
-
-def progress(events: list[dict], now: float | None = None) -> dict:
-    """One live progress summary from a spool's events.
-
-    Reports unit states (running / done / failed), an ETA extrapolated
-    from completed unit wall-clocks at the observed concurrency, total
-    commands issued so far, and each running unit's current span.
-    """
-    if now is None:
-        now = time.time()
-    run_id = None
-    units_total = None
-    workers = None
-    for event in events:
-        if event.get("kind") == "run-start":
-            run_id = event.get("run", run_id)
-            units_total = event.get("units_total", units_total)
-            workers = event.get("workers", workers)
-    units = _by_unit(events)
-    done: dict[str, float] = {}
-    failed: list[str] = []
-    cached: list[str] = []
-    running: dict[str, dict] = {}
-    commands = 0
-    for unit_id, unit_events in units.items():
-        last = unit_events[-1]
-        done_event = next((e for e in unit_events
-                           if e.get("kind") == "unit-done"), None)
-        if done_event is not None:
-            done[unit_id] = done_event.get("wall_s", 0.0)
-            commands += done_event.get("commands", 0)
-            if done_event.get("error"):
-                failed.append(unit_id)
-            if done_event.get("cached"):
-                cached.append(unit_id)
-            continue
-        heartbeats = [e for e in unit_events
-                      if e.get("kind") == "heartbeat"]
-        newest = heartbeats[-1] if heartbeats else last
-        commands += newest.get("commands", 0)
-        running[unit_id] = {
-            "age_s": round(now - unit_events[0].get("ts", now), 3),
-            "span": newest.get("span"),
-            "commands": newest.get("commands", 0),
-        }
-    total = units_total if units_total is not None else len(units)
-    remaining = max(total - len(done), 0)
-    eta_s = None
-    if done and remaining:
-        mean_wall = sum(done.values()) / len(done)
-        concurrency = max(len(running), 1)
-        if workers:
-            concurrency = max(concurrency, min(workers, remaining))
-        eta_s = round(mean_wall * remaining / concurrency, 3)
-    return {
-        "run": run_id,
-        "units_total": total,
-        "units_done": len(done),
-        "units_failed": sorted(failed),
-        # Units served from the result cache (their unit-done events
-        # are replayed, flagged ``cached``); the live hit ratio is
-        # units_cached / units_done.
-        "units_cached": len(cached),
-        "units_running": dict(sorted(running.items())),
-        "unit_walls": {unit: round(wall, 6)
-                       for unit, wall in sorted(done.items())},
-        "commands": commands,
-        "eta_s": eta_s,
-    }
-
-
-def aggregate_metrics(events: list[dict]):
-    """Fold the spool's newest per-unit registry dumps into one.
-
-    Finished units contribute their final ``unit-done`` metrics;
-    still-running units contribute their last heartbeat's counters —
-    so a mid-sweep ``/metrics`` scrape reflects work in flight.
-    """
-    from .metrics import MetricsRegistry
-    registry = MetricsRegistry()
-    for unit_events in _by_unit(events).values():
-        newest: dict | None = None
-        for event in unit_events:
-            if event.get("kind") == "unit-done" \
-                    and event.get("metrics"):
-                newest = event["metrics"]
-        if newest is None:
-            heartbeats = [e for e in unit_events
-                          if e.get("kind") == "heartbeat"
-                          and e.get("counters")]
-            if heartbeats:
-                newest = {"counters": heartbeats[-1]["counters"]}
-        if newest:
-            registry.merge(newest)
-    return registry
-
-
-def aggregate_evidence(events: list[dict]) -> dict:
-    """Summarize the evidence nodes per-unit ``unit-done`` events carry.
-
-    The result is the :func:`repro.obs.evidence.nodes_summary` shape
-    (decisions / outcome counts / commands-to-discovery, plus a
-    per-parameter breakdown) over every unit's nodes, plus ``units``,
-    the number of units that recorded any; units without decision
-    nodes carry no ``evidence`` field and contribute nothing.
-    """
-    from .evidence import nodes_summary
-    nodes: list[dict] = []
-    units = 0
-    for unit_id, unit_events in sorted(_by_unit(events).items()):
-        unit_nodes = None
-        for event in unit_events:
-            if event.get("kind") == "unit-done" and event.get("evidence"):
-                unit_nodes = event["evidence"]
-        if unit_nodes:
-            units += 1
-            nodes.extend(unit_nodes)
-    return {**nodes_summary(nodes), "units": units}
-
-
-def assemble_timeline(events: list[dict]) -> list[dict]:
-    """Merge per-unit span timelines into one distributed timeline.
-
-    Each ``unit-done`` event carries the unit's :class:`SpanTracker`
-    timeline plus the wall-clock instant its tracker was created
-    (``origin_ts``).  Spans are re-based onto one shared origin (the
-    earliest tracker origin across units) so the merged timeline shows
-    the true overlap structure of the worker pool.
-    """
-    stamped: list[dict] = []
-    origins: list[float] = []
-    for event in events:
-        if event.get("kind") != "unit-done" or not event.get("spans"):
-            continue
-        origins.append(event.get("origin_ts", 0.0))
-    if not origins:
-        return []
-    epoch = min(origins)
-    for event in events:
-        if event.get("kind") != "unit-done" or not event.get("spans"):
-            continue
-        offset = event.get("origin_ts", 0.0) - epoch
-        for span in event["spans"]:
-            entry = dict(span)
-            entry["run"] = event.get("run")
-            entry["unit"] = event.get("unit")
-            entry["start_s"] = round(span.get("start_s", 0.0) + offset,
-                                     6)
-            if span.get("end_s") is not None:
-                entry["end_s"] = round(span["end_s"] + offset, 6)
-            stamped.append(entry)
-    stamped.sort(key=lambda e: (e["start_s"], e.get("unit") or ""))
-    return stamped
 
 
 @dataclass
@@ -443,8 +288,10 @@ def pool_breakdown(events: list[dict], pool_wall_s: float | None = None,
     longer), and ``overhead_s``, the pool wall beyond it: spawn,
     pickling, merge and scheduling imbalance.
     """
-    walls = {unit: wall for unit, wall
-             in progress(events)["unit_walls"].items()}
+    # A retried unit publishes one ``unit-done`` per attempt; the last
+    # is the attempt whose wall its outcome carries.
+    walls = {event["unit"]: event.get("wall_s", 0.0) for event in events
+             if event.get("kind") == "unit-done" and "unit" in event}
     if not walls:
         return {"unit_walls": {}, "stragglers": []}
     ordered = sorted(walls.items(), key=lambda kv: -kv[1])

@@ -5,21 +5,14 @@ answers the layer below: which DDR **opcode** (ACT / RD / WR / REF /
 WAIT) the :class:`~repro.softmc.SoftMCHost` hot path spends its wall
 time executing, attributed per stage via the currently-open span.
 
-Two instruments:
-
-- :class:`CommandProfiler` — exact per-opcode wall-time accounting.
-  The host brackets every command with two ``perf_counter`` reads when
-  a profiler is attached; with :class:`NullProfiler` (the default) the
-  hot path pays one identity check, inside the <5% disabled-overhead
-  budget.  Because every host-side operation is bracketed, the opcode
-  rows sum to the host's total command-bus wall time by construction —
-  the attribution table's coverage column shows what fraction of an
-  enclosing wall-clock that explains.
-- :class:`CollapsedStackSampler` — a sampling profiler emitting
-  collapsed-stack lines (``frame;frame;frame count``, the flamegraph
-  input format) from a background thread, for the Python-side cost the
-  opcode accounting cannot see (pattern construction, scheduling,
-  result merging).
+:class:`CommandProfiler` does exact per-opcode wall-time accounting.
+The host brackets every command with two ``perf_counter`` reads when a
+profiler is attached; with :class:`NullProfiler` (the default) the hot
+path pays one identity check, inside the <5% disabled-overhead budget.
+Because every host-side operation is bracketed, the opcode rows sum to
+the host's total command-bus wall time by construction — the
+attribution table's coverage line shows what fraction of an enclosing
+wall-clock that explains.
 
 Profiles fold across process-pool workers exactly like metrics do
 (:meth:`CommandProfiler.merge`, submission order), and a run-history
@@ -28,9 +21,6 @@ wall-clock does (``python -m repro.obs.history --gate``).
 """
 
 from __future__ import annotations
-
-import sys
-import threading
 
 #: Canonical opcode order for reports (matches the trace record types).
 OPCODES = ("ACT", "RD", "WR", "REF", "WAIT")
@@ -153,7 +143,12 @@ class CommandProfiler:
 
 
 class NullProfiler:
-    """The disabled profiler: the hot path sees one identity check."""
+    """The disabled profiler: the hot path sees one identity check.
+
+    It keeps the writers instrumented code calls unconditionally and
+    the empty totals :meth:`repro.obs.Observability.dump` checks; only
+    a real profiler is dumped (``as_dict``) or rendered.
+    """
 
     enabled = False
     seconds: dict[str, float] = {}
@@ -170,92 +165,3 @@ class NullProfiler:
 
     def merge(self, other) -> None:
         pass
-
-    def as_dict(self) -> dict:
-        return {"seconds": {}, "counts": {}, "stages": {},
-                "total_s": 0.0, "commands": 0}
-
-    def render(self, wall_s: float | None = None) -> str:
-        return "  (profiling disabled)"
-
-
-class CollapsedStackSampler:
-    """Sampling profiler emitting flamegraph collapsed-stack lines.
-
-    Samples the *target* thread's Python stack from a daemon thread at
-    a fixed interval; each distinct root-to-leaf stack accumulates a
-    sample count.  ``render()`` emits the standard
-    ``frame;frame;frame count`` lines that flamegraph.pl / speedscope /
-    inferno consume directly.
-    """
-
-    def __init__(self, interval_s: float = 0.005,
-                 target_thread_id: int | None = None) -> None:
-        self.interval_s = interval_s
-        self._target = target_thread_id
-        self.samples: dict[str, int] = {}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> "CollapsedStackSampler":
-        if self._target is None:
-            self._target = threading.get_ident()
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-stack-sampler")
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            frame = sys._current_frames().get(self._target)
-            if frame is None:
-                continue
-            stack = []
-            while frame is not None:
-                code = frame.f_code
-                module = code.co_filename.rsplit("/", 1)[-1]
-                stack.append(f"{module}:{code.co_name}")
-                frame = frame.f_back
-            key = ";".join(reversed(stack))
-            self.samples[key] = self.samples.get(key, 0) + 1
-
-    def stop(self) -> "CollapsedStackSampler":
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        return self
-
-    def __enter__(self) -> "CollapsedStackSampler":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    @property
-    def total_samples(self) -> int:
-        return sum(self.samples.values())
-
-    def render(self) -> str:
-        """Collapsed-stack lines, heaviest stacks first."""
-        return "\n".join(
-            f"{stack} {count}" for stack, count
-            in sorted(self.samples.items(),
-                      key=lambda kv: (-kv[1], kv[0])))
-
-    def write(self, path) -> None:
-        from pathlib import Path
-        text = self.render()
-        Path(path).write_text(text + ("\n" if text else ""),
-                              encoding="utf-8")
-
-
-def profile_report(profiler: CommandProfiler,
-                   wall_s: float | None = None) -> dict:
-    """JSON-ready attribution report for benchmarks and artifacts."""
-    report = profiler.as_dict()
-    if wall_s is not None:
-        report["wall_s"] = round(wall_s, 6)
-        if wall_s > 0:
-            report["coverage"] = round(profiler.total_s / wall_s, 4)
-    return report

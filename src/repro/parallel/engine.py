@@ -36,11 +36,11 @@ What does NOT come for free is *reproducibility discipline*:
   run equals the ``--workers 1`` one.
 * **Live telemetry stays off the artifact path** — a
   :class:`~repro.obs.live.TelemetryConfig` makes every unit publish
-  ``unit-start`` / ``heartbeat`` / ``unit-done`` events (wall-clock,
-  PID, counter snapshots, the open span, the unit's span timeline)
-  into a spool directory; nothing telemetry-derived ever reaches the
-  metrics fold or a rendered artifact, so enabling it cannot perturb
-  byte-identity.  ``stall_deadline_s`` arms a coordinator-side
+  ``unit-start`` (PID), ``heartbeat`` (commands issued, the open span)
+  and ``unit-done`` (wall-clock, commands) events into a spool
+  directory; nothing telemetry-derived ever reaches the metrics fold
+  or a rendered artifact, so enabling it cannot perturb byte-identity.
+  ``stall_deadline_s`` arms a coordinator-side
   :class:`~repro.obs.live.Watchdog` that flags pool units whose
   command counters stop advancing.
 * **Results are cacheable** — a caller-supplied
@@ -56,7 +56,6 @@ What does NOT come for free is *reproducibility discipline*:
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -190,23 +189,15 @@ def _publish(sink, kind: str, **fields) -> None:
         pass
 
 
-def _done_fields(outcome: UnitOutcome, spans=None,
-                 origin_ts: float = 0.0) -> dict:
-    """The ``unit-done`` event payload: progress, the unit's instrument
-    dump, and the timeline of its span tracker *spans* (with the
-    wall-clock instant the tracker was created, so it joins the
-    distributed timeline)."""
-    dump = outcome.instruments
-    counters = dump.get("metrics", {}).get("counters", {})
+def _done_fields(outcome: UnitOutcome) -> dict:
+    """The ``unit-done`` event payload: the unit's wall-clock, the
+    commands it issued, and its error when it raised."""
+    counters = outcome.instruments.get("metrics", {}).get("counters", {})
     fields: dict = {
         "wall_s": round(outcome.wall_s or 0.0, 6),
         "commands": sum(counters.get(name, 0)
                         for name in COMMAND_COUNTERS),
-        **dump,
     }
-    if spans is not None and spans.spans:
-        fields["spans"] = spans.as_timeline()
-        fields["origin_ts"] = round(origin_ts, 6)
     if outcome.error is not None:
         fields["error"] = outcome.error
     return fields
@@ -219,16 +210,16 @@ def _execute(unit: WorkUnit, instruments: tuple = (),
     The one per-unit executor.  It binds a fresh ambient bundle
     recording *instruments* for the unit's duration
     (:meth:`~repro.obs.Observability.build`), with a span tracker under
-    *telemetry*.  The bundle's dump and the measured wall ride on the
-    returned outcome for the caller's submission-order fold.  With
-    *telemetry* the unit also publishes ``unit-start`` / ``heartbeat``
-    / ``unit-done`` events — side channel only.  An exception from the
-    unit propagates after its ``unit-done`` event.
+    *telemetry* (heartbeats name the open span, so a stalled unit shows
+    the stage it is stuck in).  The bundle's dump and the measured wall
+    ride on the returned outcome for the caller's submission-order
+    fold.  With *telemetry* the unit also publishes ``unit-start`` /
+    ``heartbeat`` / ``unit-done`` events — side channel only.  An
+    exception from the unit propagates after its ``unit-done`` event.
     """
     global _unit_obs
     live = telemetry is not None
     obs = Observability.build(instruments, spans=live)
-    origin_ts = time.time()
     sink = telemetry.sink(unit.unit_id) if live else None
     heartbeat = None
     if sink is not None:
@@ -252,8 +243,7 @@ def _execute(unit: WorkUnit, instruments: tuple = (),
             heartbeat.stop()
         outcome.instruments = obs.dump()
         if sink is not None:
-            _publish(sink, "unit-done",
-                     **_done_fields(outcome, obs.spans, origin_ts))
+            _publish(sink, "unit-done", **_done_fields(outcome))
     return outcome
 
 
@@ -296,7 +286,7 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     :meth:`~repro.obs.Observability.merge` in submission order (each
     evidence node stamped with its unit id), so its metrics, profile
     and ledger come out identical for any worker count.  Unit spans are
-    not folded; they ride the telemetry side channel.
+    not folded.
 
     *telemetry*, when given, is a :class:`repro.obs.live.TelemetryConfig`:
     the run publishes ``run-start`` / ``run-done`` plus per-unit
@@ -488,8 +478,7 @@ def _run_cached(units: Sequence[WorkUnit], cache, execute,
 
 def _replay_unit_events(telemetry, outcome: UnitOutcome) -> None:
     """Publish start/done telemetry for a unit served from the cache,
-    so live progress counts it as completed (flagged ``cached``).  It
-    ran no spans this run, so its event carries no timeline."""
+    so the spool counts it as completed (flagged ``cached``)."""
     if telemetry is None:
         return
     sink = telemetry.sink(outcome.unit_id)

@@ -124,9 +124,17 @@ def test_cli_telemetry_and_profile_leave_stdout_untouched(tmp_path,
     assert "run-start" in kinds and "unit-done" in kinds
 
 
-def test_cli_stall_deadline_requires_telemetry(capsys):
+@pytest.mark.parametrize("extra, message", [
+    ((), "--stall-deadline requires --telemetry"),
+    # At one worker every unit runs on the coordinator's thread, where
+    # no watchdog scan happens: the deadline would be silently ignored.
+    (("--workers", "1", "--telemetry", "{spool}"),
+     "--stall-deadline requires --workers 2 or more"),
+], ids=["no-telemetry", "one-worker"])
+def test_cli_stall_deadline_requires_telemetry(extra, message, tmp_path,
+                                               capsys):
+    extra = [arg.format(spool=tmp_path / "spool") for arg in extra]
     with pytest.raises(SystemExit):
         eval_main(["fig9", "--modules", "B0", "--scale", "quick",
-                   "--quiet", "--stall-deadline", "5"])
-    assert "--stall-deadline requires --telemetry" in \
-        capsys.readouterr().err
+                   "--quiet", *extra, "--stall-deadline", "5"])
+    assert message in capsys.readouterr().err

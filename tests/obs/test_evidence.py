@@ -174,9 +174,10 @@ def test_check_trace_resolves_ref_indices(tmp_path):
 def test_null_evidence_is_inert():
     assert not NULL_EVIDENCE.enabled
     assert NULL_EVIDENCE.decide("x", 1, outcome="rejected") is None
-    assert NULL_EVIDENCE.dump() == []
-    assert NullEvidence().summary()["decisions"] == 0
-    NULL_EVIDENCE.emit_metrics(MetricsRegistry())  # no-op, no raise
+    NULL_EVIDENCE.merge([{"kind": "decision", "parameter": "x"}],
+                        unit="u")  # no-op, no raise
+    assert NULL_EVIDENCE.nodes == ()
+    assert NullEvidence().nodes == ()
 
 
 def test_cli_reports_and_gates_empty_chains(tmp_path, capsys):

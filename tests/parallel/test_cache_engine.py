@@ -16,7 +16,7 @@ import pytest
 from repro.cache import ResultCache
 from repro.errors import CacheError
 from repro.obs import MetricsRegistry, Observability
-from repro.obs.live import TelemetryConfig, progress, read_spool
+from repro.obs.live import TelemetryConfig, read_spool
 from repro.parallel import WorkUnit, run_units, unit_observability
 
 
@@ -239,8 +239,14 @@ def test_telemetry_counts_cached_units_as_done(tmp_path):
     warm_cache = ResultCache(store)
     run_units(units, workers=1, cache=warm_cache, telemetry=telemetry)
     events = read_spool(telemetry.spool)
-    summary = progress(events)
-    assert summary["units_done"] == summary["units_total"] == 2
-    assert summary["units_cached"] == 2
-    done = [e for e in events if e["kind"] == "run-done"]
-    assert done[-1]["cache"] == warm_cache.summary()
+    start = next(e for e in events if e["kind"] == "run-start")
+    assert start["units_total"] == 2
+    # One replayed unit-done per unit, each flagged as a cache hit.
+    done = [e for e in events if e["kind"] == "unit-done"]
+    assert sorted(e["unit"] for e in done) == \
+        sorted(unit.unit_id for unit in units)
+    assert all(e["cached"] is True for e in done)
+    finished = [e for e in events if e["kind"] == "run-done"]
+    assert len(finished) == 1
+    assert finished[0]["units_done"] == 2
+    assert finished[0]["cache"] == warm_cache.summary()

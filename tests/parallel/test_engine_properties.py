@@ -60,7 +60,7 @@ def _observed(units, workers: int, instruments, cache=None) -> dict:
         "quarantined": [(outcome.unit_id, outcome.attempts, outcome.error)
                         for outcome in run.quarantined],
         "metrics": obs.metrics.as_dict(),
-        "evidence": obs.evidence.dump(),
+        "evidence": [dict(node) for node in obs.evidence.nodes],
         "profile": obs.profiler.counts,
     }
 

@@ -176,24 +176,6 @@ def test_cache_replay_pool_matches_sequential(tmp_path):
         [n["unit"] for n in cold.nodes]
 
 
-def test_unit_done_events_carry_evidence_summary(tmp_path):
-    from repro.obs.live import (TelemetryConfig, aggregate_evidence,
-                                read_spool)
-    spool = tmp_path / "spool"
-    ledger = EvidenceLedger()
-    run = run_units(_units([3]), workers=1,
-                    obs=Observability(evidence=ledger),
-                    telemetry=TelemetryConfig(spool=spool,
-                                              run_id="ev-test"))
-    events = read_spool(spool)
-    done = [event for event in events if event.get("kind") == "unit-done"]
-    # The event carries the unit's nodes as dumped, unstamped.
-    assert done[0]["evidence"] == run.outcomes[0].instruments["evidence"]
-    summary = aggregate_evidence(events)
-    assert summary["decisions"] == 2 and summary["units"] == 1
-    assert "square_3" in summary["parameters"]
-
-
 def test_evidence_rides_alongside_metrics():
     metrics = MetricsRegistry()
     ledger = EvidenceLedger()

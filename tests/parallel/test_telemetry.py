@@ -3,7 +3,8 @@
 Complements ``tests/obs/test_live.py`` (which covers the spool readers
 in isolation): here real ``run_units`` invocations — inline and pooled
 — publish into tmp spools, and the assertions check the engine's side
-of the contract: every unit reports start/done, folds are worker-count
+of the contract: every unit reports start/done, events carry progress
+and never the unit's instrument dump, folds are worker-count
 independent, wall-clocks ride the result envelopes, and a wedged unit
 is flagged without killing the run.
 """
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 import time
 
+from repro.cache import ResultCache
 from repro.obs import CommandProfiler, MetricsRegistry, Observability
-from repro.obs.live import (TelemetryConfig, aggregate_metrics,
-                            assemble_timeline, pool_breakdown, read_spool)
+from repro.obs.live import TelemetryConfig, pool_breakdown, read_spool
 from repro.parallel import WorkUnit, run_units, unit_observability
 
 
@@ -25,11 +26,19 @@ def metered_unit(n: int) -> int:
     return n * n
 
 
-def staged_unit(n: int) -> int:
+def recording_unit(n: int) -> int:
+    """Records into every instrument, for long enough to heartbeat."""
     obs = unit_observability()
     with obs.span("hammer", n=n):
-        obs.metrics.inc("host.acts", n)
-    return n
+        obs.metrics.inc("host.acts", 10 * n)
+        obs.profiler.add("ACT", 0.001)
+        obs.evidence.decide(f"square_{n}", n * n)
+        time.sleep(0.25)
+    return n * n
+
+
+def failing_unit(n: int) -> int:
+    raise RuntimeError(f"unit {n} failed")
 
 
 def profiled_unit(n: int) -> int:
@@ -84,26 +93,10 @@ def test_spool_metrics_match_caller_fold_for_any_worker_count(tmp_path):
         run_units(_units(metered_unit, [1, 2, 3]), workers,
                   obs=Observability(metrics=registries[workers]),
                   telemetry=_config(spool))
-        # The spool's unit-done snapshots fold to the caller's registry.
-        folded = aggregate_metrics(read_spool(spool))
-        assert folded.as_dict() == registries[workers].as_dict()
-    # ...and the caller fold itself is worker-count independent.
+    # The caller fold is worker-count independent with telemetry on.
     assert registries[1].as_dict() == registries[2].as_dict()
     assert registries[1].counter("host.acts") == 600
     assert registries[1].counter("unit.calls") == 3
-
-
-def test_unit_done_events_assemble_distributed_timeline(tmp_path):
-    units = _units(staged_unit, [5, 6])
-    run_units(units, 2, telemetry=_config(tmp_path))
-    timeline = assemble_timeline(read_spool(tmp_path))
-    # Every unit contributes its span, rebased onto a shared origin.
-    assert {entry["unit"] for entry in timeline} == \
-        {unit.unit_id for unit in units}
-    assert all(entry["name"] == "hammer" for entry in timeline)
-    assert all(entry["start_s"] >= 0 for entry in timeline)
-    done = [e for e in read_spool(tmp_path) if e["kind"] == "unit-done"]
-    assert all("origin_ts" in e and e["spans"] for e in done)
 
 
 def test_outcomes_carry_wall_clock_and_stragglers(tmp_path):
@@ -135,21 +128,6 @@ def test_profiler_fold_is_worker_count_independent():
     assert abs(dumps[1]["seconds"]["ACT"] - 0.008) < 1e-9
 
 
-def test_profiled_unit_done_events_carry_profiles(tmp_path):
-    profiler = CommandProfiler()
-    run = run_units(_units(profiled_unit, [4]), 2,
-                    obs=Observability(profiler=profiler),
-                    telemetry=_config(tmp_path))
-    outcome = run.outcomes[0]
-    assert outcome.instruments["profile"]["counts"] == {"ACT": 4, "REF": 1}
-    done = [e for e in read_spool(tmp_path)
-            if e["kind"] == "unit-done"]
-    assert done[0]["profile"]["counts"] == {"ACT": 4, "REF": 1}
-    # The event carries the unit's instrument dump as it is.
-    assert {key: done[0][key] for key in outcome.instruments} == \
-        outcome.instruments
-
-
 def test_watchdog_flags_stalled_unit_without_killing_the_run(tmp_path):
     config = _config(tmp_path, stall_deadline_s=0.3)
     run = run_units([WorkUnit(unit_id="t/wedged", fn=sleeping_unit,
@@ -178,3 +156,47 @@ def test_telemetry_is_resilient_to_unwritable_spool(tmp_path):
     # Sinks create the spool on demand; results never depend on it.
     assert run.values == [4]
     assert read_spool(missing) != []
+
+
+#: The fields every ``unit-done`` event carries; ``error`` and
+#: ``cached`` join them only on failed attempts and cache hits.
+DONE_FIELDS = {"kind", "ts", "seq", "run", "unit", "wall_s", "commands"}
+
+
+def test_spool_carries_progress_not_instrument_dumps(tmp_path):
+    units = (_units(recording_unit, [2, 3])
+             + [WorkUnit(unit_id="t/failing", fn=failing_unit, args=(1,))])
+    for workers in (1, 2):
+        store = tmp_path / f"store-w{workers}"
+        for label, cache in (("uncached", None),
+                             ("cold", ResultCache(store)),
+                             ("warm", ResultCache(store))):
+            spool = tmp_path / f"w{workers}-{label}"
+            obs = Observability.build(("evidence", "profile"))
+            run = run_units(units, workers, quarantine=True, obs=obs,
+                            telemetry=_config(spool, interval_s=0.05),
+                            cache=cache)
+            # The instruments still fold into the caller...
+            assert obs.profiler.counts == {"ACT": 2}
+            assert len(obs.evidence.nodes) == 2
+            # ...but no event carries what they recorded.
+            hits = {o.unit_id for o in run.outcomes if o.cached}
+            assert hits == ({"t/recording_unit-2", "t/recording_unit-3"}
+                            if label == "warm" else set())
+            events = read_spool(spool)
+            done = [e for e in events if e["kind"] == "unit-done"]
+            assert {e["unit"] for e in done} == \
+                {unit.unit_id for unit in units}
+            for event in done:
+                expected = set(DONE_FIELDS)
+                if event["unit"] == "t/failing":
+                    expected.add("error")
+                if event["unit"] in hits:
+                    expected.add("cached")
+                assert set(event) == expected, event
+            assert sorted(e["commands"] for e in done
+                          if "error" not in e) == [20, 30]
+            beats = [e for e in events if e["kind"] == "heartbeat"]
+            assert all("counters" not in beat for beat in beats)
+            # Executed units sleep past several heartbeat intervals.
+            assert beats or label == "warm"
