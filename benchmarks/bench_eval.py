@@ -1,38 +1,24 @@
-"""End-to-end evaluation benchmark: BENCH_eval.json.
+"""Settle microbenchmark: BENCH_eval.json.
 
-Measures the two performance layers this repo's evaluation stack is
-built on and writes the numbers to a machine-readable JSON file so perf
-PRs are measured, not asserted:
+Times the device hot path and writes the numbers to a machine-readable
+JSON file: cells settled per second through the vectorized
+``Bank.settle`` overlay versus a faithful reimplementation of the
+pre-vectorization per-cell dict loop (kept here, frozen, as the
+comparison baseline).  The first pass asserts both implementations
+commit the identical fault overlay.
 
-* **settle** — the device hot path.  Cells settled per second through
-  the vectorized ``Bank.settle`` overlay versus a faithful
-  reimplementation of the pre-vectorization per-cell dict loop (kept
-  here, frozen, as the comparison baseline).  The first pass asserts
-  both implementations commit the identical fault overlay.
-* **payload** — the command bus.  Commands per second through the
-  compiled-payload batch executor (``repro.program``) versus the
-  per-command reference interpreter, for a fusible hammer-heavy shape.
-  The first pass asserts the compiled ledger matches the per-command
-  one.
-* **figures / eval** — wall-clock per paper artifact (Figures 8, 9, 10)
-  at ``quick`` scale, sequential (``--workers 1``) versus the
-  ``repro.parallel`` process pool, plus modules evaluated per second.
-* **cache** — the result store.  A fig9 sweep run twice through one
-  ``repro.cache`` store: the cold pass executes and publishes every
-  unit, the warm pass must serve 100% hits with the identical rendered
-  artifact.  The warm-over-cold speedup is gated against an absolute
-  floor.
+End-to-end wall-clock per paper artifact is ``perfbench/``'s to
+measure; this script times no artifact.
 
-Regression checking (``--check baseline.json``) compares the
-**speedup ratios** (vectorized-over-legacy, compiled-over-per-command),
-not absolute rates: a ratio is a property of the code, so a baseline
-committed from one machine remains meaningful on CI runners with
-different clock speeds.  Absolute numbers are still recorded for
-humans reading the JSON.
+Regression checking (``--check baseline.json``) compares the settle
+**speedup ratio** (vectorized-over-legacy), not absolute rates: a ratio
+is a property of the code, so a baseline committed from one machine
+remains meaningful on CI runners with different clock speeds.  Absolute
+numbers are still recorded for humans reading the JSON.
 
 Usage::
 
-    python benchmarks/bench_eval.py --scale quick --out BENCH_eval.json
+    python benchmarks/bench_eval.py --out BENCH_eval.json
     python benchmarks/bench_eval.py --check benchmarks/BENCH_eval.json
 """
 
@@ -43,7 +29,6 @@ import json
 import os
 import pathlib
 import sys
-import tempfile
 import time
 
 try:
@@ -54,22 +39,11 @@ except ImportError:  # running from a checkout without pip install -e .
 
 import numpy as np
 
-from repro.cache import ResultCache
-from repro.dram import (AllOnes, DeviceConfig, DisturbanceConfig, DramChip,
-                        HammerMode, RetentionConfig)
+from repro.dram import AllOnes, DisturbanceConfig, RetentionConfig
 from repro.dram.bank import Bank
 from repro.dram.refresh import RefreshEngine
-from repro.eval import get_scale, run_fig8_many, run_fig9, run_fig10
-from repro.eval.fig8 import SWEEPS
-from repro.obs import Observability, build_manifest
-from repro.obs.history import RunHistory
-from repro.obs.live import TelemetryConfig, pool_breakdown, read_spool
-from repro.parallel import default_workers
-from repro.program import compile_program, execute_payload
+from repro.obs import build_manifest
 from repro.rng import SeedSequenceFactory
-from repro.softmc import SoftMCHost, SoftMCProgram
-
-DEFAULT_MODULES = ("A5", "B0", "C7")
 
 
 # -- settle microbenchmark -------------------------------------------------
@@ -290,265 +264,20 @@ def bench_settle(rows: int = 24, row_bits: int = 65536,
     }
 
 
-# -- compiled-payload microbenchmark ---------------------------------------
-
-def _payload_host() -> SoftMCHost:
-    """A TRR-free chip: the fused executor's best case (and the only
-    mechanism for which ACT-run fusion is provably exact)."""
-    config = DeviceConfig(
-        name="bench-payload", rows_per_bank=4096, refresh_cycle_refs=2048,
-        retention=RetentionConfig(weak_cells_per_row_mean=2.0,
-                                  vrt_fraction=0.0),
-        disturbance=DisturbanceConfig(hc_first=50_000))
-    return SoftMCHost(DramChip(config))
-
-
-def _hammer_heavy_program() -> SoftMCProgram:
-    """100 REF intervals of 60 identical double-sided hammer commands —
-    the sustained-pressure shape attack windows produce (e.g. vendor-B
-    dummy pressure), and the executor's fusible best case."""
-    body = SoftMCProgram()
-    for _ in range(60):
-        body.hammer(0, ((1000, 4), (1002, 4)), HammerMode.INTERLEAVED)
-    body.refresh(1)
-    return SoftMCProgram().loop(100, body)
-
-
-def _ledger(host: SoftMCHost) -> tuple:
-    chip = host._chip
-    return (host.now_ps, host.ref_count,
-            tuple(sorted(host.acts_per_bank.items())),
-            chip.stats.activates, chip.stats.refreshes)
-
-
-def bench_payload(repeats: int = 3) -> dict:
-    """Commands/sec, per-command interpreter vs compiled batch executor.
-
-    The **hammer-heavy** shape is timed: consecutive identical ACT
-    commands the executor fuses into closed-form multi-command settles.
-    The first pass asserts the compiled run's ledger — clock, REF/ACT
-    counters, chip stats — matches the per-command reference before any
-    timing is trusted.  Its ``speedup`` is gated in ``--check``.
-    """
-    program = _hammer_heavy_program()
-    reference_host = _payload_host()
-    program.run(reference_host)
-    reference = _ledger(reference_host)
-    payload = compile_program(program.instructions, reference_host.timing)
-    for fuse in (False, True):
-        host = _payload_host()
-        execute_payload(host, payload, fuse=fuse)
-        if _ledger(host) != reference:
-            raise AssertionError(
-                f"compiled hammer payload (fuse={fuse}) diverged from "
-                f"the per-command reference")
-
-    def timed(run_once) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            host = _payload_host()
-            start = time.perf_counter()
-            run_once(host)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    legacy = timed(lambda host: program.run(host))
-    compiled = timed(
-        lambda host: execute_payload(
-            host, compile_program(program.instructions, host.timing),
-            fuse=True))
-    commands = len(payload)
-    hammer = {
-        "commands": commands,
-        "acts": payload.total_acts(),
-        "per_command_seconds": round(legacy, 6),
-        "compiled_seconds": round(compiled, 6),
-        "per_command_cmds_per_sec": round(commands / legacy, 1),
-        "compiled_cmds_per_sec": round(commands / compiled, 1),
-        "speedup": round(legacy / compiled, 3),
-    }
-    return {"hammer": hammer, "speedup": hammer["speedup"]}
-
-
-# -- figure wall-clock -----------------------------------------------------
-
-def _timed(fn) -> tuple[float, object]:
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
-
-
-def parallel_speedup(sequential_s: float, parallel_s: float, workers: int,
-                     cpu_count: int) -> float | None:
-    """Sequential over parallel wall-clock, or ``None`` when the
-    "parallel" pass could not run two units at once (one worker or one
-    core): its ratio then measures pool and telemetry overhead on a
-    serial run, not a speedup."""
-    if workers < 2 or cpu_count < 2:
-        return None
-    return round(sequential_s / parallel_s, 3)
-
-
-def bench_figures(modules: list[str], scale, workers: int,
-                  cpu_count: int) -> dict:
-    """Wall-clock per figure, sequential vs the parallel engine.
-
-    The parallel pass runs with a throwaway telemetry spool
-    (heartbeats off) purely to harvest per-unit wall-clocks; the
-    resulting straggler / pool-overhead breakdown is what explains a
-    sub-1x ``parallel_speedup`` — e.g. one module dominating the
-    critical path while pool spawn + pickling add fixed cost.
-    """
-    fig8_modules = [m for m in modules if m in SWEEPS] or ["A5"]
-    runs = {
-        "fig8": (fig8_modules,
-                 lambda w, t: run_fig8_many(fig8_modules, scale,
-                                            workers=w, telemetry=t)),
-        "fig9": (modules,
-                 lambda w, t: run_fig9(modules, scale, workers=w,
-                                       telemetry=t)),
-        "fig10": (modules,
-                  lambda w, t: run_fig10(modules, scale, workers=w,
-                                         telemetry=t)),
-    }
-    figures = {}
-    for name, (ids, run) in runs.items():
-        sequential, _ = _timed(lambda: run(1, None))
-        with tempfile.TemporaryDirectory() as spool:
-            telemetry = TelemetryConfig(spool=spool,
-                                        run_id=f"bench.{name}",
-                                        heartbeats=False)
-            parallel, _ = _timed(lambda: run(workers, telemetry))
-            breakdown = pool_breakdown(read_spool(spool),
-                                       pool_wall_s=parallel,
-                                       workers=workers)
-        figures[name] = {
-            "modules": list(ids),
-            "sequential_seconds": round(sequential, 3),
-            "parallel_seconds": round(parallel, 3),
-            "parallel_speedup": parallel_speedup(sequential, parallel,
-                                                 workers, cpu_count),
-            "parallel_breakdown": breakdown,
-        }
-    return figures
-
-
-def bench_cache(modules: list[str], scale) -> dict:
-    """Cold vs warm fig9 sweep through one content-addressed store.
-
-    The cold pass executes every module unit and publishes its result
-    envelope; the warm pass — a fresh :class:`ResultCache` over the
-    same store, as a re-invoked CLI run would build — must serve every
-    unit from the store (100% hit ratio, zero executions) and render
-    the byte-identical artifact.  Both invariants are asserted before
-    the timing is trusted.  The headline ``speedup`` is warm-over-cold
-    wall clock; ``--check`` gates it against an absolute floor because
-    the ratio is a property of the code (fetch-and-replay vs execute),
-    not of the machine.
-    """
-    with tempfile.TemporaryDirectory() as root:
-        cold_s, cold = _timed(
-            lambda: run_fig9(modules, scale, workers=1,
-                             cache=ResultCache(root)))
-        warm_cache = ResultCache(root)
-        warm_s, warm = _timed(
-            lambda: run_fig9(modules, scale, workers=1,
-                             cache=warm_cache))
-        summary = warm_cache.summary()
-        if cold.render() != warm.render():
-            raise AssertionError(
-                "warm cache run rendered a different fig9 artifact "
-                "than the cold run")
-        if summary["hit_ratio"] != 1.0 or summary["misses"]:
-            raise AssertionError(
-                f"warm cache run was not 100% hits: {summary}")
-    return {
-        "modules": list(modules),
-        "cold_seconds": round(cold_s, 3),
-        "warm_seconds": round(warm_s, 3),
-        "speedup": round(cold_s / warm_s, 3),
-        "hits": summary["hits"],
-        "misses": summary["misses"],
-        "hit_ratio": summary["hit_ratio"],
-    }
-
-
-def bench_profile(modules: list[str], scale) -> dict:
-    """Per-opcode command-bus attribution for one sequential fig9 run.
-
-    Runs with a :class:`CommandProfiler` on the host hot path; the
-    report carries the opcode table plus the measured ``wall_s`` and
-    ``coverage``, the fraction of that wall the opcode rows explain
-    (the rest is Python-side work between commands).
-    """
-    obs = Observability.build(("profile",))
-    wall, _ = _timed(lambda: run_fig9(modules, scale, workers=1, obs=obs))
-    report = obs.profiler.as_dict()
-    report["wall_s"] = round(wall, 6)
-    report["coverage"] = round(obs.profiler.total_s / wall, 4)
-    return report
-
-
-def run_benchmarks(modules: list[str], scale_name: str, workers: int,
-                   profile: bool = False) -> dict:
-    scale = get_scale(scale_name)
-    print(f"[bench] settle microbenchmark "
-          f"(vectorized vs legacy loop) ...", flush=True)
+def run_benchmarks() -> dict:
+    print("[bench] settle microbenchmark (vectorized vs legacy loop) ...",
+          flush=True)
     settle = bench_settle()
     print(f"[bench]   {settle['vectorized_cells_per_sec']:,.0f} cells/s "
           f"vectorized vs {settle['legacy_cells_per_sec']:,.0f} legacy "
           f"({settle['speedup']:.1f}x)", flush=True)
-    print("[bench] compiled-payload microbenchmark "
-          "(batch executor vs per-command) ...", flush=True)
-    payload = bench_payload()
-    numbers = payload["hammer"]
-    print("[bench]   hammer: "
-          f"{numbers['compiled_cmds_per_sec']:,.0f} cmds/s compiled "
-          f"vs {numbers['per_command_cmds_per_sec']:,.0f} "
-          f"per-command ({numbers['speedup']:.1f}x)", flush=True)
-    print("[bench] result cache (cold vs warm fig9 sweep) ...",
-          flush=True)
-    cache = bench_cache(modules, scale)
-    print(f"[bench]   cold {cache['cold_seconds']:.1f}s, warm "
-          f"{cache['warm_seconds']:.2f}s ({cache['speedup']:.0f}x, "
-          f"hit ratio {cache['hit_ratio']:.0%})", flush=True)
-    print(f"[bench] figures at scale={scale_name} "
-          f"modules={','.join(modules)} workers={workers} ...", flush=True)
-    cpu_count = os.cpu_count() or 1
-    figures = bench_figures(modules, scale, workers, cpu_count)
-    for name, numbers in figures.items():
-        print(f"[bench]   {name}: {numbers['sequential_seconds']:.1f}s "
-              f"sequential, {numbers['parallel_seconds']:.1f}s with "
-              f"{workers} workers", flush=True)
-    fig9 = figures["fig9"]
-    results = {
+    return {
         "schema": 1,
-        "scale": scale_name,
-        "modules": list(modules),
-        "workers": workers,
-        "cpu_count": cpu_count,
+        "cpu_count": os.cpu_count() or 1,
         "settle": settle,
-        "payload": payload,
-        "cache": cache,
-        "figures": figures,
-        "eval": {
-            "modules_per_sec_sequential": round(
-                len(modules) / fig9["sequential_seconds"], 3),
-            "modules_per_sec_parallel": round(
-                len(modules) / fig9["parallel_seconds"], 3),
-        },
         "manifest": build_manifest(include_time=False,
                                    benchmark="bench_eval"),
     }
-    if profile:
-        print("[bench] command-bus profile (sequential fig9) ...",
-              flush=True)
-        results["profile"] = bench_profile(modules, scale)
-        print(f"[bench]   {results['profile']['commands']} commands, "
-              f"{results['profile']['total_s']:.2f}s on the command "
-              f"bus ({results['profile']['coverage']:.0%} of wall)",
-              flush=True)
-    return results
 
 
 # -- regression gate -------------------------------------------------------
@@ -557,16 +286,10 @@ def check_regression(current: dict, baseline_path: pathlib.Path,
                      tolerance: float) -> list[str]:
     """Machine-independent regression check against a committed baseline.
 
-    Only speedup *ratios* are gated — settle (vectorized vs legacy
-    loop), payload (compiled executor vs per-command interpreter,
-    hammer-heavy shape) and cache (warm fetch-and-replay vs cold
-    execution): each compares two code paths on the same machine, so
-    it transfers across runners.  Absolute wall-clock numbers in the
-    baseline are informational.  The cache ratio is gated only against
-    its absolute 10x floor, not baseline-relative tolerance: the warm
-    pass measures store I/O against unit execution, a ratio that spans
-    orders of magnitude with unit cost, so "within 25% of baseline"
-    would be noise.
+    Only the settle speedup *ratio* (vectorized vs legacy loop) is
+    gated: it compares two code paths on the same machine, so it
+    transfers across runners.  Absolute rates in the baseline are
+    informational.
     """
     baseline = json.loads(baseline_path.read_text())
     failures = []
@@ -581,128 +304,23 @@ def check_regression(current: dict, baseline_path: pathlib.Path,
     if current_speedup < 5.0:
         failures.append(
             f"settle speedup below the 5x floor: {current_speedup:.2f}x")
-    current_payload = current.get("payload", {}).get("hammer", {})
-    baseline_payload = baseline.get("payload", {}).get("hammer", {})
-    payload_speedup = current_payload.get("speedup")
-    if payload_speedup is not None:
-        payload_baseline = baseline_payload.get("speedup")
-        if payload_baseline is not None:
-            payload_floor = payload_baseline * (1.0 - tolerance)
-            if payload_speedup < payload_floor:
-                failures.append(
-                    f"payload speedup regressed: {payload_speedup:.2f}x < "
-                    f"{payload_floor:.2f}x ({payload_baseline:.2f}x "
-                    f"baseline - {tolerance:.0%} tolerance)")
-        if payload_speedup < 5.0:
-            failures.append(
-                f"payload (hammer) speedup below the 5x floor: "
-                f"{payload_speedup:.2f}x")
-    cache_speedup = current.get("cache", {}).get("speedup")
-    if cache_speedup is not None and cache_speedup < 10.0:
-        failures.append(
-            f"cache warm/cold speedup below the 10x floor: "
-            f"{cache_speedup:.2f}x")
-    cache_hit_ratio = current.get("cache", {}).get("hit_ratio")
-    if cache_hit_ratio is not None and cache_hit_ratio != 1.0:
-        failures.append(
-            f"warm cache pass was not 100% hits: {cache_hit_ratio:.0%}")
     return failures
-
-
-def report_parallel(results_path: pathlib.Path) -> int:
-    """Print the parallel speedups recorded in a results file.
-
-    Informational (always exits 0): parallel speedup depends on the
-    runner's core count, so it is reported in CI logs rather than gated.
-    A speedup recorded as ``null`` (one worker or one core) prints as
-    ``n/a``.
-    """
-    results = json.loads(results_path.read_text())
-    workers = results.get("workers")
-    cpu_count = results.get("cpu_count", "n/a")
-    print(f"[bench] parallel speedups at workers={workers} "
-          f"cpu_count={cpu_count} (from {results_path}):")
-    for name, figure in sorted(results.get("figures", {}).items()):
-        speedup = figure["parallel_speedup"]
-        shown = "n/a" if speedup is None else f"{speedup:.2f}x"
-        print(f"[bench]   {name}: {shown} "
-              f"({figure['sequential_seconds']:.1f}s -> "
-              f"{figure['parallel_seconds']:.1f}s)")
-        breakdown = figure.get("parallel_breakdown") or {}
-        stragglers = breakdown.get("stragglers")
-        if not stragglers:
-            continue
-        # A speedup below 1x decomposes into its two causes: the ideal
-        # wall (the slowest unit, or the unit work spread over the
-        # workers) and pool overhead (spawn, pickling, merge) on top.
-        worst = ", ".join(f"{s['unit']}={s['wall_s']:.1f}s"
-                          for s in stragglers)
-        print(f"[bench]     stragglers: {worst}")
-        print(f"[bench]     critical path {breakdown['max_unit_s']:.1f}s"
-              f" of {breakdown['sum_unit_s']:.1f}s total unit work; "
-              f"ideal {breakdown.get('ideal_s', 0.0):.1f}s, pool overhead "
-              f"{breakdown.get('overhead_s', 0.0):.1f}s")
-    eval_rates = results.get("eval", {})
-    print(f"[bench]   eval modules/sec: "
-          f"{eval_rates.get('modules_per_sec_sequential')} sequential, "
-          f"{eval_rates.get('modules_per_sec_parallel')} parallel")
-    profile = results.get("profile")
-    if profile:
-        print(f"[bench]   command bus: {profile.get('commands')} "
-              f"commands, {profile.get('total_s')}s "
-              f"(coverage {profile.get('coverage')})")
-    return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", default="quick",
-                        choices=("quick", "standard"))
-    parser.add_argument("--modules", default=",".join(DEFAULT_MODULES),
-                        help="comma-separated module ids "
-                             f"(default {','.join(DEFAULT_MODULES)})")
-    parser.add_argument("--workers", type=int, default=default_workers(),
-                        help="process-pool width for the parallel runs")
     parser.add_argument("--out", type=pathlib.Path,
                         default=pathlib.Path("BENCH_eval.json"))
     parser.add_argument("--check", type=pathlib.Path, default=None,
                         help="baseline BENCH_eval.json to gate against")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional regression vs baseline")
-    parser.add_argument("--report-parallel", type=pathlib.Path,
-                        default=None, metavar="RESULTS",
-                        help="print parallel speedups from an existing "
-                             "results file and exit")
-    parser.add_argument("--profile", action="store_true",
-                        help="additionally record per-opcode command-bus "
-                             "attribution for a sequential fig9 run")
-    parser.add_argument("--history", type=pathlib.Path, default=None,
-                        metavar="PATH",
-                        help="append the profiled run (wall + per-opcode "
-                             "seconds) to a run-history store so stage "
-                             "regressions gate across runs")
     args = parser.parse_args(argv)
 
-    if args.report_parallel is not None:
-        return report_parallel(args.report_parallel)
-
-    modules = [m.strip() for m in args.modules.split(",") if m.strip()]
-    results = run_benchmarks(modules, args.scale, max(args.workers, 1),
-                             profile=args.profile)
+    results = run_benchmarks()
     args.out.write_text(json.dumps(results, indent=2, sort_keys=True)
                         + "\n")
     print(f"[bench] wrote {args.out}")
-
-    if args.history is not None and args.profile:
-        profile = results.get("profile", {})
-        RunHistory(args.history).record(
-            "bench.profile",
-            manifest=results["manifest"],
-            wall_s=profile.get("wall_s"),
-            profile=profile.get("seconds"),
-            extra={"commands": profile.get("commands"),
-                   "coverage": profile.get("coverage")})
-        print(f"[bench] recorded profile history row in {args.history}")
 
     if args.check is not None:
         failures = check_regression(results, args.check, args.tolerance)

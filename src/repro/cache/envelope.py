@@ -21,9 +21,10 @@ from dataclasses import dataclass, field, fields
 from ..errors import CacheError
 
 #: 4-byte magic + 1-byte format version.  Version 3 stores only the
-#: dump that folds (no span timeline, no key material); an object of
-#: an older version reads as corrupt, i.e. a miss.
-MAGIC = b"RPRC\x03"
+#: dump that folds (no span timeline, no key material); version 4's
+#: metrics dump has no ``gauges`` member.  An object of an older
+#: version reads as corrupt, i.e. a miss.
+MAGIC = b"RPRC\x04"
 
 
 @dataclass

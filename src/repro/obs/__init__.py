@@ -7,8 +7,8 @@ into auditable artifacts:
 - :class:`TraceRecorder` — command-level JSONL traces (ACT/RD/WR/REF/
   WAIT with host timestamps and REF indices), streamed with bounded
   memory; :class:`NullRecorder` is the strict-no-op disabled path.
-- :class:`MetricsRegistry` — counters, gauges, and power-of-two
-  histograms threaded through Row Scout, TRR Analyzer, the calibrator,
+- :class:`MetricsRegistry` — counters and power-of-two histograms
+  threaded through Row Scout, TRR Analyzer, the calibrator,
   inference, the attack executor, and the fault injector.
 - :class:`SpanTracker` — nested wall-clock stage spans exported as a
   timeline.
@@ -114,19 +114,17 @@ class Observability:
 
         *instruments* holds names from :attr:`instruments`
         (``"evidence"``, ``"profile"``).  The bundle always has a
-        metrics registry; a span tracker with *spans* or when profiling
-        (the profiler attributes each command to the open span); a
-        command profiler and an evidence ledger when named.
+        metrics registry; a span tracker with *spans*; a command
+        profiler and an evidence ledger when named.
         """
-        tracker = (SpanTracker() if spans or "profile" in instruments
-                   else NullSpans())
         ledger = None
         if "evidence" in instruments:
             from .evidence import EvidenceLedger
             ledger = EvidenceLedger()
         return cls(recorder=recorder, metrics=MetricsRegistry(),
-                   spans=tracker, manifest=manifest,
-                   profiler=(CommandProfiler(spans=tracker)
+                   spans=SpanTracker() if spans else NullSpans(),
+                   manifest=manifest,
+                   profiler=(CommandProfiler()
                              if "profile" in instruments else None),
                    evidence=ledger)
 

@@ -44,7 +44,7 @@ def flatten_metrics(metrics) -> dict[str, float]:
     """One flat ``name -> number`` map from a metrics dump.
 
     *metrics* is a :class:`~repro.obs.MetricsRegistry` or its
-    ``as_dict`` form.  Counters and gauges keep their names; histograms
+    ``as_dict`` form.  Counters keep their names; histograms
     flatten to ``<name>.count`` / ``<name>.mean`` / ``<name>.max`` —
     the three facets a cross-run comparison can act on.
     """
@@ -52,7 +52,6 @@ def flatten_metrics(metrics) -> dict[str, float]:
         metrics = metrics.as_dict()
     flat: dict[str, float] = {}
     flat.update(metrics.get("counters", {}))
-    flat.update(metrics.get("gauges", {}))
     for name, dump in metrics.get("histograms", {}).items():
         flat[f"{name}.count"] = dump.get("count", 0)
         flat[f"{name}.mean"] = dump.get("mean", 0.0)
@@ -187,7 +186,7 @@ def gate(rows: list[dict], *, tolerance: float = 0.25,
          ) -> list[Regression]:
     """Flag the newest of *rows* (one kind) against a rolling baseline.
 
-    *tolerance* bounds the relative delta of each counter/gauge metric
+    *tolerance* bounds the relative delta of each counter metric
     (either direction — except :data:`EFFORT_METRIC_PREFIXES` names,
     which flag increases only).  *span_tolerance* bounds span
     wall-clocks (slower only — timing jitter makes "too fast"

@@ -4,11 +4,9 @@ Traces, metrics, and history rows exist only after a run finishes.
 This module is the *live* layer: every work unit publishes
 ``unit-start``, periodic ``heartbeat`` snapshots (commands issued, the
 open span) and ``unit-done`` (wall-clock, commands) into a **spool
-directory** of JSONL files, strictly off the artifact path.  Two
-readers consume the spool: the coordinator's :class:`Watchdog` flags
-stalled units while the sweep runs, and :func:`pool_breakdown` turns a
-finished run's unit wall-clocks into a straggler and pool-overhead
-breakdown (``benchmarks/bench_eval.py --report-parallel``).
+directory** of JSONL files, strictly off the artifact path.  One reader
+consumes the spool while the sweep runs: the coordinator's
+:class:`Watchdog`, which flags stalled units.
 
 Design rules:
 
@@ -135,7 +133,6 @@ class TelemetryConfig:
     run_id: str = "run"
     interval_s: float = 1.0
     stall_deadline_s: float | None = None
-    heartbeats: bool = True
 
     def sink(self, unit_id: str | None = None) -> TelemetrySink:
         return TelemetrySink(self.spool, TraceContext(run_id=self.run_id,
@@ -241,7 +238,9 @@ class Watchdog:
     command counter has not advanced within ``deadline_s``.  Judged on
     progress rather than heartbeat arrival: a wedged worker whose
     heartbeat thread still runs is exactly the case a deadline on raw
-    liveness would miss.
+    liveness would miss.  Only a unit's latest attempt (the events from
+    its last ``unit-start`` on) is judged: a failed attempt publishes
+    ``unit-done`` before the engine retries it.
     """
 
     def __init__(self, deadline_s: float) -> None:
@@ -253,6 +252,10 @@ class Watchdog:
             now = time.time()
         stalled: list[StalledUnit] = []
         for unit_id, unit_events in sorted(_by_unit(events).items()):
+            starts = [index for index, event in enumerate(unit_events)
+                      if event.get("kind") == "unit-start"]
+            if starts:
+                unit_events = unit_events[starts[-1]:]
             if any(e.get("kind") == "unit-done" for e in unit_events):
                 continue
             progress_ts = unit_events[0].get("ts", now)
@@ -275,38 +278,3 @@ class Watchdog:
                                            last_kind=last_kind,
                                            span=span))
         return stalled
-
-
-def pool_breakdown(events: list[dict], pool_wall_s: float | None = None,
-                   workers: int = 1) -> dict:
-    """Straggler and overhead breakdown from one run's spool events.
-
-    With *pool_wall_s* (the coordinator-measured wall-clock of the
-    whole run on *workers* processes) the breakdown reports the wall a
-    perfect pool would need, ``ideal_s`` (the slowest unit, or the
-    summed unit walls spread evenly over the workers, whichever is
-    longer), and ``overhead_s``, the pool wall beyond it: spawn,
-    pickling, merge and scheduling imbalance.
-    """
-    # A retried unit publishes one ``unit-done`` per attempt; the last
-    # is the attempt whose wall its outcome carries.
-    walls = {event["unit"]: event.get("wall_s", 0.0) for event in events
-             if event.get("kind") == "unit-done" and "unit" in event}
-    if not walls:
-        return {"unit_walls": {}, "stragglers": []}
-    ordered = sorted(walls.items(), key=lambda kv: -kv[1])
-    breakdown = {
-        "unit_walls": {unit: round(wall, 6)
-                       for unit, wall in sorted(walls.items())},
-        "stragglers": [{"unit": unit, "wall_s": round(wall, 6)}
-                       for unit, wall in ordered[:3]],
-        "sum_unit_s": round(sum(walls.values()), 6),
-        "max_unit_s": round(ordered[0][1], 6),
-    }
-    if pool_wall_s is not None:
-        ideal = max(ordered[0][1], sum(walls.values()) / workers)
-        breakdown["pool_wall_s"] = round(pool_wall_s, 6)
-        breakdown["workers"] = workers
-        breakdown["ideal_s"] = round(ideal, 6)
-        breakdown["overhead_s"] = round(max(pool_wall_s - ideal, 0.0), 6)
-    return breakdown

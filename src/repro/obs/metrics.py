@@ -1,4 +1,4 @@
-"""Zero-dependency metrics: counters, gauges, and histograms.
+"""Zero-dependency metrics: counters and histograms.
 
 A :class:`MetricsRegistry` is the pipeline's quantitative memory — how
 many hammers landed per REF window, how many validation rounds were
@@ -91,22 +91,18 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and histograms for one run."""
+    """Named counters and histograms for one run."""
 
     enabled = True
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- writers -------------------------------------------------------------
 
     def inc(self, name: str, value: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         histogram = self._histograms.get(name)
@@ -124,11 +120,10 @@ class MetricsRegistry:
     def merge(self, other) -> None:
         """Fold another registry (or an ``as_dict`` dump) into this one.
 
-        Counters and histogram counts add; gauges take the other side's
-        value (last writer wins, matching ``set_gauge`` semantics).  The
-        parallel engine uses this to fold each work unit's metrics into
-        the parent registry, so a ``--workers N`` run exports the same
-        totals as a sequential one.
+        Counters and histogram counts add.  The parallel engine uses
+        this to fold each work unit's metrics into the parent registry,
+        so a ``--workers N`` run exports the same totals as a sequential
+        one.
         """
         if isinstance(other, dict):
             data = other
@@ -138,8 +133,6 @@ class MetricsRegistry:
             data = other.as_dict()
         for name, value in data.get("counters", {}).items():
             self.inc(name, value)
-        for name, value in data.get("gauges", {}).items():
-            self.set_gauge(name, value)
         for name, dump in data.get("histograms", {}).items():
             histogram = self._histograms.get(name)
             if histogram is None:
@@ -151,7 +144,6 @@ class MetricsRegistry:
     def as_dict(self) -> dict:
         return {
             "counters": dict(sorted(self._counters.items())),
-            "gauges": dict(sorted(self._gauges.items())),
             "histograms": {name: histogram.as_dict()
                            for name, histogram
                            in sorted(self._histograms.items())},
@@ -166,9 +158,6 @@ class NullMetrics:
     def inc(self, name: str, value: int = 1) -> None:
         pass
 
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
     def observe(self, name: str, value: float) -> None:
         pass
 
@@ -179,4 +168,4 @@ class NullMetrics:
         pass
 
     def as_dict(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}, "histograms": {}}

@@ -3,7 +3,7 @@
 The span layer answers "which pipeline *stage* is slow"; this module
 answers the layer below: which DDR **opcode** (ACT / RD / WR / REF /
 WAIT) the :class:`~repro.softmc.SoftMCHost` hot path spends its wall
-time executing, attributed per stage via the currently-open span.
+time executing.
 
 :class:`CommandProfiler` does exact per-opcode wall-time accounting.
 The host brackets every command with two ``perf_counter`` reads when a
@@ -27,35 +27,20 @@ OPCODES = ("ACT", "RD", "WR", "REF", "WAIT")
 
 
 class CommandProfiler:
-    """Per-opcode (and per-stage) wall-time attribution.
-
-    *spans*, when given, is a :class:`~repro.obs.SpanTracker`; each
-    sample is attributed to the innermost open span at the time the
-    command retired, giving a (stage × opcode) breakdown for free.
-    """
+    """Per-opcode wall-time attribution."""
 
     enabled = True
 
-    def __init__(self, spans=None) -> None:
-        self._spans = spans if (spans is not None
-                                and getattr(spans, "enabled", False)) \
-            else None
+    def __init__(self) -> None:
         #: opcode -> total seconds.
         self.seconds: dict[str, float] = {}
         #: opcode -> command count.
         self.counts: dict[str, int] = {}
-        #: stage name -> opcode -> seconds.
-        self.stages: dict[str, dict[str, float]] = {}
 
     def add(self, opcode: str, seconds: float) -> None:
         """Account one retired command (called from the host hot path)."""
         self.seconds[opcode] = self.seconds.get(opcode, 0.0) + seconds
         self.counts[opcode] = self.counts.get(opcode, 0) + 1
-        if self._spans is not None:
-            stage = self._spans.current_name()
-            if stage is not None:
-                per_op = self.stages.setdefault(stage, {})
-                per_op[opcode] = per_op.get(opcode, 0.0) + seconds
 
     def add_bulk(self, opcode: str, count: int, seconds: float) -> None:
         """Account *count* commands retired by one batched bracket.
@@ -67,11 +52,6 @@ class CommandProfiler:
         """
         self.seconds[opcode] = self.seconds.get(opcode, 0.0) + seconds
         self.counts[opcode] = self.counts.get(opcode, 0) + count
-        if self._spans is not None:
-            stage = self._spans.current_name()
-            if stage is not None:
-                per_op = self.stages.setdefault(stage, {})
-                per_op[opcode] = per_op.get(opcode, 0.0) + seconds
 
     @property
     def total_s(self) -> float:
@@ -94,20 +74,12 @@ class CommandProfiler:
                                     + seconds)
         for opcode, count in dump.get("counts", {}).items():
             self.counts[opcode] = self.counts.get(opcode, 0) + count
-        for stage, per_op in dump.get("stages", {}).items():
-            mine = self.stages.setdefault(stage, {})
-            for opcode, seconds in per_op.items():
-                mine[opcode] = mine.get(opcode, 0.0) + seconds
 
     def as_dict(self) -> dict:
         return {
             "seconds": {op: round(s, 6) for op, s
                         in sorted(self.seconds.items())},
             "counts": dict(sorted(self.counts.items())),
-            "stages": {stage: {op: round(s, 6) for op, s
-                               in sorted(per_op.items())}
-                       for stage, per_op
-                       in sorted(self.stages.items())},
             "total_s": round(self.total_s, 6),
             "commands": self.commands,
         }
@@ -153,7 +125,6 @@ class NullProfiler:
     enabled = False
     seconds: dict[str, float] = {}
     counts: dict[str, int] = {}
-    stages: dict[str, dict[str, float]] = {}
     total_s = 0.0
     commands = 0
 

@@ -41,8 +41,8 @@ What does NOT come for free is *reproducibility discipline*:
   directory; nothing telemetry-derived ever reaches the metrics fold
   or a rendered artifact, so enabling it cannot perturb byte-identity.
   ``stall_deadline_s`` arms a coordinator-side
-  :class:`~repro.obs.live.Watchdog` that flags pool units whose
-  command counters stop advancing.
+  :class:`~repro.obs.live.Watchdog`, the spool's one reader, that flags
+  pool units whose latest attempt's command counters stop advancing.
 * **Results are cacheable** — a caller-supplied
   :class:`~repro.cache.ResultCache` makes the engine consult a
   content-addressed store before dispatching each unit and publish the
@@ -224,10 +224,8 @@ def _execute(unit: WorkUnit, instruments: tuple = (),
     heartbeat = None
     if sink is not None:
         _publish(sink, "unit-start", pid=os.getpid())
-        if telemetry.heartbeats:
-            heartbeat = Heartbeat(sink, metrics=obs.metrics,
-                                  spans=obs.spans,
-                                  interval_s=telemetry.interval_s).start()
+        heartbeat = Heartbeat(sink, metrics=obs.metrics, spans=obs.spans,
+                              interval_s=telemetry.interval_s).start()
     _unit_obs = obs
     outcome = UnitOutcome(unit_id=unit.unit_id)
     start = perf_counter()

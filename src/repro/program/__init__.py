@@ -1,7 +1,7 @@
 """Compiled command payloads — the DDR program DSL's payload layer.
 
 ``repro.program`` turns a :class:`~repro.softmc.SoftMCProgram`'s
-instruction list into a flat :class:`CompiledPayload` — loop-unrolled,
+instruction list into a flat :class:`CompiledPayload` —
 ``dt``-scheduled numpy command columns plus interned operand tables —
 and executes it with a batch interpreter whose command stream is
 byte-identical to the per-command reference interpreter

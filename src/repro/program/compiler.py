@@ -1,14 +1,13 @@
 """Compile :class:`~repro.softmc.SoftMCProgram` instructions to payloads.
 
-The pipeline mirrors the unroll → intern → schedule shape of real
-payload compilers: loops are unrolled, hammer batches interned into
-side tables, and each command's fault-free clock advance (``dt``)
-scheduled from the module's :class:`~repro.dram.TimingParameters`.
-Interning means an unrolled loop's N copies of one ``Hammer``
-instruction share a single prebuilt :class:`~repro.dram.ActBatch`,
-which is also how the compiler discovers fusion groups — runs of
-identical consecutive ACT commands the executor may hand to the chip in
-one pass.
+The pipeline mirrors the intern → schedule shape of real payload
+compilers: hammer batches are interned into side tables, and each
+command's fault-free clock advance (``dt``) scheduled from the module's
+:class:`~repro.dram.TimingParameters`.  Interning means N copies of
+one ``Hammer`` instruction share a single prebuilt
+:class:`~repro.dram.ActBatch`, which is also how the compiler discovers
+fusion groups — runs of identical consecutive ACT commands the executor
+may hand to the chip in one pass.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from ..softmc.program import (Hammer, Instruction, Loop, MultiHammer,
-                              Refresh, Wait)
+from ..softmc.program import (Hammer, Instruction, MultiHammer, Refresh,
+                              Wait)
 from .ops import (FLAG_NOMINAL, OP_ACT, OP_MULTI, OP_REF, OP_WAIT,
                   CompiledPayload)
 
@@ -96,24 +95,9 @@ class _Emitter:
             elif isinstance(instruction, Wait):
                 self.emit(OP_WAIT, instruction.duration_ps,
                           instruction.duration_ps)
-            elif isinstance(instruction, Loop):
-                self.unroll(instruction)
             else:
                 raise ConfigError(
                     f"unknown instruction {type(instruction).__name__}")
-
-    def unroll(self, loop: Loop) -> None:
-        """Emit *loop*'s body ``loop.times`` times.
-
-        The body is walked once and its commands copied: interning is
-        idempotent, so a further walk would emit the same columns.
-        """
-        if loop.times <= 0:
-            return
-        start = len(self.opcode)
-        self.walk(loop.body)
-        for column in (self.opcode, self.arg, self.dt, self.flags):
-            column.extend(column[start:] * (loop.times - 1))
 
     def finish(self) -> CompiledPayload:
         opcode = np.asarray(self.opcode, dtype=np.uint8)

@@ -49,7 +49,7 @@ FLAG_NOMINAL = 0x01
 
 @dataclass(frozen=True)
 class CompiledPayload:
-    """A compiled, loop-unrolled command payload."""
+    """A compiled command payload."""
 
     opcode: np.ndarray
     arg: np.ndarray
@@ -76,15 +76,3 @@ class CompiledPayload:
         present, tallies = np.unique(self.opcode, return_counts=True)
         return {OPCODE_NAMES[int(op)]: int(n)
                 for op, n in zip(present, tallies)}
-
-    def total_acts(self) -> int:
-        """Row activations the payload issues."""
-        acts = 0
-        ops = self.opcode
-        args = self.arg
-        for index in np.flatnonzero(ops == OP_ACT):
-            acts += self.batches[int(args[index])].total
-        for index in np.flatnonzero(ops == OP_MULTI):
-            acts += sum(batch.total
-                        for batch in self.multis[int(args[index])])
-        return acts

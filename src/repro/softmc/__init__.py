@@ -2,15 +2,13 @@
 
 from .bus import Ddr, DdrBus, TimedCommand
 from .interface import SoftMCHost
-from .program import (Hammer, Loop, MultiHammer, Refresh, SoftMCProgram,
-                      Wait)
+from .program import Hammer, MultiHammer, Refresh, SoftMCProgram, Wait
 
 __all__ = [
     "Ddr",
     "DdrBus",
     "TimedCommand",
     "Hammer",
-    "Loop",
     "MultiHammer",
     "Refresh",
     "SoftMCHost",

@@ -4,7 +4,7 @@ Real SoftMC experiments are compiled instruction sequences shipped to the
 FPGA and looped.  This module mirrors that shape for the one thing this
 repository compiles, attack windows: a :class:`SoftMCProgram` holds the
 commands a captured window issues — hammers, multi-bank hammers, REFs
-and waits, optionally looped — and the attack executor compiles it with
+and waits — and the attack executor compiles it with
 :func:`repro.program.compile_program` and re-executes the payload.  The
 imperative :class:`~repro.softmc.interface.SoftMCHost` API remains the
 primary interface; :meth:`SoftMCProgram.run` is the per-command
@@ -58,15 +58,7 @@ class Wait:
     duration_ps: int
 
 
-@dataclass(frozen=True)
-class Loop:
-    """Repeat a block of instructions *times* times."""
-
-    times: int
-    body: tuple["Instruction", ...]
-
-
-Instruction = Hammer | MultiHammer | Refresh | Wait | Loop
+Instruction = Hammer | MultiHammer | Refresh | Wait
 
 
 class SoftMCProgram:
@@ -101,10 +93,6 @@ class SoftMCProgram:
         self.instructions.append(Wait(duration_ps))
         return self
 
-    def loop(self, times: int, body: "SoftMCProgram") -> "SoftMCProgram":
-        self.instructions.append(Loop(times, tuple(body.instructions)))
-        return self
-
     # Execution -----------------------------------------------------------
 
     def run(self, host: SoftMCHost) -> None:
@@ -114,25 +102,18 @@ class SoftMCProgram:
         program.instructions, host.timing))`` issues the byte-identical
         command stream in one batch.
         """
-        _run_block(host, self.instructions)
-
-
-def _run_block(host: SoftMCHost, block) -> None:
-    for instruction in block:
-        if isinstance(instruction, Hammer):
-            host.hammer(instruction.bank, instruction.pattern,
-                        instruction.mode)
-        elif isinstance(instruction, MultiHammer):
-            host.hammer_multi(
-                {bank: rows for bank, rows in instruction.per_bank},
-                instruction.mode)
-        elif isinstance(instruction, Refresh):
-            host.refresh(instruction.count, instruction.at_nominal_rate)
-        elif isinstance(instruction, Wait):
-            host.wait(instruction.duration_ps)
-        elif isinstance(instruction, Loop):
-            for _ in range(instruction.times):
-                _run_block(host, instruction.body)
-        else:
-            raise ConfigError(
-                f"unknown instruction {type(instruction).__name__}")
+        for instruction in self.instructions:
+            if isinstance(instruction, Hammer):
+                host.hammer(instruction.bank, instruction.pattern,
+                            instruction.mode)
+            elif isinstance(instruction, MultiHammer):
+                host.hammer_multi(
+                    {bank: rows for bank, rows in instruction.per_bank},
+                    instruction.mode)
+            elif isinstance(instruction, Refresh):
+                host.refresh(instruction.count, instruction.at_nominal_rate)
+            elif isinstance(instruction, Wait):
+                host.wait(instruction.duration_ps)
+            else:
+                raise ConfigError(
+                    f"unknown instruction {type(instruction).__name__}")

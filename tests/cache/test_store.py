@@ -34,7 +34,7 @@ def test_codec_rejects_torn_and_foreign_blobs():
         decode(blob[:8])                       # truncated
     with pytest.raises(CacheError):
         decode(b"XXXX\x03" + blob[5:])         # bad magic
-    for version in (b"\x01", b"\x02"):        # previous format versions
+    for version in (b"\x01", b"\x02", b"\x03"):  # previous versions
         with pytest.raises(CacheError):
             decode(b"RPRC" + version + blob[5:])
     flipped = bytearray(blob)
@@ -62,7 +62,7 @@ def test_absent_key_is_a_miss(tmp_path):
 
 def test_corrupt_object_reads_as_miss_and_is_evicted(tmp_path):
     for corrupt in (lambda blob: blob[:10],            # a torn write
-                    lambda blob: b"RPRC\x02" + blob[5:]):  # format 2
+                    lambda blob: b"RPRC\x03" + blob[5:]):  # format 3
         cache = ResultCache(tmp_path)
         envelope = _envelope()
         cache.publish(envelope)

@@ -68,7 +68,7 @@ def test_worker_count_and_telemetry_do_not_split_the_store(tmp_path):
     run_fig8_many(sweeps, TINY, workers=1,
                   cache=ResultCache(tmp_path / "store"))
     telemetry = TelemetryConfig(spool=str(tmp_path / "spool"),
-                                run_id="warm", heartbeats=False)
+                                run_id="warm", interval_s=60.0)
     warm_cache = ResultCache(tmp_path / "store")
     run_fig8_many(sweeps, TINY, workers=2, telemetry=telemetry,
                   cache=warm_cache)

@@ -16,7 +16,7 @@ def _registry():
     metrics = MetricsRegistry()
     metrics.inc("host.acts", 24)
     metrics.inc("host.refs", 5)
-    metrics.set_gauge("scout.groups", 3)
+    metrics.inc("scout.groups", 3)
     metrics.observe("rowscout.retention_ms", 64)
     metrics.observe("rowscout.retention_ms", 200)
     return metrics

@@ -1,10 +1,9 @@
-"""Live telemetry spool: transport, watchdog, pool breakdown.
+"""Live telemetry spool: transport and watchdog.
 
 These tests exercise the coordinator-facing half of the live layer
 without a process pool: sinks write JSONL events into a spool directory
-and the pure readers (:class:`Watchdog`, :func:`pool_breakdown`)
-summarize them.  The engine-integration half lives in
-``tests/parallel/test_telemetry.py``.
+and the pure reader (:class:`Watchdog`) judges them.  The
+engine-integration half lives in ``tests/parallel/test_telemetry.py``.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ import json
 
 from repro.obs import MetricsRegistry, SpanTracker
 from repro.obs.live import (Heartbeat, TelemetryConfig, TelemetrySink,
-                            TraceContext, Watchdog, pool_breakdown,
-                            read_spool, spool_filename)
+                            TraceContext, Watchdog, read_spool,
+                            spool_filename)
 
 
 def test_spool_filename_is_safe_and_collision_tagged():
@@ -120,43 +119,6 @@ class TestWatchdog:
         events = read_spool(tmp_path)
         watchdog = Watchdog(deadline_s=1.0)
         assert watchdog.scan(events, now=started + 1000.0) == []
-
-
-def test_pool_breakdown_attributes_overhead(tmp_path):
-    for unit, wall in (("t/a", 4.0), ("t/b", 1.0), ("t/c", 2.0),
-                       ("t/d", 0.5)):
-        sink = TelemetrySink(tmp_path, TraceContext("run", unit))
-        sink.publish("unit-done", wall_s=wall)
-    breakdown = pool_breakdown(read_spool(tmp_path), pool_wall_s=5.0,
-                               workers=2)
-    assert breakdown["sum_unit_s"] == 7.5
-    assert breakdown["max_unit_s"] == 4.0
-    # The straggler bounds two workers: 7.5 / 2 < 4.
-    assert breakdown["ideal_s"] == 4.0
-    assert breakdown["overhead_s"] == 1.0
-    assert [s["unit"] for s in breakdown["stragglers"]] == \
-        ["t/a", "t/c", "t/b"]
-    assert pool_breakdown([]) == {"unit_walls": {}, "stragglers": []}
-
-
-def test_pool_breakdown_spreads_unit_work_over_workers(tmp_path):
-    for unit, wall in (("t/a", 3.0), ("t/b", 3.0), ("t/c", 3.0),
-                       ("t/d", 1.0)):
-        sink = TelemetrySink(tmp_path, TraceContext("run", unit))
-        sink.publish("unit-done", wall_s=wall)
-    events = read_spool(tmp_path)
-    # 10 s of unit work cannot finish in under 5 s on two workers, so
-    # only the second past that is pool overhead, not the 3 s past the
-    # slowest unit.
-    breakdown = pool_breakdown(events, pool_wall_s=6.0, workers=2)
-    assert breakdown["workers"] == 2
-    assert breakdown["ideal_s"] == 5.0
-    assert breakdown["overhead_s"] == 1.0
-    # A serial run's ideal is all of its unit work; a faster wall than
-    # that clamps the overhead at zero.
-    serial = pool_breakdown(events, pool_wall_s=9.5)
-    assert serial["ideal_s"] == 10.0
-    assert serial["overhead_s"] == 0.0
 
 
 def test_events_are_one_json_object_per_line(tmp_path):

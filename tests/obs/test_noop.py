@@ -44,5 +44,4 @@ def test_null_bundle_shape():
     with NULL_OBS.span("noop"):
         pass
     assert NULL_OBS.spans.as_timeline() == []
-    assert NULL_OBS.metrics.as_dict() == {
-        "counters": {}, "gauges": {}, "histograms": {}}
+    assert NULL_OBS.metrics.as_dict() == {"counters": {}, "histograms": {}}

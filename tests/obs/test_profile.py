@@ -1,4 +1,4 @@
-"""Command-bus profiler: per-opcode and per-stage attribution.
+"""Command-bus profiler: per-opcode attribution.
 
 The conftest ``drive()`` workload issues a fixed command mix — 3 ACT,
 2 RD, 2 REF, 1 WR, 1 WAIT — so opcode *counts* are exact assertions;
@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import time
 
-from repro.obs import (CommandProfiler, NullProfiler, Observability,
-                       SpanTracker)
+from repro.obs import CommandProfiler, NullProfiler, Observability
 
 from .conftest import drive, small_host
 
@@ -43,26 +42,11 @@ def test_host_profile_covers_measured_wall():
     assert profiler.total_s >= 0.5 * wall
 
 
-def test_stage_attribution_follows_open_span():
-    spans = SpanTracker()
-    profiler = CommandProfiler(spans=spans)
-    host = small_host(obs=Observability(spans=spans, profiler=profiler))
-    with spans.span("scout"):
-        host.hammer_single(0, 100, 5)
-        with spans.span("verify"):
-            host.read_row(0, 100)
-    host.refresh(1)  # outside any span: opcode-only attribution
-    assert set(profiler.stages) == {"scout", "verify"}
-    assert set(profiler.stages["scout"]) == {"ACT"}
-    assert set(profiler.stages["verify"]) == {"RD"}
-    assert profiler.counts["REF"] == 1
-
-
 def test_profiler_merge_folds_dumps_and_instances():
     left = CommandProfiler()
     left.add("ACT", 0.25)
     left.add("RD", 0.5)
-    right = CommandProfiler(spans=None)
+    right = CommandProfiler()
     right.add("ACT", 0.75)
     left.merge(right)            # instance form
     left.merge(right.as_dict())  # dict form (what pool workers ship)
@@ -70,17 +54,6 @@ def test_profiler_merge_folds_dumps_and_instances():
     assert abs(left.seconds["ACT"] - 1.75) < 1e-9
     left.merge(NullProfiler())   # disabled profilers fold to nothing
     assert left.commands == 4
-
-
-def test_profiler_merge_folds_stage_breakdowns():
-    spans = SpanTracker()
-    worker = CommandProfiler(spans=spans)
-    with spans.span("scout"):
-        worker.add("ACT", 0.1)
-    folded = CommandProfiler()
-    folded.merge(worker.as_dict())
-    folded.merge(worker.as_dict())
-    assert abs(folded.stages["scout"]["ACT"] - 0.2) < 1e-9
 
 
 def test_render_table_and_coverage():

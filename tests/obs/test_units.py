@@ -36,10 +36,10 @@ def test_empty_histogram_mean_is_zero():
 # -- registry ----------------------------------------------------------------
 
 def test_registry_counters_gauges_histograms():
+    # A registry exports counters and histograms; it has no gauges.
     metrics = MetricsRegistry()
     metrics.inc("scout.rows")
     metrics.inc("scout.rows", 4)
-    metrics.set_gauge("host.temp_c", 45.0)
     metrics.observe("acts_per_ref", 12)
     metrics.observe("acts_per_ref", 20)
 
@@ -47,8 +47,8 @@ def test_registry_counters_gauges_histograms():
     assert metrics.counter("missing") == 0
 
     exported = metrics.as_dict()
+    assert set(exported) == {"counters", "histograms"}
     assert exported["counters"] == {"scout.rows": 5}
-    assert exported["gauges"] == {"host.temp_c": 45.0}
     assert exported["histograms"]["acts_per_ref"]["count"] == 2
 
 
@@ -81,21 +81,17 @@ def test_histogram_merge_exact():
 def test_registry_merge_folds_all_families():
     parent, child = MetricsRegistry(), MetricsRegistry()
     parent.inc("host.acts", 10)
-    parent.set_gauge("scale", 1.0)
     child.inc("host.acts", 5)
     child.inc("host.refs", 2)
-    child.set_gauge("scale", 2.0)
     child.observe("acts_per_ref", 8)
     parent.merge(child)
     assert parent.counter("host.acts") == 15
     assert parent.counter("host.refs") == 2
     folded = parent.as_dict()
-    assert folded["gauges"]["scale"] == 2.0  # last writer wins
     assert folded["histograms"]["acts_per_ref"]["count"] == 1
     # Merging the dict dump gives the same totals.
     dumped = MetricsRegistry()
     dumped.inc("host.acts", 10)
-    dumped.set_gauge("scale", 1.0)
     dumped.merge(child.as_dict())
     assert dumped.as_dict() == parent.as_dict()
     # Disabled registries fold as nothing.
@@ -107,11 +103,9 @@ def test_null_metrics_is_inert():
     metrics = NullMetrics()
     metrics.inc("x")
     metrics.observe("y", 3)
-    metrics.set_gauge("z", 1.0)
     assert metrics.enabled is False
     assert metrics.counter("x") == 0
-    assert metrics.as_dict() == {"counters": {}, "gauges": {},
-                                 "histograms": {}}
+    assert metrics.as_dict() == {"counters": {}, "histograms": {}}
 
 
 # -- spans -------------------------------------------------------------------

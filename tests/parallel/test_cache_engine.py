@@ -235,7 +235,7 @@ def test_telemetry_counts_cached_units_as_done(tmp_path):
     store = tmp_path / "store"
     run_units(units, workers=1, cache=ResultCache(store))
     telemetry = TelemetryConfig(spool=str(tmp_path / "spool"),
-                                run_id="warm", heartbeats=False)
+                                run_id="warm", interval_s=60.0)
     warm_cache = ResultCache(store)
     run_units(units, workers=1, cache=warm_cache, telemetry=telemetry)
     events = read_spool(telemetry.spool)

@@ -11,11 +11,12 @@ is flagged without killing the run.
 
 from __future__ import annotations
 
+import pathlib
 import time
 
 from repro.cache import ResultCache
 from repro.obs import CommandProfiler, MetricsRegistry, Observability
-from repro.obs.live import TelemetryConfig, pool_breakdown, read_spool
+from repro.obs.live import TelemetryConfig, read_spool
 from repro.parallel import WorkUnit, run_units, unit_observability
 
 
@@ -50,6 +51,16 @@ def profiled_unit(n: int) -> int:
 
 
 def sleeping_unit(seconds: float) -> str:
+    time.sleep(seconds)
+    return "slept"
+
+
+def flaky_sleeping_unit(marker: str, seconds: float) -> str:
+    """Raises on its first attempt (leaving *marker*); a retry sleeps."""
+    path = pathlib.Path(marker)
+    if not path.exists():
+        path.write_text("failed once")
+        raise RuntimeError("first attempt fails")
     time.sleep(seconds)
     return "slept"
 
@@ -101,16 +112,13 @@ def test_spool_metrics_match_caller_fold_for_any_worker_count(tmp_path):
 
 def test_outcomes_carry_wall_clock_and_stragglers(tmp_path):
     run = run_units(_units(metered_unit, [1, 2, 3, 4]), 2,
-                    telemetry=_config(tmp_path, heartbeats=False))
+                    telemetry=_config(tmp_path, interval_s=60.0))
     walls = {o.unit_id: o.wall_s for o in run.outcomes}
     assert all(wall >= 0 for wall in walls.values())
-    # The spool's unit-done walls are the outcomes' walls, and rank
-    # the stragglers slowest first.
-    breakdown = pool_breakdown(read_spool(tmp_path))
-    assert breakdown["unit_walls"] == walls
-    stragglers = [entry["wall_s"] for entry in breakdown["stragglers"]]
-    assert len(stragglers) == 3
-    assert stragglers == sorted(walls.values(), reverse=True)[:3]
+    # Each unit's last unit-done wall is its outcome's wall.
+    done = {e["unit"]: e["wall_s"] for e in read_spool(tmp_path)
+            if e["kind"] == "unit-done"}
+    assert done == walls
     # Inline runs measure walls too — same envelope contract.
     inline = run_units(_units(metered_unit, [1, 2]), 1)
     assert all(o.wall_s is not None for o in inline.outcomes)
@@ -139,6 +147,18 @@ def test_watchdog_flags_stalled_unit_without_killing_the_run(tmp_path):
     assert run.stalled[0].age_s > 0.3
     kinds = [e["kind"] for e in read_spool(tmp_path)]
     assert "unit-stalled" in kinds
+
+
+def test_watchdog_flags_a_retry_that_wedges(tmp_path):
+    # The first attempt raises and publishes unit-done (with its error)
+    # before the engine retries the unit; the retry then stands still.
+    config = _config(tmp_path / "spool", stall_deadline_s=0.3)
+    unit = WorkUnit(unit_id="t/flaky", fn=flaky_sleeping_unit,
+                    args=(str(tmp_path / "failed-once"), 1.5))
+    run = run_units([unit], 2, telemetry=config)
+    assert run.values == ["slept"]
+    assert run.outcomes[0].attempts == 2
+    assert [stall.unit_id for stall in run.stalled] == ["t/flaky"]
 
 
 def test_no_stalls_reported_without_a_deadline(tmp_path):

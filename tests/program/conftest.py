@@ -35,12 +35,12 @@ def mixed_program() -> SoftMCProgram:
     produces.  :func:`run_between_readbacks` with :data:`MIXED_ROWS`
     observes the decay.
     """
-    body = SoftMCProgram()
-    for _ in range(8):
-        body.hammer(0, ((1000, 6), (1002, 6)), HammerMode.INTERLEAVED)
-    body.refresh(1)
     program = SoftMCProgram()
-    program.loop(10, body)
+    for _ in range(10):
+        for _ in range(8):
+            program.hammer(0, ((1000, 6), (1002, 6)),
+                           HammerMode.INTERLEAVED)
+        program.refresh(1)
     program.hammer_multi({1: [(60, 3)], 2: [(70, 2)]})
     program.hammer(1, ((80, 4),), HammerMode.CASCADED)
     program.wait(int(256e9))

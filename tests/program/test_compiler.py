@@ -1,4 +1,4 @@
-"""Payload compiler: unrolling, interning, scheduling, fusion groups."""
+"""Payload compiler: interning, scheduling, fusion groups."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.program import (OP_ACT, OP_MULTI, OP_REF, OP_WAIT, OPCODE_NAMES,
                            compile_program, execute_payload)
 from repro.program.compiler import _fuse_groups
 from repro.softmc import SoftMCProgram
-from repro.softmc.program import Loop, Wait
+from repro.softmc.program import Wait
 
 from .conftest import payload_host
 
@@ -40,7 +40,6 @@ def test_single_command_payload(timing):
     assert len(payload) == 1
     assert payload.opcode[0] == OP_ACT
     assert payload.dt[0] == timing.hammer_duration_ps(7)
-    assert payload.total_acts() == 7
     assert payload.fuse_groups == ()
 
 
@@ -55,46 +54,6 @@ def test_wait_only_payload(timing):
     before = host.now_ps
     execute_payload(host, payload)
     assert host.now_ps - before == 123_456
-
-
-def test_loops_unroll_recursively(timing):
-    inner = SoftMCProgram().hammer(0, ((10, 1),))
-    outer = SoftMCProgram().refresh(1).loop(3, inner)
-    program = SoftMCProgram().loop(2, outer)
-    payload = compile_program(program.instructions, timing)
-    assert len(payload) == 2 * (1 + 3)
-    assert payload.counts() == {"ACT": 6, "REF": 2}
-
-
-def _flatten(instructions):
-    for instruction in instructions:
-        if isinstance(instruction, Loop):
-            for _ in range(instruction.times):
-                yield from _flatten(instruction.body)
-        else:
-            yield instruction
-
-
-def test_loops_compile_like_their_flat_expansion(timing):
-    inner = (SoftMCProgram()
-             .hammer(0, ((10, 2), (12, 2)), HammerMode.INTERLEAVED)
-             .wait(7))
-    body = (SoftMCProgram().loop(4, inner)
-            .refresh(2, at_nominal_rate=True)
-            .hammer_multi({0: [(5, 1)], 1: [(6, 1)]})
-            .wait(1_000))
-    # A loop that never runs interns none of its operands.
-    never = SoftMCProgram().hammer(0, ((9, 1),), HammerMode.CASCADED)
-    program = (SoftMCProgram().refresh(1).loop(3, body).loop(0, never)
-               .wait(3))
-    looped = compile_program(program.instructions, timing)
-    flat = compile_program(list(_flatten(program.instructions)), timing)
-    for column in ("opcode", "arg", "dt", "flags"):
-        assert getattr(looped, column).tolist() == \
-            getattr(flat, column).tolist()
-    for table in ("batches", "multis", "fuse_groups"):
-        assert getattr(looped, table) == getattr(flat, table)
-    assert len(looped.batches) == 1
 
 
 def test_dt_schedule_matches_timing_formulas(timing):

@@ -26,7 +26,7 @@ from repro.faults import COMMAND_FAULTS, DEFAULT, FaultInjector
 from repro.obs import traced
 from repro.program import compile_program, execute_payload
 from repro.softmc import SoftMCProgram
-from repro.softmc.program import Hammer, Loop, MultiHammer, Refresh, Wait
+from repro.softmc.program import Hammer, MultiHammer, Refresh, Wait
 from repro.trr import CounterBasedTrr
 from repro.units import ms
 
@@ -75,17 +75,9 @@ commands = st.one_of(
         lambda run: [run[0]] * run[1]))
 
 
-def loops(body):
-    """A 0-4 iteration loop over 1-3 *body* fragments."""
-    return st.builds(
-        lambda times, parts: [Loop(times, tuple(flatten(parts)))],
-        st.integers(0, 4), st.lists(body, min_size=1, max_size=3))
-
-
-#: Up to ten fragments: commands, and loops nested up to twice.
-programs = st.lists(
-    st.one_of(commands, loops(st.one_of(loops(commands), commands))),
-    max_size=10).map(lambda parts: SoftMCProgram(flatten(parts)))
+#: Up to ten fragments.
+programs = st.lists(commands, max_size=10).map(
+    lambda parts: SoftMCProgram(flatten(parts)))
 
 #: The data written into every row before a program runs, so waits
 #: show up as decay in the read-backs.

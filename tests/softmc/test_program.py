@@ -31,8 +31,10 @@ def test_program_reproduces_side_channel(host):
 
 
 def test_loop_repeats_body(host):
-    body = SoftMCProgram().hammer(0, [(100, 10)]).refresh()
-    program = SoftMCProgram().loop(8, body)
+    # Programs hold no loop instruction: a repeated body is written out.
+    program = SoftMCProgram()
+    for _ in range(8):
+        program.hammer(0, [(100, 10)]).refresh()
     program.run(host)
     assert host.ref_count == 8
     assert host._chip.stats.activates == 80

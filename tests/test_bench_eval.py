@@ -1,4 +1,4 @@
-"""``benchmarks/bench_eval.py``: no parallel speedup from one worker."""
+"""``benchmarks/bench_eval.py``: the settle ratio gate."""
 
 from __future__ import annotations
 
@@ -13,22 +13,25 @@ bench_eval = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_eval)
 
 
-def test_parallel_speedup_needs_two_workers_and_two_cores():
-    assert bench_eval.parallel_speedup(10.0, 4.0, 2, 2) == 2.5
-    assert bench_eval.parallel_speedup(10.0, 4.0, 1, 4) is None
-    assert bench_eval.parallel_speedup(10.0, 4.0, 4, 1) is None
+def test_check_regression_gates_the_settle_ratio(tmp_path):
+    baseline = tmp_path / "BENCH_eval.json"
+    baseline.write_text(json.dumps({"settle": {"speedup": 20.0}}))
 
+    def failures(speedup: float) -> list[str]:
+        return bench_eval.check_regression(
+            {"settle": {"speedup": speedup}}, baseline, 0.25)
 
-def test_report_parallel_prints_na_for_null_speedup(tmp_path, capsys):
-    figure = {"sequential_seconds": 9.0, "parallel_seconds": 9.5,
-              "parallel_speedup": None, "parallel_breakdown": {}}
-    results = tmp_path / "BENCH_eval.json"
-    results.write_text(json.dumps({
-        "workers": 1, "cpu_count": 1,
-        "figures": {"fig9": figure,
-                    "fig10": {**figure, "parallel_speedup": 1.8}}}))
-    assert bench_eval.report_parallel(results) == 0
-    out = capsys.readouterr().out
-    assert "workers=1 cpu_count=1" in out
-    assert "fig9: n/a (9.0s -> 9.5s)" in out
-    assert "fig10: 1.80x" in out
+    # Within the tolerance of the baseline: passes.
+    assert failures(15.5) == []
+    # Above the 5x floor but under the baseline minus the tolerance.
+    assert [f.split(":")[0] for f in failures(14.0)] == \
+        ["settle speedup regressed"]
+    # Under the 5x floor fails on its own, whatever the baseline.
+    lenient = bench_eval.check_regression(
+        {"settle": {"speedup": 4.9}}, baseline, 0.9)
+    assert [f.split(":")[0] for f in lenient] == \
+        ["settle speedup below the 5x floor"]
+    # The committed baseline passes against itself.
+    committed = _PATH.parent / "BENCH_eval.json"
+    assert bench_eval.check_regression(
+        json.loads(committed.read_text()), committed, 0.25) == []
