@@ -11,7 +11,7 @@ publishes the result envelope on completion, which buys two things:
   skips every unit that already completed;
 * **byte-identity** — a warm run's stdout, folded metrics, and history
   rows equal the cold run's, because hits replay the stored per-unit
-  instrument dump through the same submission-order merge.
+  metrics and evidence dump through the same submission-order merge.
 
 ``python -m repro.cache`` provides ``stats`` / ``prune`` / ``verify``
 maintenance; the eval CLI's ``--cache DIR`` / ``--resume`` /

@@ -2,8 +2,10 @@
 
 An envelope is everything :mod:`repro.parallel` needs to make a cache
 hit indistinguishable from a fresh execution: the unit's return value,
-its instrument dump (replayed through the same submission-order fold a
-pool worker's outcome goes through) and the measured wall-clock.
+its metrics and evidence dump (replayed through the same
+submission-order fold a pool worker's outcome goes through) and the
+measured wall-clock.  A command profile is never stored: a hit executes
+no command.
 
 Wire format: a 5-byte magic (``RPRC`` + version), a 4-byte big-endian
 CRC-32 of the body, then the pickled body (protocol 4 — readable by
@@ -34,8 +36,8 @@ class CacheEnvelope:
     key: str
     unit_id: str
     value: object = None
-    #: The unit's ``Observability.dump()``: ``metrics``, ``profile``
-    #: and ``evidence``, each only when recorded.
+    #: The unit's ``Observability.dump()``: ``metrics`` and
+    #: ``evidence``, each only when recorded (never a command profile).
     instruments: dict = field(default_factory=dict)
     wall_s: float | None = None
     #: SHA-256 of ``pickle(value)`` at publish time; ``verify`` mode

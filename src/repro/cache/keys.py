@@ -16,14 +16,12 @@ reproducible from a recipe:
   unit — module id, :class:`~repro.eval.scale.EvalScale` operating
   point (the chip recipe selector), fault profile, positions, seeds.
 
-- the **instruments** the run records into each unit (evidence
-  ledger, command profiler), because the stored instrument dump holds
-  only what those recorded: a store written without ``--evidence``
-  must not serve a run that needs the unit's decision nodes.
-
 Deliberately **not** part of the key: worker count, telemetry
-configuration, log destinations — anything the determinism tests prove
-cannot change a result or its stored dump.  Units whose arguments
+configuration, log destinations, ``--evidence`` and ``--profile`` —
+anything the determinism tests prove cannot change a result or its
+stored dump.  Every unit records the same metrics and evidence dump
+whatever the run's flags, and a command profile is never stored, so a
+store serves a unit whichever flags wrote it.  Units whose arguments
 cannot be canonicalized (open handles, lambdas with captured state,
 foreign objects) raise :class:`Uncachable` and simply execute uncached;
 caching is an optimization, never a correctness gate.
@@ -41,7 +39,8 @@ from dataclasses import fields, is_dataclass
 from ..obs.manifest import git_describe
 
 #: Bump when key material changes meaning (old entries become misses).
-KEY_SCHEMA = 2
+#: Schema 3: the key names no instrument (evidence, profile).
+KEY_SCHEMA = 3
 
 
 class Uncachable(Exception):
@@ -130,15 +129,13 @@ def _code_parts(code, parts: list) -> None:
             parts.append(repr(const))
 
 
-def unit_key_material(unit, git: str | None = None,
-                      instruments=()) -> dict:
+def unit_key_material(unit, git: str | None = None) -> dict:
     """The full key recipe of one work unit, as a JSON-compatible dict.
 
     *unit* is a :class:`repro.parallel.WorkUnit` (duck-typed: anything
     with ``unit_id`` / ``seed`` / ``fn`` / ``args`` / ``kwargs`` /
-    ``meta``); *instruments* names what the run records into it, a
-    subset of ``("evidence", "profile")``.  Raises :class:`Uncachable`
-    when an argument cannot be canonicalized.
+    ``meta``).  Raises :class:`Uncachable` when an argument cannot be
+    canonicalized.
     """
     return {
         "schema": KEY_SCHEMA,
@@ -150,7 +147,6 @@ def unit_key_material(unit, git: str | None = None,
         "args": canonical(tuple(unit.args)),
         "kwargs": canonical(dict(unit.kwargs)),
         "meta": canonical(dict(unit.meta)),
-        "instruments": sorted(instruments),
     }
 
 
@@ -161,8 +157,6 @@ def material_digest(material: dict) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
-def unit_key(unit, git: str | None = None, instruments=()) -> str:
-    """Content-address one work unit in a run recording *instruments*
-    (raises :class:`Uncachable`)."""
-    return material_digest(unit_key_material(unit, git=git,
-                                             instruments=instruments))
+def unit_key(unit, git: str | None = None) -> str:
+    """Content-address one work unit (raises :class:`Uncachable`)."""
+    return material_digest(unit_key_material(unit, git=git))

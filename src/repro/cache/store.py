@@ -73,12 +73,10 @@ class ResultCache:
 
     # -- keying --------------------------------------------------------
 
-    def key(self, unit, instruments=()) -> str | None:
-        """Content address for *unit* in a run recording *instruments*
-        (:attr:`repro.obs.Observability.instruments`), or None when it
-        is uncachable."""
+    def key(self, unit) -> str | None:
+        """Content address for *unit*, or None when it is uncachable."""
         try:
-            return unit_key(unit, git=self._git, instruments=instruments)
+            return unit_key(unit, git=self._git)
         except Uncachable:
             return None
 
@@ -134,10 +132,11 @@ class ResultCache:
     def publish_unit(self, key: str, unit_id: str, *, value,
                      instruments: dict,
                      wall_s: float | None = None) -> None:
-        """Wrap one completed unit's result and instrument dump into an
-        envelope and store it.  This is the engine-facing entry point:
-        the engine stays duck-typed against the cache object and never
-        constructs a :class:`CacheEnvelope` itself."""
+        """Wrap one completed unit's result and its metrics and evidence
+        dump (*instruments*) into an envelope and store it.  This is
+        the engine-facing entry point: the engine stays duck-typed
+        against the cache object and never constructs a
+        :class:`CacheEnvelope` itself."""
         self.publish(CacheEnvelope(
             key=key, unit_id=unit_id, value=value,
             instruments=instruments, wall_s=wall_s,
@@ -147,20 +146,16 @@ class ResultCache:
         """Compare a re-executed unit against a stored envelope.
 
         *fresh* is the re-executed unit's outcome (its ``value`` and
-        ``instruments`` dump).  Its metrics, evidence nodes, command
-        profile counts and value digest must equal the stored ones;
-        profile seconds are wall-clock values and are not compared.
-        Raises :class:`CacheError` when they diverge — that means the
-        cache key is missing an input and every hit is suspect, so the
-        run must abort rather than silently serve stale results.
+        ``instruments`` dump).  Its metrics, evidence nodes and value
+        digest must equal the stored ones.  Raises :class:`CacheError`
+        when they diverge — that means the cache key is missing an
+        input and every hit is suspect, so the run must abort rather
+        than silently serve stale results.
         """
         stored = envelope.instruments
         dump = fresh.instruments
         diverged = [part for part in ("metrics", "evidence")
                     if stored.get(part) != dump.get(part)]
-        if (stored.get("profile", {}).get("counts")
-                != dump.get("profile", {}).get("counts")):
-            diverged.append("profile")
         fresh_digest = value_digest(fresh.value)
         if (envelope.value_digest is not None
                 and fresh_digest is not None

@@ -27,16 +27,19 @@ across runs with ``python -m repro.obs.history PATH --gate``.
 heartbeats, done) into a spool directory of JSONL files, readable with
 :func:`repro.obs.live.read_spool`; ``--stall-deadline S`` (with
 ``--workers 2`` or more) arms the watchdog that flags units whose
-command counters stop advancing.  ``--profile`` attributes host wall
-time per DDR opcode and prints the attribution table to stderr.  All
-three are side channels: artifact bytes on stdout are unaffected.
+command counters stop advancing.  ``--profile`` attributes the wall
+time of the host commands the run executes (none for cache hits) per
+DDR opcode and prints the attribution table to stderr.  All three are
+side channels: artifact bytes on stdout are unaffected.
 
-``--evidence PATH`` records the run's inference-provenance ledger —
-every accepted/rejected/degraded decision with its supporting
-observations and commands-to-discovery stamps — and writes it as a
-JSONL sidecar at PATH (query it with ``python -m repro.obs.evidence``).
-The ledger folds in unit submission order, so the sidecar is
-byte-identical for any worker count and on warm cache replays.
+Every run records its inference-provenance ledger — every
+accepted/rejected/degraded decision with its supporting observations
+and commands-to-discovery stamps.  ``--evidence PATH`` writes it as a
+JSONL sidecar at PATH (query it with ``python -m repro.obs.evidence``)
+and adds its ``evidence.*`` counters to the run's metrics.  The ledger
+folds in unit submission order, so the sidecar is byte-identical for
+any worker count and on warm cache replays, whichever flags wrote the
+store.
 
 ``--cache DIR`` (default: the ``REPRO_CACHE`` environment variable)
 serves work units from a content-addressed result store and publishes
@@ -57,7 +60,8 @@ import sys
 import time
 
 from ..cache import ResultCache
-from ..obs import Observability, StructuredLog, build_manifest
+from ..obs import (CommandProfiler, Observability, StructuredLog,
+                   build_manifest)
 from ..obs.history import RunHistory
 from ..obs.live import TelemetryConfig
 from ..parallel import default_workers
@@ -110,8 +114,9 @@ def main(argv: list[str] | None = None) -> int:
                              "advance within S seconds (requires "
                              "--telemetry and --workers 2 or more)")
     parser.add_argument("--profile", action="store_true",
-                        help="attribute host wall time per DDR opcode; "
-                             "table goes to stderr, totals to --history")
+                        help="attribute the wall time of executed host "
+                             "commands per DDR opcode; table goes to "
+                             "stderr, totals to --history")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="serve units from (and publish into) a "
                              "content-addressed result store (default: "
@@ -168,10 +173,8 @@ def main(argv: list[str] | None = None) -> int:
                  verify=args.cache_verify or False)
     if args.evidence:
         log.info("evidence-enabled", sidecar=args.evidence)
-    obs = Observability.build(
-        [name for name, wanted in (("evidence", args.evidence),
-                                   ("profile", args.profile)) if wanted],
-        spans=True)
+    obs = Observability(
+        profiler=CommandProfiler() if args.profile else None)
     manifest = build_manifest(scale=scale.name, artifact=args.artifact,
                               include_time=False)
     log.info("run-start", artifact=args.artifact, scale=scale.name,
@@ -226,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         log.info("cache-summary", **summary)
     if args.profile and not args.quiet:
         sys.stderr.write("command-bus profile:\n"
-                         + obs.profiler.render(wall_s=wall) + "\n")
+                         + obs.profiler.render() + "\n")
     if args.evidence:
         # Fold the provenance counters into the registry *before* the
         # history row is recorded so the sidecar and the history agree

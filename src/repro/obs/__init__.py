@@ -31,23 +31,25 @@ into auditable artifacts:
 
 Everything is stdlib + numpy only (numpy solely for the version stamp).
 
-:class:`Observability` bundles one recorder + registry + tracker and is
-what the rest of the library passes around; ``NULL_OBS`` is the shared
-all-disabled instance components fall back to, so instrumented code
-never branches on "is observability on?".
+:class:`Observability` bundles one recorder + registry + tracker +
+evidence ledger (+ an optional command profiler) and is what the rest
+of the library passes around; ``NULL_OBS`` is the shared all-disabled
+instance components fall back to, so instrumented code never branches
+on "is observability on?".
 
 The package exports the bundle and the instruments above.  Everything
 else is imported from its own module — :mod:`.evidence`, :mod:`.live`,
 :mod:`.history`, :mod:`.replay`, :mod:`.diff` — because several of
 those double as ``python -m`` entry points, which the package must not
-import.
+import (:mod:`.evidence` has a ``__main__`` shim, so the ledger may be).
 """
 
 from __future__ import annotations
 
+from .evidence import EvidenceLedger
 from .manifest import MANIFEST_SCHEMA, build_manifest, git_describe
 from .metrics import Histogram, MetricsRegistry, NullMetrics, bucket_bound
-from .profile import CommandProfiler, NullProfiler
+from .profile import CommandProfiler
 from .recorder import (TRACE_VERSION, NullRecorder, TraceRecorder,
                        data_digest, mismatch_digest, read_trace,
                        replay_ledger)
@@ -56,16 +58,11 @@ from .structlog import StructuredLog
 
 
 class NullEvidence:
-    """Strict no-op provenance ledger: the disabled path for
-    :class:`~repro.obs.evidence.EvidenceLedger`.
-
-    Lives here (not in :mod:`.evidence`) so building ``NULL_OBS`` at
-    package import never pulls in the evidence module.  It keeps only
-    the writers instrumented code calls unconditionally; readers
-    (``dump``, ``summary``, ``emit_metrics``) run on real ledgers only.
+    """Strict no-op provenance ledger, the evidence slot of
+    :data:`NULL_OBS`: only the writers instrumented code calls
+    unconditionally, since readers run on real ledgers only.
     """
 
-    enabled = False
     nodes: tuple = ()
 
     def decide(self, parameter, value=None, **kwargs) -> None:
@@ -75,17 +72,22 @@ class NullEvidence:
         return None
 
 
-#: Shared disabled evidence ledger (the default ``evidence`` slot).
+#: Shared disabled evidence ledger (the evidence slot of ``NULL_OBS``).
 NULL_EVIDENCE = NullEvidence()
 
 
 class Observability:
-    """One run's observability bundle: recorder + metrics + spans.
+    """One run's observability bundle: recorder + metrics + spans +
+    evidence, and a command profiler when one is attached.
+
+    Every bundle but :data:`NULL_OBS` records metrics and evidence (the
+    ledger decides off the command path, so it always records).  A host
+    built on a bundle with a :class:`CommandProfiler` attaches it.
 
     Components reach the bundle through their host (``host.obs``, which
-    is :data:`NULL_OBS` for an uninstrumented host); metrics and span
-    calls are made unconditionally (no-ops when disabled), while the
-    per-command host hot path additionally gates on
+    is :data:`NULL_OBS` for an uninstrumented host); metrics, span and
+    evidence calls are made unconditionally (no-ops when disabled),
+    while the per-command host hot path additionally gates on
     ``recorder.enabled`` / ``metrics.enabled`` so the disabled path
     costs nothing.
     """
@@ -96,47 +98,12 @@ class Observability:
         self.recorder = recorder if recorder is not None else NullRecorder()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans = spans if spans is not None else SpanTracker()
-        #: Command-bus profiler (opt-in: defaults to the null profiler
-        #: so the host hot path keeps its single identity check).
-        self.profiler = profiler if profiler is not None \
-            else NullProfiler()
-        #: Provenance ledger (opt-in: decision sites call it
-        #: unconditionally, the null ledger records nothing).
+        #: Command-bus profiler, or None.
+        self.profiler = profiler
+        #: Provenance ledger: decision sites call it unconditionally.
         self.evidence = evidence if evidence is not None \
-            else NULL_EVIDENCE
+            else EvidenceLedger()
         self.manifest = manifest
-
-    @classmethod
-    def build(cls, instruments=(), *, spans: bool = False,
-              recorder=None, manifest: dict | None = None
-              ) -> "Observability":
-        """A fresh bundle recording the named optional *instruments*.
-
-        *instruments* holds names from :attr:`instruments`
-        (``"evidence"``, ``"profile"``).  The bundle always has a
-        metrics registry; a span tracker with *spans*; a command
-        profiler and an evidence ledger when named.
-        """
-        ledger = None
-        if "evidence" in instruments:
-            from .evidence import EvidenceLedger
-            ledger = EvidenceLedger()
-        return cls(recorder=recorder, metrics=MetricsRegistry(),
-                   spans=SpanTracker() if spans else NullSpans(),
-                   manifest=manifest,
-                   profiler=(CommandProfiler()
-                             if "profile" in instruments else None),
-                   evidence=ledger)
-
-    @property
-    def instruments(self) -> tuple[str, ...]:
-        """Sorted names of the optional instruments this bundle
-        records: what a work unit must record for it, and what a cached
-        unit's key names."""
-        return tuple(name for name, instrument
-                     in (("evidence", self.evidence),
-                         ("profile", self.profiler))
-                     if instrument.enabled)
 
     def span(self, name: str, **attrs):
         return self.spans.span(name, **attrs)
@@ -149,17 +116,16 @@ class Observability:
     def dump(self) -> dict:
         """What the bundle recorded that folds, as one plain dict.
 
-        The keys are ``metrics``, ``profile`` and ``evidence``; each
-        appears only when its instrument recorded something.  This is
-        the form a work unit's instruments travel in: on its outcome
-        and in its cache envelope.
+        The keys are ``metrics`` and ``evidence``; each appears only
+        when its instrument recorded something.  This is the form a
+        work unit's instruments travel in: on its outcome and in its
+        cache envelope.  The command profile is wall time, so it
+        travels beside the dump and is never cached.
         """
         dump: dict = {}
         metrics = self.metrics.as_dict()
         if any(metrics.values()):
             dump["metrics"] = metrics
-        if self.profiler.commands:
-            dump["profile"] = self.profiler.as_dict()
         if self.evidence.nodes:
             dump["evidence"] = self.evidence.dump()
         return dump
@@ -170,8 +136,6 @@ class Observability:
         ignore their part."""
         if "metrics" in dump:
             self.metrics.merge(dump["metrics"])
-        if "profile" in dump:
-            self.profiler.merge(dump["profile"])
         if "evidence" in dump:
             self.evidence.merge(dump["evidence"], unit=unit)
 
@@ -185,28 +149,17 @@ class Observability:
 #: one, and so of every component driving it.  Never used for a host hot
 #: path (hosts gate on each instrument's ``enabled``).
 NULL_OBS = Observability(recorder=NullRecorder(), metrics=NullMetrics(),
-                         spans=NullSpans(), profiler=NullProfiler())
+                         spans=NullSpans(), evidence=NULL_EVIDENCE)
 
 
 def traced(path, *, manifest: dict | None = None,
-           flush_every: int = 1024,
-           profile: bool = False,
-           evidence: bool = False) -> Observability:
-    """Convenience: a fully-enabled bundle recording to *path*.
-
-    ``profile=True`` additionally attaches a :class:`CommandProfiler`
-    (per-opcode wall-time attribution on the host hot path);
-    ``evidence=True`` attaches an
-    :class:`~repro.obs.evidence.EvidenceLedger` capturing inference
-    provenance.
-    """
-    instruments = [name for name, wanted
-                   in (("evidence", evidence), ("profile", profile))
-                   if wanted]
-    return Observability.build(
-        instruments, spans=True, manifest=manifest,
+           flush_every: int = 1024) -> Observability:
+    """Convenience: a bundle recording a command trace to *path*, with
+    a span tracker (and, like every bundle, metrics and evidence)."""
+    return Observability(
         recorder=TraceRecorder(path, meta=manifest,
-                               flush_every=flush_every))
+                               flush_every=flush_every),
+        manifest=manifest)
 
 
 __all__ = [
@@ -218,7 +171,6 @@ __all__ = [
     "NULL_OBS",
     "NullEvidence",
     "NullMetrics",
-    "NullProfiler",
     "NullRecorder",
     "NullSpans",
     "Observability",

@@ -53,7 +53,7 @@ def run_traced_inference(module_id: str, out_dir, seed: int = 0,
         seed=seed, module=module_id,
         fault_profile=fault_profile or "none",
         scale="smoke", chip=dict(chip_kwargs), fault_seed=fault_seed)
-    obs = traced(out / "trace.jsonl", manifest=manifest, evidence=True)
+    obs = traced(out / "trace.jsonl", manifest=manifest)
 
     chip = build_module(spec, **chip_kwargs)
     faults = None

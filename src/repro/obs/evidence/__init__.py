@@ -17,10 +17,10 @@ append-only ledger of **decision nodes**:
 * ``outcome`` is one of :data:`OUTCOMES` — a hypothesis was accepted,
   rejected, or degraded (accepted as a fallback after faults).
 * ``commands`` is the cumulative command stamp at decision time, taken
-  from the host's own ACT/REF ledger only — never from wall time or an
-  optional instrument such as the command profiler, so stamps are
-  deterministic for a seed, identical across worker counts, and the
-  same whichever instruments the run carried.
+  from the host's own ACT/REF ledger only — never from wall time or
+  the command profiler, so stamps are deterministic for a seed,
+  identical across worker counts, and the same with or without
+  ``--profile``.
 * ``commands_to_discovery`` is the waterfall delta: commands issued
   since the previous decision on the same ledger.  Summed per
   parameter it attributes the whole run's command budget to the
@@ -31,10 +31,11 @@ append-only ledger of **decision nodes**:
   built with the ``ev_*`` helpers so the schema stays uniform and
   bounded (:data:`MAX_ITEMS` caps inline lists).
 
-Ledgers ride the same side channels as metrics: per-unit ledgers fold
-into the caller's in submission order (``--workers N`` byte-identical
-to sequential), cache hits replay their stored nodes, and runs persist
-the merged ledger as an ``evidence.jsonl`` sidecar next to the trace.
+Ledgers ride the same side channels as metrics: every run records one,
+per-unit ledgers fold into the caller's in submission order
+(``--workers N`` byte-identical to sequential), cache hits replay their
+stored nodes, and a run given ``--evidence PATH`` writes the merged
+ledger as an ``evidence.jsonl`` sidecar.
 
 ``python -m repro.obs.evidence sidecar.jsonl`` renders the per-module
 report (parameter -> evidence chain -> command budget); ``--json``
@@ -92,9 +93,8 @@ def command_stamp(host=None) -> dict:
 
     *host* is anything exposing ``ref_count`` / ``acts_per_bank`` (the
     SoftMC host's own ledger).  Only that ledger enters a stamp — never
-    wall time, and never what an optional instrument such as the
-    command profiler saw — so a sidecar's bytes do not depend on which
-    instruments the run carried.
+    wall time, and never what the command profiler saw — so a
+    sidecar's bytes do not depend on whether the run was profiled.
     """
     acts = refs = 0
     if host is not None:
@@ -150,15 +150,13 @@ def ev_error(err) -> dict:
 class EvidenceLedger:
     """Append-only ledger of decision nodes for one run (or one unit).
 
+    Every :class:`~repro.obs.Observability` bundle carries one.
     Per-unit ledgers are created by the parallel engine and folded into
     the caller's ledger in submission order via :meth:`merge`; the
     merged ledger is what persists as the sidecar.  Recording sites
     call :meth:`decide` once per accepted/rejected hypothesis — cold
-    paths only, so the enabled ledger stays off the command hot path
-    entirely.
+    paths only, so the ledger stays off the command hot path entirely.
     """
-
-    enabled = True
 
     def __init__(self, module: str | None = None):
         self.module = module

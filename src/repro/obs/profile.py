@@ -2,54 +2,85 @@
 
 The span layer answers "which pipeline *stage* is slow"; this module
 answers the layer below: which DDR **opcode** (ACT / RD / WR / REF /
-WAIT) the :class:`~repro.softmc.SoftMCHost` hot path spends its wall
-time executing.
+WAIT) the :class:`~repro.softmc.SoftMCHost` spends its wall time
+executing.
 
-:class:`CommandProfiler` does exact per-opcode wall-time accounting.
-The host brackets every command with two ``perf_counter`` reads when a
-profiler is attached; with :class:`NullProfiler` (the default) the hot
-path pays one identity check, inside the <5% disabled-overhead budget.
-Because every host-side operation is bracketed, the opcode rows sum to
-the host's total command-bus wall time by construction — the
-attribution table's coverage line shows what fraction of an enclosing
-wall-clock that explains.
+:class:`CommandProfiler` does exact per-opcode wall-time accounting
+from outside the host: :meth:`CommandProfiler.attach` wraps one host's
+opcode methods on that instance, and a host built on a bundle with a
+profiler attaches it itself.  An unprofiled host runs no profiling code
+at all.  Every command passes through exactly one wrapped method, so
+the opcode rows sum to the host's command-bus wall time by
+construction.
 
-Profiles fold across process-pool workers exactly like metrics do
-(:meth:`CommandProfiler.merge`, submission order), and a run-history
-row records the per-opcode seconds so command-bus regressions gate like
-wall-clock does (``python -m repro.obs.history --gate``).
+A work unit's profile is a side channel, like its wall-clock, and is
+never cached: it folds into the caller's profiler in submission order
+with the unit's wall (:meth:`CommandProfiler.merge`), the base of the
+coverage line, so coverage stays at or below 100% at any worker count.
+A run-history row records the per-opcode seconds so command-bus
+regressions gate like wall-clock does (``python -m repro.obs.history
+--gate``).
 """
 
 from __future__ import annotations
 
+from time import perf_counter
+
 #: Canonical opcode order for reports (matches the trace record types).
 OPCODES = ("ACT", "RD", "WR", "REF", "WAIT")
+
+#: The host methods :meth:`CommandProfiler.attach` times, with the
+#: opcode each issues (besides ``_try_fused_hammer``).
+HOST_METHODS = (("write_row", "WR"), ("read_row", "RD"),
+                ("read_row_mismatches", "RD"), ("_issue_hammer", "ACT"),
+                ("_issue_hammer_multi", "ACT"), ("refresh", "REF"),
+                ("wait", "WAIT"))
 
 
 class CommandProfiler:
     """Per-opcode wall-time attribution."""
-
-    enabled = True
 
     def __init__(self) -> None:
         #: opcode -> total seconds.
         self.seconds: dict[str, float] = {}
         #: opcode -> command count.
         self.counts: dict[str, int] = {}
+        #: Summed wall-clock seconds of the work units folded in: the
+        #: base of the coverage line.
+        self.wall_s = 0.0
 
-    def add(self, opcode: str, seconds: float) -> None:
-        """Account one retired command (called from the host hot path)."""
-        self.seconds[opcode] = self.seconds.get(opcode, 0.0) + seconds
-        self.counts[opcode] = self.counts.get(opcode, 0) + 1
+    def attach(self, host) -> None:
+        """Time every command *host* issues, per opcode.
 
-    def add_bulk(self, opcode: str, count: int, seconds: float) -> None:
-        """Account *count* commands retired by one batched bracket.
-
-        The fused-payload path executes a whole run of identical ACT
-        commands inside a single ``perf_counter`` bracket; the profile
-        must still report N commands (so ``us/cmd`` and the per-opcode
-        counts match the per-command path), not one wide bracket.
+        Wraps the host's opcode methods on that instance, never on its
+        class, so other hosts stay unprofiled.  A command the chip
+        rejects raises before it is counted.  A fused run of identical
+        hammers counts as *repeats* ACT commands, and only when the
+        host took the fused path.
         """
+        for name, opcode in HOST_METHODS:
+            setattr(host, name, self._timed(getattr(host, name), opcode))
+        try_fused = host._try_fused_hammer
+
+        def fused(batch, repeats: int, step_ps: int) -> bool:
+            start = perf_counter()
+            if not try_fused(batch, repeats, step_ps):
+                return False
+            self.add("ACT", perf_counter() - start, repeats)
+            return True
+
+        host._try_fused_hammer = fused
+
+    def _timed(self, method, opcode: str):
+        def timed(*args, **kwargs):
+            start = perf_counter()
+            result = method(*args, **kwargs)
+            self.add(opcode, perf_counter() - start)
+            return result
+        return timed
+
+    def add(self, opcode: str, seconds: float, count: int = 1) -> None:
+        """Account *count* commands retired in *seconds*."""
         self.seconds[opcode] = self.seconds.get(opcode, 0.0) + seconds
         self.counts[opcode] = self.counts.get(opcode, 0) + count
 
@@ -61,19 +92,15 @@ class CommandProfiler:
     def commands(self) -> int:
         return sum(self.counts.values())
 
-    def merge(self, other) -> None:
-        """Fold another profiler (or its ``as_dict`` dump) into self."""
-        if isinstance(other, dict):
-            dump = other
-        else:
-            if not getattr(other, "enabled", False):
-                return
-            dump = other.as_dict()
+    def merge(self, dump: dict, wall_s: float = 0.0) -> None:
+        """Fold one unit's :meth:`as_dict` dump into self, with the
+        unit's measured *wall_s* (the coverage base)."""
         for opcode, seconds in dump.get("seconds", {}).items():
             self.seconds[opcode] = (self.seconds.get(opcode, 0.0)
                                     + seconds)
         for opcode, count in dump.get("counts", {}).items():
             self.counts[opcode] = self.counts.get(opcode, 0) + count
+        self.wall_s += wall_s
 
     def as_dict(self) -> dict:
         return {
@@ -84,11 +111,11 @@ class CommandProfiler:
             "commands": self.commands,
         }
 
-    def render(self, wall_s: float | None = None) -> str:
+    def render(self) -> str:
         """The attribution table: one row per opcode, sums at the foot.
 
-        With *wall_s* (an externally measured enclosing wall-clock) the
-        footer reports coverage — the fraction of that wall the opcode
+        Once units' walls are folded in (:attr:`wall_s`), the footer
+        reports coverage: the fraction of that summed wall the opcode
         rows explain.
         """
         if not self.seconds:
@@ -108,31 +135,7 @@ class CommandProfiler:
                          f"{per:>8.1f} {share:>6.1%}")
         lines.append(f"  {'total':<6} {self.commands:>10} "
                      f"{total:>10.4f}")
-        if wall_s is not None and wall_s > 0:
-            lines.append(f"  coverage: {total / wall_s:.1%} of "
-                         f"{wall_s:.3f}s measured wall")
+        if self.wall_s > 0:
+            lines.append(f"  coverage: {total / self.wall_s:.1%} of "
+                         f"{self.wall_s:.3f}s summed unit wall")
         return "\n".join(lines)
-
-
-class NullProfiler:
-    """The disabled profiler: the hot path sees one identity check.
-
-    It keeps the writers instrumented code calls unconditionally and
-    the empty totals :meth:`repro.obs.Observability.dump` checks; only
-    a real profiler is dumped (``as_dict``) or rendered.
-    """
-
-    enabled = False
-    seconds: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    total_s = 0.0
-    commands = 0
-
-    def add(self, opcode: str, seconds: float) -> None:
-        pass
-
-    def add_bulk(self, opcode: str, count: int, seconds: float) -> None:
-        pass
-
-    def merge(self, other) -> None:
-        pass

@@ -55,8 +55,8 @@ class SpanTracker:
     def current_name(self) -> str | None:
         """Name of the innermost open span (None outside any span).
 
-        The live-telemetry heartbeat and the command-bus profiler read
-        this to attribute "now" to a pipeline stage.
+        The live-telemetry heartbeat reads this to attribute "now" to
+        a pipeline stage.
         """
         if not self._stack:
             return None

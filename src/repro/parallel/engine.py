@@ -23,17 +23,17 @@ What does NOT come for free is *reproducibility discipline*:
   record the failure and keep going), mirroring the Row Scout
   quarantine semantics of :mod:`repro.faults` — misbehaving work is
   isolated, named in the report, and never silently dropped.
-* **One instrument bundle** — the caller's
-  :class:`~repro.obs.Observability` names the optional instruments the
-  run records (:attr:`~repro.obs.Observability.instruments`), and each
-  work unit records into a fresh *ambient* bundle built from those
-  names (reachable inside the unit via :func:`unit_observability`,
-  which the eval host builders attach to every host they build).  Its
-  :meth:`~repro.obs.Observability.dump` rides home on the unit's
-  :class:`UnitOutcome`, and the engine folds every unit's metrics,
-  command-bus profile and evidence nodes into the caller's bundle
+* **One instrument bundle** — each work unit records into a fresh
+  *ambient* :class:`~repro.obs.Observability` of the one bundle shape
+  (metrics and evidence; reachable inside the unit via
+  :func:`unit_observability`, which the eval host builders attach to
+  every host they build), with a command profiler exactly when the
+  caller's bundle has one.  Its :meth:`~repro.obs.Observability.dump`
+  rides home on the unit's :class:`UnitOutcome`, and the engine folds
+  every unit's metrics and evidence nodes into the caller's bundle
   **in submission order**, so ``metrics.json`` from a ``--workers N``
-  run equals the ``--workers 1`` one.
+  run equals the ``--workers 1`` one.  A unit's command profile rides
+  beside it like its wall-clock, and is never cached.
 * **Live telemetry stays off the artifact path** — a
   :class:`~repro.obs.live.TelemetryConfig` makes every unit publish
   ``unit-start`` (PID), ``heartbeat`` (commands issued, the open span)
@@ -46,8 +46,8 @@ What does NOT come for free is *reproducibility discipline*:
 * **Results are cacheable** — a caller-supplied
   :class:`~repro.cache.ResultCache` makes the engine consult a
   content-addressed store before dispatching each unit and publish the
-  result envelope (value + instrument dump + wall) as each unit
-  completes, buying unit-level resume after a crash and warm re-runs
+  result envelope (value + metrics and evidence dump + wall) as each
+  unit completes, buying unit-level resume after a crash and warm re-runs
   whose stdout / folded metrics / history rows are byte-identical to
   cold ones (hits replay their stored dump through the same
   submission-order fold).
@@ -63,7 +63,8 @@ from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigError
-from ..obs import NULL_OBS, Observability
+from ..obs import (NULL_OBS, CommandProfiler, NullSpans, Observability,
+                   SpanTracker)
 from ..obs.live import COMMAND_COUNTERS, Heartbeat, Watchdog, read_spool
 from ..rng import SeedSequenceFactory
 
@@ -87,11 +88,11 @@ def unit_observability() -> Observability:
     """The executing work unit's ambient observability bundle.
 
     The eval host builders attach it to every host they build, so the
-    unit's components record through ``host.obs`` into the registry —
-    and, when the run profiles or collects evidence, the command
-    profiler and ledger — that the engine folds into the caller's
-    bundle.  Outside a unit this is :data:`~repro.obs.NULL_OBS`, so
-    instrumented code never branches.
+    unit's components record through ``host.obs`` into the registry
+    and ledger — and, when the run profiles, the command profiler —
+    that the engine folds into the caller's bundle.  Outside a unit
+    this is :data:`~repro.obs.NULL_OBS`, so instrumented code never
+    branches.
     """
     return _unit_obs
 
@@ -134,12 +135,16 @@ class UnitOutcome:
     quarantined: bool = False
     error: str | None = None
     #: What the unit's instruments recorded, as the
-    #: :meth:`~repro.obs.Observability.dump` of its bundle (``metrics``,
-    #: ``profile``, ``evidence``; each only when recorded).
+    #: :meth:`~repro.obs.Observability.dump` of its bundle (``metrics``
+    #: and ``evidence``; each only when recorded).
     instruments: dict = field(default_factory=dict)
     #: Measured wall-clock seconds of the winning attempt.  Side
     #: channel: never part of any rendered artifact.
     wall_s: float | None = None
+    #: The winning attempt's :meth:`~repro.obs.CommandProfiler.as_dict`
+    #: when the run profiles.  Side channel like :attr:`wall_s`, and
+    #: never cached: None on a hit.
+    profile: dict | None = None
     #: True when this outcome was served from the result cache
     #: (``attempts == 0``: the unit never executed this run).
     cached: bool = False
@@ -203,23 +208,24 @@ def _done_fields(outcome: UnitOutcome) -> dict:
     return fields
 
 
-def _execute(unit: WorkUnit, instruments: tuple = (),
+def _execute(unit: WorkUnit, profile: bool = False,
              telemetry=None) -> UnitOutcome:
     """Run one unit in this process; return its outcome with the dump.
 
-    The one per-unit executor.  It binds a fresh ambient bundle
-    recording *instruments* for the unit's duration
-    (:meth:`~repro.obs.Observability.build`), with a span tracker under
-    *telemetry* (heartbeats name the open span, so a stalled unit shows
-    the stage it is stuck in).  The bundle's dump and the measured wall
-    ride on the returned outcome for the caller's submission-order
-    fold.  With *telemetry* the unit also publishes ``unit-start`` /
-    ``heartbeat`` / ``unit-done`` events — side channel only.  An
-    exception from the unit propagates after its ``unit-done`` event.
+    The one per-unit executor.  It binds a fresh ambient bundle for the
+    unit's duration, with a command profiler when *profile* is set and
+    a span tracker under *telemetry* (heartbeats name the open span, so
+    a stalled unit shows the stage it is stuck in).  The bundle's dump,
+    the measured wall and the profile ride on the returned outcome for
+    the caller's submission-order fold.  With *telemetry* the unit also
+    publishes ``unit-start`` / ``heartbeat`` / ``unit-done`` events —
+    side channel only.  An exception from the unit propagates after its
+    ``unit-done`` event.
     """
     global _unit_obs
     live = telemetry is not None
-    obs = Observability.build(instruments, spans=live)
+    obs = Observability(spans=SpanTracker() if live else NullSpans(),
+                        profiler=CommandProfiler() if profile else None)
     sink = telemetry.sink(unit.unit_id) if live else None
     heartbeat = None
     if sink is not None:
@@ -240,12 +246,14 @@ def _execute(unit: WorkUnit, instruments: tuple = (),
         if heartbeat is not None:
             heartbeat.stop()
         outcome.instruments = obs.dump()
+        if profile:
+            outcome.profile = obs.profiler.as_dict()
         if sink is not None:
             _publish(sink, "unit-done", **_done_fields(outcome))
     return outcome
 
 
-def _call_unit(unit: WorkUnit, instruments: tuple = (),
+def _call_unit(unit: WorkUnit, profile: bool = False,
                telemetry=None) -> UnitOutcome:
     """The callable the pool submits: :func:`_execute` in a worker.
 
@@ -255,7 +263,7 @@ def _call_unit(unit: WorkUnit, instruments: tuple = (),
     each worker unit its own span tree, which in-process units (run
     through :func:`_execute` directly) must not get.
     """
-    return _execute(unit, instruments, telemetry)
+    return _execute(unit, profile, telemetry)
 
 
 def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
@@ -277,14 +285,14 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     emits ``unit-done`` / ``unit-retry`` / ``unit-quarantined`` events.
 
     *obs*, when given, is the caller's :class:`repro.obs.Observability`
-    bundle.  Its :attr:`~repro.obs.Observability.instruments` are read
-    once: each unit records into a bundle of its own with those
-    instruments, the cache keys each unit by them, and ``--cache-verify``
-    re-executes with them.  The units' dumps fold into *obs* through
-    :meth:`~repro.obs.Observability.merge` in submission order (each
-    evidence node stamped with its unit id), so its metrics, profile
-    and ledger come out identical for any worker count.  Unit spans are
-    not folded.
+    bundle.  Each unit records into a bundle of its own, profiled when
+    *obs* has a :attr:`~repro.obs.Observability.profiler`.  The units'
+    dumps fold into *obs* through :meth:`~repro.obs.Observability.merge`
+    in submission order (each evidence node stamped with its unit id),
+    so its metrics and ledger come out identical for any worker count.
+    Each executed unit's profile folds into ``obs.profiler`` with the
+    unit's wall, in the same order; cache hits contribute none.  Unit
+    spans are not folded.
 
     *telemetry*, when given, is a :class:`repro.obs.live.TelemetryConfig`:
     the run publishes ``run-start`` / ``run-done`` plus per-unit
@@ -296,7 +304,7 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     *cache*, when given, is a :class:`repro.cache.ResultCache`: each
     unit is content-addressed by its recipe and looked up before
     dispatch.  Hits skip execution and replay their stored value and
-    instrument dump at the unit's submission-order position, so the
+    metrics and evidence at the unit's submission-order position, so the
     run's outputs stay byte-identical to an uncached run; misses
     execute normally and publish their envelope as they complete (so a
     killed sweep resumes unit-by-unit).  With ``cache.verify``, one hit
@@ -312,7 +320,7 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
         raise ConfigError("work unit ids must be unique")
     if obs is None:
         obs = NULL_OBS
-    instruments = obs.instruments
+    profile = obs.profiler is not None
     coordinator = telemetry.sink(None) if telemetry is not None else None
     if coordinator is not None:
         _publish(coordinator, "run-start", units_total=len(units),
@@ -321,17 +329,19 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
     def execute(batch, on_result=None) -> ParallelRun:
         return _run(batch, workers, max_attempts=max_attempts,
                     quarantine=quarantine, log=log,
-                    instruments=instruments, telemetry=telemetry,
+                    profile=profile, telemetry=telemetry,
                     coordinator=coordinator, on_result=on_result)
 
     if cache is None:
         run = execute(units)
     else:
-        run = _run_cached(units, cache, execute, instruments, telemetry,
-                          log=log)
-    # The one fold: every unit, submission order, cache hits included.
+        run = _run_cached(units, cache, execute, telemetry, log=log)
+    # The one fold: every unit, submission order, cache hits included
+    # (a hit carries no profile).
     for outcome in run.outcomes:
         obs.merge(outcome.instruments, unit=outcome.unit_id)
+        if outcome.profile is not None:
+            obs.profiler.merge(outcome.profile, wall_s=outcome.wall_s)
     if coordinator is not None:
         done_fields: dict = {
             "units_done": sum(1 for o in run.outcomes if o.ok),
@@ -345,7 +355,7 @@ def run_units(units: Sequence[WorkUnit], workers: int = 1, *,
 
 
 def _run(units: Sequence[WorkUnit], workers: int, *, max_attempts: int,
-         quarantine: bool, log, instruments: tuple, telemetry,
+         quarantine: bool, log, profile: bool, telemetry,
          coordinator=None, on_result=None) -> ParallelRun:
     """Run *units* through the executor: one failure policy for any
     worker count.  *on_result* sees each unit as it completes."""
@@ -367,11 +377,11 @@ def _run(units: Sequence[WorkUnit], workers: int, *, max_attempts: int,
         if workers == 1:
             pending, failed = _drain_inline(pending, attempts, finish,
                                             max_attempts, log,
-                                            instruments, telemetry)
+                                            profile, telemetry)
         else:
             pending, failed = _drain_pool(pending, min(workers, len(units)),
                                           attempts, finish, max_attempts,
-                                          log, instruments, telemetry,
+                                          log, profile, telemetry,
                                           coordinator=coordinator,
                                           stalled=stalled)
         for unit, error in failed:
@@ -390,7 +400,7 @@ def _run(units: Sequence[WorkUnit], workers: int, *, max_attempts: int,
 
 
 def _drain_inline(pending: list[WorkUnit], attempts: dict[str, int],
-                  finish, max_attempts: int, log, instruments: tuple,
+                  finish, max_attempts: int, log, profile: bool,
                   telemetry):
     """Run *pending* in this process, in order, until a unit fails.
 
@@ -402,7 +412,7 @@ def _drain_inline(pending: list[WorkUnit], attempts: dict[str, int],
     for index, unit in enumerate(pending):
         attempts[unit.unit_id] += 1
         try:
-            outcome = _execute(unit, instruments, telemetry)
+            outcome = _execute(unit, profile, telemetry)
         except Exception as error:
             retryable: list[WorkUnit] = []
             failed: list[tuple[WorkUnit, BaseException]] = []
@@ -413,27 +423,28 @@ def _drain_inline(pending: list[WorkUnit], attempts: dict[str, int],
     return [], []
 
 
-def _run_cached(units: Sequence[WorkUnit], cache, execute,
-                instruments: tuple, telemetry, *, log=None) -> ParallelRun:
+def _run_cached(units: Sequence[WorkUnit], cache, execute, telemetry,
+                *, log=None) -> ParallelRun:
     """Cache-backed execution: plan, run the misses, replay in order.
 
     1. **Plan**, in submission order: **hits** (stored envelope found)
        and **misses** (everything else, uncachable units included).
-       A unit's key names the run's *instruments*, because its stored
-       dump holds only what those recorded.
+       Every unit records the same dump whatever the run's flags, so
+       a stored unit serves any run.
     2. **Run** the misses through *execute*, the runner uncached runs
        use, publishing each envelope as its unit completes (a killed
        sweep therefore resumes unit-by-unit).
     3. **Replay** every unit's outcome in submission order: misses as
-       they ran, hits from their stored envelopes.  The caller folds
-       these like any run's outcomes, which keeps a warm run's folded
-       instruments byte-identical to a cold one's.
+       they ran, hits from their stored envelopes (with no profile:
+       a hit executed no command).  The caller folds these like any
+       run's outcomes, which keeps a warm run's folded metrics and
+       evidence byte-identical to a cold one's.
     """
     keys: dict[str, str] = {}
     hits: dict[str, Any] = {}
     misses: list[WorkUnit] = []
     for unit in units:
-        key = cache.key(unit, instruments)
+        key = cache.key(unit)
         if key is not None:
             keys[unit.unit_id] = key
             envelope = cache.lookup(key)
@@ -469,7 +480,7 @@ def _run_cached(units: Sequence[WorkUnit], cache, execute,
             _replay_unit_events(telemetry, outcome)
         outcomes.append(outcome)
     if getattr(cache, "verify", False) and hits:
-        _verify_sampled_hit(cache, hits, units, keys, instruments, log)
+        _verify_sampled_hit(cache, hits, units, keys, log)
     return ParallelRun(outcomes=outcomes, workers=executed.workers,
                        stalled=executed.stalled)
 
@@ -485,18 +496,18 @@ def _replay_unit_events(telemetry, outcome: UnitOutcome) -> None:
 
 
 def _verify_sampled_hit(cache, hits: dict, units: Sequence[WorkUnit],
-                        keys: dict, instruments: tuple, log) -> None:
+                        keys: dict, log) -> None:
     """Re-execute one deterministically sampled hit and diff it against
     the stored envelope (``--cache-verify``).
 
     The sample is the hit with the smallest key, so two verify runs of
-    the same sweep check the same unit.  The re-execution records the
-    run's *instruments* into a detached bundle of its own — nothing it
-    records can reach the caller's fold.
+    the same sweep check the same unit.  The re-execution records into
+    a detached bundle of its own — nothing it records can reach the
+    caller's fold.
     """
     uid = min(hits, key=lambda unit_id: keys[unit_id])
     unit = next(unit for unit in units if unit.unit_id == uid)
-    cache.check_hit(hits[uid], _execute(unit, instruments))
+    cache.check_hit(hits[uid], _execute(unit))
     if log is not None:
         log.info("cache-verify", unit=uid, key=keys[uid][:12])
 
@@ -524,7 +535,7 @@ def _scan_stalls(watchdog, telemetry, reported: set, stalled: list,
 
 def _drain_pool(pending: list[WorkUnit], pool_size: int,
                 attempts: dict[str, int], finish, max_attempts: int, log,
-                instruments: tuple, telemetry, coordinator=None,
+                profile: bool, telemetry, coordinator=None,
                 stalled: list | None = None):
     """One pool lifetime: run *pending* until done or the pool breaks.
 
@@ -546,7 +557,7 @@ def _drain_pool(pending: list[WorkUnit], pool_size: int,
         futures = {}
         for unit in pending:
             attempts[unit.unit_id] += 1
-            futures[pool.submit(_call_unit, unit, instruments,
+            futures[pool.submit(_call_unit, unit, profile,
                                 telemetry)] = unit
         not_done = set(futures)
         while not_done:

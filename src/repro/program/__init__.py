@@ -13,12 +13,11 @@ attack executor is the one production caller.  See
 from .compiler import compile_program
 from .executor import execute_payload
 from .ops import (FLAG_NOMINAL, OP_ACT, OP_MULTI, OP_REF, OP_WAIT,
-                  OPCODE_NAMES, CompiledPayload)
+                  CompiledPayload)
 
 __all__ = [
     "CompiledPayload",
     "FLAG_NOMINAL",
-    "OPCODE_NAMES",
     "OP_ACT",
     "OP_MULTI",
     "OP_REF",

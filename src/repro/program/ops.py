@@ -40,9 +40,6 @@ from ..dram import ActBatch
 
 OP_ACT, OP_MULTI, OP_REF, OP_WAIT = range(4)
 
-#: Index-aligned with the opcode constants.
-OPCODE_NAMES = ("ACT", "MULTI", "REF", "WAIT")
-
 #: REF issued at the nominal tREFI rate rather than back-to-back.
 FLAG_NOMINAL = 0x01
 
@@ -65,14 +62,3 @@ class CompiledPayload:
 
     def __len__(self) -> int:
         return int(self.opcode.shape[0])
-
-    @property
-    def duration_ps(self) -> int:
-        """Host-clock span of the payload in the fault-free case."""
-        return int(self.dt.sum())
-
-    def counts(self) -> dict[str, int]:
-        """Commands per opcode name (zero entries omitted)."""
-        present, tallies = np.unique(self.opcode, return_counts=True)
-        return {OPCODE_NAMES[int(op)]: int(n)
-                for op, n in zip(present, tallies)}

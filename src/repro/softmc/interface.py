@@ -15,7 +15,6 @@ observables are read-back data and the host's own clock.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,10 +44,13 @@ class SoftMCHost:
     the module) and the activation pressure per REF window; it is also
     where every pipeline component driving this host reaches its
     instruments (:attr:`obs`, :data:`~repro.obs.NULL_OBS` when absent).
-    The recorder, metrics and profiler slots are resolved once at
-    construction: a disabled instrument caches to ``None`` and every
-    per-command hook reduces to a single ``is not None`` check, keeping
-    the disabled path within the benchmarked overhead bound.
+    The recorder and metrics slots are resolved once at construction: a
+    disabled instrument caches to ``None`` and every per-command hook
+    reduces to a single ``is not None`` check, keeping the disabled path
+    within the benchmarked overhead bound.  A bundle's command profiler
+    wraps this instance's opcode methods from outside
+    (:meth:`~repro.obs.CommandProfiler.attach`); the methods themselves
+    never time anything.
     """
 
     def __init__(self, chip: DramChip,
@@ -61,9 +63,6 @@ class SoftMCHost:
         self._obs = obs
         self._rec = obs.recorder if obs.recorder.enabled else None
         self._metrics = obs.metrics if obs.metrics.enabled else None
-        #: Command-bus profiler, resolved once like the recorder: the
-        #: disabled hot path pays one ``is not None`` check per command.
-        self._prof = obs.profiler if obs.profiler.enabled else None
         #: ACTs accumulated since the last REF burst (metrics only).
         self._window_acts = 0
         #: Identity-keyed memo of written-pattern trace specs (recording
@@ -79,6 +78,8 @@ class SoftMCHost:
         #: Activations issued per bank (the experimenter's own ledger —
         #: phase-locked attacks track the deterministic sampler with it).
         self.acts_per_bank: dict[int, int] = {}
+        if obs.profiler is not None:
+            obs.profiler.attach(self)
 
     @property
     def faults(self) -> "FaultInjector | None":
@@ -149,7 +150,6 @@ class SoftMCHost:
 
     def write_row(self, bank: int, row: int, pattern: DataPattern) -> None:
         """Write *pattern* into the row (logical addressing)."""
-        start = perf_counter() if self._prof is not None else 0.0
         self._chip.check_row(bank, row)
         if self._rec is not None:
             self._rec.on_write(self._chip.now_ps, bank, row,
@@ -159,12 +159,9 @@ class SoftMCHost:
         if self._faults is None or not self._faults.drop_write(
                 self._chip.now_ps):
             self._chip.write_row(bank, row, pattern)
-        if self._prof is not None:
-            self._prof.add("WR", perf_counter() - start)
 
     def read_row(self, bank: int, row: int) -> np.ndarray:
         """Read the row's current bits."""
-        start = perf_counter() if self._prof is not None else 0.0
         self._chip.check_row(bank, row)
         issue_ps = self._chip.now_ps if self._rec is not None else 0
         self._count_acts(bank, 1)
@@ -177,13 +174,10 @@ class SoftMCHost:
             # the payload digest; ``ps`` is still the issue-time clock.
             self._rec.on_read(issue_ps, bank, row,
                               digest=data_digest(bits))
-        if self._prof is not None:
-            self._prof.add("RD", perf_counter() - start)
         return bits
 
     def read_row_mismatches(self, bank: int, row: int) -> list[int]:
         """Bit positions differing from the last written data."""
-        start = perf_counter() if self._prof is not None else 0.0
         self._chip.check_row(bank, row)
         issue_ps = self._chip.now_ps if self._rec is not None else 0
         self._count_acts(bank, 1)
@@ -196,8 +190,6 @@ class SoftMCHost:
             self._rec.on_read(issue_ps, bank, row,
                               digest=mismatch_digest(mismatches),
                               mismatches=True)
-        if self._prof is not None:
-            self._prof.add("RD", perf_counter() - start)
         return mismatches
 
     # -- hammering ------------------------------------------------------------
@@ -236,12 +228,11 @@ class SoftMCHost:
 
     def _issue_hammer(self, batch: ActBatch) -> None:
         """Issue one single-bank hammer: validate, record, count, tick,
-        run (twice if the injector duplicates it), profile.
+        run (twice if the injector duplicates it).
 
         The chip validates first, so a command it rejects leaves the
         ledger, the trace and the injector untouched.
         """
-        start = perf_counter() if self._prof is not None else 0.0
         chip = self._chip
         chip.check_batch(batch)
         if self._rec is not None:
@@ -253,13 +244,10 @@ class SoftMCHost:
         if self._faults is not None and self._faults.duplicate_hammer(
                 chip.now_ps):
             chip.hammer(batch)
-        if self._prof is not None:
-            self._prof.add("ACT", perf_counter() - start)
 
     def _issue_hammer_multi(self, batches: Sequence[ActBatch]) -> None:
         """Issue one multi-bank hammer group: validate, record and count
-        each batch, tick, run, profile."""
-        start = perf_counter() if self._prof is not None else 0.0
+        each batch, tick, run."""
         chip = self._chip
         chip.check_group(batches)
         for batch in batches:
@@ -269,8 +257,6 @@ class SoftMCHost:
             self._count_acts(batch.bank, batch.total)
         self._tick()
         chip.hammer_multi(batches)
-        if self._prof is not None:
-            self._prof.add("ACT", perf_counter() - start)
 
     def _try_fused_hammer(self, batch: ActBatch, repeats: int,
                           step_ps: int) -> bool:
@@ -282,14 +268,12 @@ class SoftMCHost:
         certifies the intermediate settles as no-ops
         (:meth:`~repro.dram.DramChip.fusion_safe`).  On the fused path
         the trace records are emitted with the same computed timestamps
-        the per-command loop would have stamped, and the profiler
-        accounts *repeats* ACT commands.
+        the per-command loop would have stamped.
         """
         if (self._faults is not None or repeats < 2
                 or step_ps != self.timing.hammer_duration_ps(batch.total)
                 or not self._chip.fusion_safe(batch, step_ps)):
             return False
-        start = perf_counter() if self._prof is not None else 0.0
         if self._rec is not None:
             now = self._chip.now_ps
             for index in range(repeats):
@@ -297,8 +281,6 @@ class SoftMCHost:
                                  batch.pattern, batch.mode)
         self._count_acts(batch.bank, batch.total * repeats)
         self._chip.hammer_repeated(batch, repeats)
-        if self._prof is not None:
-            self._prof.add_bulk("ACT", repeats, perf_counter() - start)
         return True
 
     # -- refresh and time -----------------------------------------------------
@@ -310,7 +292,6 @@ class SoftMCHost:
         standard memory controller would; otherwise they are issued
         back-to-back (each still occupying tRFC).
         """
-        start = perf_counter() if self._prof is not None else 0.0
         spacing = self.timing.trefi_ps if at_nominal_rate else None
         # Validated before anything is recorded, counted or ticked: the
         # injector's one-REF-at-a-time path never asks the chip about
@@ -330,8 +311,6 @@ class SoftMCHost:
         else:
             self._chip.refresh(count=count, spacing_ps=spacing)
         self.ref_count += count
-        if self._prof is not None:
-            self._prof.add("REF", perf_counter() - start)
 
     def _refresh_faulty(self, count: int, spacing: int | None) -> None:
         """Issue REFs one at a time so each can be dropped or duplicated.
@@ -355,14 +334,11 @@ class SoftMCHost:
 
     def wait(self, duration_ps: int) -> None:
         """Idle without issuing any command (refresh stays disabled)."""
-        start = perf_counter() if self._prof is not None else 0.0
         self._chip.check_wait(duration_ps)
         if self._rec is not None:
             self._rec.on_wait(self._chip.now_ps, duration_ps)
         self._chip.wait(duration_ps)
         self._tick()
-        if self._prof is not None:
-            self._prof.add("WAIT", perf_counter() - start)
 
     def wait_us(self, duration_us: float) -> None:
         self.wait(us(duration_us))

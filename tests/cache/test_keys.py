@@ -139,11 +139,8 @@ def test_unit_key_invalidates_on_code_revision():
 def test_material_names_every_key_ingredient():
     material = unit_key_material(_unit(), git="g0")
     assert set(material) == {"schema", "unit", "seed", "git", "python",
-                             "fn", "args", "kwargs", "meta", "instruments"}
-    assert material["instruments"] == []
-    assert unit_key_material(_unit(), git="g0",
-                             instruments=("profile", "evidence")
-                             )["instruments"] == ["evidence", "profile"]
+                             "fn", "args", "kwargs", "meta"}
+    assert material["schema"] == 3
     assert material["unit"] == "eval/A5"
     assert material["git"] == "g0"
     assert material_digest(material) == unit_key(_unit(), git="g0")

@@ -79,11 +79,8 @@ def test_keyed_returns_none_for_uncachable_units(tmp_path):
     cache = ResultCache(tmp_path)
     cachable = WorkUnit(unit_id="ok", fn=entry_point, args=(2,))
     assert cache.key(cachable) is not None
-    # The key names the run's instruments.
-    assert cache.key(cachable, ("evidence",)) != cache.key(cachable)
     foreign = WorkUnit(unit_id="bad", fn=entry_point, args=(object(),))
     assert cache.key(foreign) is None
-    assert cache.key(foreign, ("evidence", "profile")) is None
 
 
 def test_value_digest_is_none_for_unpicklable_values():
@@ -93,29 +90,21 @@ def test_value_digest_is_none_for_unpicklable_values():
 
 def test_check_hit_raises_on_divergence(tmp_path):
     cache = ResultCache(tmp_path)
-    profile = {"counts": {"ACT": 2}, "seconds": {"ACT": 0.25},
-               "commands": 2}
     stored = {"metrics": {"counters": {"host.acts": 3}},
-              "evidence": [{"parameter": "period", "value": 9}],
-              "profile": profile}
+              "evidence": [{"parameter": "period", "value": 9}]}
     envelope = _envelope(instruments=stored)
 
     def fresh(value=41, **parts):
         return UnitOutcome(unit_id="eval/A5", value=value,
                            instruments={**stored, **parts})
 
-    # Clean; profile seconds are wall-clock and not compared.
-    cache.check_hit(envelope, fresh(
-        profile={**profile, "seconds": {"ACT": 0.5}}))
+    cache.check_hit(envelope, fresh())
     with pytest.raises(CacheError, match="metrics"):
         cache.check_hit(envelope, fresh(
             metrics={"counters": {"host.acts": 99}}))
     with pytest.raises(CacheError, match="evidence"):
         cache.check_hit(envelope, fresh(
             evidence=[{"parameter": "period", "value": 999}]))
-    with pytest.raises(CacheError, match="profile"):
-        cache.check_hit(envelope, fresh(
-            profile={**profile, "counts": {"ACT": 3}}))
     with pytest.raises(CacheError, match="value"):
         cache.check_hit(envelope, fresh(value=42))
 

@@ -124,6 +124,18 @@ def test_cli_telemetry_and_profile_leave_stdout_untouched(tmp_path,
     assert "run-start" in kinds and "unit-done" in kinds
 
 
+def test_cli_profile_coverage_stays_within_the_profiled_wall(capsys):
+    """Two pool workers profile at once, so their command seconds sum
+    past the run's one wall; coverage is taken against the profiled
+    units' summed wall instead, which bounds it by 100%."""
+    assert eval_main(["fig9", "--modules", "A5,B0,C7", "--scale",
+                      "quick", "--workers", "2", "--profile"]) == 0
+    err = capsys.readouterr().err
+    [line] = [line for line in err.splitlines() if "coverage:" in line]
+    coverage = float(line.split("coverage:")[1].split("%")[0])
+    assert 0.0 < coverage <= 100.0, line
+
+
 @pytest.mark.parametrize("extra, message", [
     ((), "--stall-deadline requires --telemetry"),
     # At one worker every unit runs on the coordinator's thread, where

@@ -25,7 +25,7 @@ def test_survey_runs_table1_units_through_the_engine(tmp_path,
                                                      monkeypatch):
     """Survey rows are Table 1's ``table1/<module>`` units: what a unit
     records folds into the caller's bundle, and a store ``table1``
-    wrote with the same instruments serves the survey."""
+    wrote serves the survey."""
     from repro.cache import ResultCache
     from repro.eval import table1
     from repro.obs import Observability
@@ -39,7 +39,7 @@ def test_survey_runs_table1_units_through_the_engine(tmp_path,
 
     monkeypatch.setattr(table1, "run_table1_module", stub_row)
     modules = ["A0", "B0"]
-    obs = Observability.build(("evidence",))
+    obs = Observability()
     result = run_survey(modules, QUICK, workers=1, obs=obs)
     assert [survey.row for survey in result.surveys] == \
         ["row-A0", "row-B0"]
@@ -49,10 +49,10 @@ def test_survey_runs_table1_units_through_the_engine(tmp_path,
 
     store = tmp_path / "store"
     table1.run_table1(modules, QUICK, workers=1,
-                      obs=Observability.build(("evidence",)),
+                      obs=Observability(),
                       cache=ResultCache(store))
     warm = ResultCache(store)
-    replayed = Observability.build(("evidence",))
+    replayed = Observability()
     rows = run_survey(modules, QUICK, workers=1, obs=replayed,
                       cache=warm)
     assert warm.hits == 2 and warm.stores == 0

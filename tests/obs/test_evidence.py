@@ -172,7 +172,6 @@ def test_check_trace_resolves_ref_indices(tmp_path):
 
 
 def test_null_evidence_is_inert():
-    assert not NULL_EVIDENCE.enabled
     assert NULL_EVIDENCE.decide("x", 1, outcome="rejected") is None
     NULL_EVIDENCE.merge([{"kind": "decision", "parameter": "x"}],
                         unit="u")  # no-op, no raise

@@ -35,7 +35,8 @@ def test_default_bundle_does_not_perturb_simulation():
 
 
 def test_null_bundle_shape():
-    assert NULL_OBS.instruments == ()
+    assert NULL_OBS.profiler is None
+    assert NULL_OBS.evidence.nodes == ()
     assert NULL_OBS.recorder.enabled is False
     assert NULL_OBS.metrics.enabled is False
     assert NULL_OBS.spans.enabled is False

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import time
 
-from repro.obs import CommandProfiler, NullProfiler, Observability
+from repro.obs import CommandProfiler, Observability
+from repro.obs.profile import HOST_METHODS
+from repro.softmc import SoftMCHost
 
 from .conftest import drive, small_host
 
@@ -37,30 +39,48 @@ def test_host_profile_covers_measured_wall():
         drive(host)
     wall = time.perf_counter() - started
     # Everything between perf_counter reads is host work; the only
-    # unattributed time is the Python call glue around each bracket.
+    # unattributed time is the Python call glue around each wrapper.
     assert profiler.total_s <= wall
     assert profiler.total_s >= 0.5 * wall
 
 
-def test_profiler_merge_folds_dumps_and_instances():
+def test_attach_wraps_only_the_profiled_host():
+    """The profiler wraps one host's opcode methods on that instance:
+    a host built without one runs the class methods, untimed."""
+    profiler = CommandProfiler()
+    profiled = small_host(obs=Observability(profiler=profiler))
+    plain = small_host(obs=Observability())
+    names = [name for name, _ in HOST_METHODS] + ["_try_fused_hammer"]
+    assert set(names) <= set(vars(profiled))
+    assert not set(names) & set(vars(plain))
+    assert all(getattr(plain, name).__func__ is getattr(SoftMCHost, name)
+               for name in names)
+    drive(plain)
+    assert profiler.commands == 0
+    drive(profiled)
+    assert profiler.counts == DRIVE_COUNTS
+
+
+def test_profiler_merge_folds_dumps_and_unit_walls():
     left = CommandProfiler()
     left.add("ACT", 0.25)
     left.add("RD", 0.5)
     right = CommandProfiler()
     right.add("ACT", 0.75)
-    left.merge(right)            # instance form
-    left.merge(right.as_dict())  # dict form (what pool workers ship)
-    assert left.counts == {"ACT": 3, "RD": 1}
-    assert abs(left.seconds["ACT"] - 1.75) < 1e-9
-    left.merge(NullProfiler())   # disabled profilers fold to nothing
-    assert left.commands == 4
+    right.add("ACT", 0.5, count=3)
+    left.merge(right.as_dict(), wall_s=2.0)
+    left.merge(right.as_dict())
+    assert left.counts == {"ACT": 9, "RD": 1}
+    assert abs(left.seconds["ACT"] - 2.75) < 1e-9
+    # Only the wall given with a dump counts toward coverage.
+    assert left.wall_s == 2.0
 
 
 def test_render_table_and_coverage():
     profiler = CommandProfiler()
-    profiler.add("ACT", 3.0)
-    profiler.add("RD", 1.0)
-    text = profiler.render(wall_s=5.0)
+    profiler.merge({"seconds": {"ACT": 3.0, "RD": 1.0},
+                    "counts": {"ACT": 1, "RD": 1}}, wall_s=5.0)
+    text = profiler.render()
     lines = text.splitlines()
     # Canonical opcode order, totals row, coverage footer.
     assert lines[1].split()[0] == "ACT"
@@ -68,16 +88,7 @@ def test_render_table_and_coverage():
     assert "total" in lines[3]
     assert "coverage: 80.0% of 5.000s" in lines[4]
     assert CommandProfiler().render() == "  (no commands profiled)"
-
-
-def test_null_profiler_is_inert_and_cheap():
-    profiler = NullProfiler()
-    profiler.add("ACT", 1.0)
-    profiler.add_bulk("ACT", 4, 1.0)
-    assert profiler.commands == 0
-    assert profiler.seconds == {}
-    assert profiler.counts == {}
-    # A host built with the null profiler resolves to the no-op branch.
-    host = small_host(obs=Observability(profiler=profiler))
-    assert host._prof is None
-    drive(host)
+    # No folded wall, no coverage line.
+    bare = CommandProfiler()
+    bare.add("ACT", 1.0)
+    assert "coverage" not in bare.render()

@@ -3,13 +3,14 @@
 Each example draws a list of work units — metered units (counters and
 histograms), units that record evidence, units that profile commands,
 units that always raise, and units that record a metric before raising
-— plus the instruments the run records (none, evidence, profile, or
-both).  It runs the units under ``quarantine=True`` at workers 1 and 2,
-with the result cache off, cold, warm and warm with ``verify``.  Every
-run must match the uncached ``workers=1`` run on values, quarantined
-``(id, attempts, error)``, the folded metrics registry, the folded
-evidence ledger and the folded profile counts.  A warm run recording an
-instrument its store was written without must miss.
+— and whether the run profiles.  It runs the units under
+``quarantine=True`` at workers 1 and 2, with the result cache off,
+cold, warm and warm with ``verify``.  Every run must match the
+uncached ``workers=1`` run on values, quarantined ``(id, attempts,
+error)``, the folded metrics registry and the folded evidence ledger;
+cold runs also on the folded profile counts.  Warm runs replay the
+evidence but take no profile from their hits, and a store serves a run
+whichever profile flag wrote it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ResultCache
-from repro.obs import Observability
+from repro.obs import CommandProfiler, Observability
 from repro.parallel import WorkUnit, run_units, unit_observability
 
 from .test_engine import always_raises, metered_square
@@ -38,7 +39,6 @@ KINDS = {"met": metered_square, "ev": deciding_square,
          "prof": profiled_unit, "bad": always_raises,
          "partial": metered_then_raises}
 FAILING = {"bad", "partial"}
-INSTRUMENTS = ((), ("evidence",), ("profile",), ("evidence", "profile"))
 
 recipe_lists = st.lists(
     st.tuples(st.sampled_from(sorted(KINDS)), st.integers(0, 40)),
@@ -51,8 +51,8 @@ def _units(recipes) -> list[WorkUnit]:
             for index, (kind, value) in enumerate(recipes)]
 
 
-def _observed(units, workers: int, instruments, cache=None) -> dict:
-    obs = Observability.build(instruments)
+def _observed(units, workers: int, profile: bool, cache=None) -> dict:
+    obs = Observability(profiler=CommandProfiler() if profile else None)
     run = run_units(units, workers, quarantine=True, obs=obs,
                     cache=cache)
     return {
@@ -61,34 +61,35 @@ def _observed(units, workers: int, instruments, cache=None) -> dict:
                         for outcome in run.quarantined],
         "metrics": obs.metrics.as_dict(),
         "evidence": [dict(node) for node in obs.evidence.nodes],
-        "profile": obs.profiler.counts,
+        "profile": obs.profiler.counts if profile else None,
     }
 
 
 @settings(max_examples=20, deadline=None)
-@given(recipe_lists, st.sampled_from(INSTRUMENTS))
+@given(recipe_lists, st.booleans())
 def test_runs_fold_identically_across_workers_and_cache(recipes,
-                                                        instruments):
+                                                        profile):
     units = _units(recipes)
-    reference = _observed(units, 1, instruments)
+    reference = _observed(units, 1, profile)
     assert len(reference["quarantined"]) == sum(
         kind in FAILING for kind, _ in recipes)
     assert all(attempts == 2
                for _, attempts, _ in reference["quarantined"])
     stored = len(units) - len(reference["quarantined"])
+    # Only failures run again on a warm store, and they never profile.
+    warm_reference = {**reference, "profile": {} if profile else None}
     for workers in (1, 2):
-        assert _observed(units, workers, instruments) == reference
+        assert _observed(units, workers, profile) == reference
         with tempfile.TemporaryDirectory() as store:
-            assert _observed(units, workers, instruments,
+            assert _observed(units, workers, profile,
                              ResultCache(store)) == reference
             for verify in (False, True):
                 warm = ResultCache(store, verify=verify)
-                assert _observed(units, workers, instruments,
-                                 warm) == reference
+                assert _observed(units, workers, profile,
+                                 warm) == warm_reference
                 # Failures are never published, so only they run again.
                 assert warm.hits == stored
-            for extra in {"evidence", "profile"} - set(instruments):
-                other = ResultCache(store)
-                _observed(units, workers,
-                          tuple(sorted({*instruments, extra})), other)
-                assert other.hits == 0
+            other = ResultCache(store)
+            assert _observed(units, workers, not profile, other) == {
+                **warm_reference, "profile": None if profile else {}}
+            assert other.hits == stored

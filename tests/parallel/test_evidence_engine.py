@@ -94,15 +94,6 @@ def test_units_without_nodes_contribute_nothing():
     assert ledger.nodes == []
 
 
-def test_disabled_ledger_is_not_threaded():
-    ledger = EvidenceLedger()
-    ledger.enabled = False
-    run = run_units(_units([2]), workers=1,
-                    obs=Observability(evidence=ledger))
-    assert run.values == [4]
-    assert ledger.nodes == []
-
-
 def test_no_ledger_runs_clean():
     run = run_units(_units([2, 3]), workers=2)
     assert run.values == [4, 9]
@@ -136,14 +127,18 @@ def test_profiling_leaves_evidence_stamps_alone():
     assert profiled.nodes == plain.nodes
 
 
-def test_ledger_run_misses_a_store_written_without_one(tmp_path):
-    """The key names the run's instruments: a unit stored by a run
-    without a ledger holds no nodes, so a run with one executes it
-    instead of replaying an empty dump."""
+def test_store_written_without_a_caller_ledger_serves_its_nodes(
+        tmp_path):
+    """Every unit records its nodes whatever the caller's bundle, and
+    the key names no instrument: a store written by a run without a
+    ledger of its own serves a run with one, nodes included, without
+    executing the unit."""
     store = tmp_path / "store"
     run_units(_units([2]), workers=1, cache=ResultCache(store))
     uncached = _run_ledger([2], workers=1)
-    warm = _run_ledger([2], workers=1, cache=ResultCache(store))
+    warm_cache = ResultCache(store)
+    warm = _run_ledger([2], workers=1, cache=warm_cache)
+    assert (warm_cache.hits, warm_cache.misses) == (1, 0)
     assert len(uncached.nodes) == 1
     assert warm.nodes == uncached.nodes
 

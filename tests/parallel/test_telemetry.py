@@ -32,7 +32,8 @@ def recording_unit(n: int) -> int:
     obs = unit_observability()
     with obs.span("hammer", n=n):
         obs.metrics.inc("host.acts", 10 * n)
-        obs.profiler.add("ACT", 0.001)
+        if obs.profiler is not None:
+            obs.profiler.add("ACT", 0.001)
         obs.evidence.decide(f"square_{n}", n * n)
         time.sleep(0.25)
     return n * n
@@ -43,10 +44,12 @@ def failing_unit(n: int) -> int:
 
 
 def profiled_unit(n: int) -> int:
-    obs = unit_observability()
-    for _ in range(n):
-        obs.profiler.add("ACT", 0.001)
-    obs.profiler.add("REF", 0.002)
+    """Accounts *n* ACT and one REF command when the run profiles."""
+    profiler = unit_observability().profiler
+    if profiler is not None:
+        for _ in range(n):
+            profiler.add("ACT", 0.001)
+        profiler.add("REF", 0.002)
     return n
 
 
@@ -128,9 +131,12 @@ def test_profiler_fold_is_worker_count_independent():
     dumps = {}
     for workers in (1, 2):
         profiler = CommandProfiler()
-        run_units(_units(profiled_unit, [3, 5]), workers,
-                  obs=Observability(profiler=profiler))
+        run = run_units(_units(profiled_unit, [3, 5]), workers,
+                        obs=Observability(profiler=profiler))
         dumps[workers] = profiler.as_dict()
+        # Each unit's wall folds with its profile: the coverage base.
+        assert abs(profiler.wall_s
+                   - sum(o.wall_s for o in run.outcomes)) < 1e-9
     assert dumps[1] == dumps[2]
     assert dumps[1]["counts"] == {"ACT": 8, "REF": 2}
     assert abs(dumps[1]["seconds"]["ACT"] - 0.008) < 1e-9
@@ -192,12 +198,14 @@ def test_spool_carries_progress_not_instrument_dumps(tmp_path):
                              ("cold", ResultCache(store)),
                              ("warm", ResultCache(store))):
             spool = tmp_path / f"w{workers}-{label}"
-            obs = Observability.build(("evidence", "profile"))
+            obs = Observability(profiler=CommandProfiler())
             run = run_units(units, workers, quarantine=True, obs=obs,
                             telemetry=_config(spool, interval_s=0.05),
                             cache=cache)
-            # The instruments still fold into the caller...
-            assert obs.profiler.counts == {"ACT": 2}
+            # The instruments still fold into the caller (a hit
+            # executes no command, so it adds no profile)...
+            assert obs.profiler.counts == (
+                {} if label == "warm" else {"ACT": 2})
             assert len(obs.evidence.nodes) == 2
             # ...but no event carries what they recorded.
             hits = {o.unit_id for o in run.outcomes if o.cached}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.dram import HammerMode
 from repro.errors import ConfigError
-from repro.program import (OP_ACT, OP_MULTI, OP_REF, OP_WAIT, OPCODE_NAMES,
+from repro.program import (OP_ACT, OP_MULTI, OP_REF, OP_WAIT,
                            compile_program, execute_payload)
 from repro.program.compiler import _fuse_groups
 from repro.softmc import SoftMCProgram
@@ -26,8 +26,8 @@ def timing():
 def test_empty_program_compiles_and_runs(timing):
     payload = compile_program([], timing)
     assert len(payload) == 0
-    assert payload.duration_ps == 0
-    assert payload.counts() == {}
+    assert payload.dt.sum() == 0
+    assert payload.opcode.tolist() == []
     host = payload_host()
     before = host.now_ps
     execute_payload(host, payload)
@@ -49,7 +49,7 @@ def test_wait_only_payload(timing):
     assert payload.opcode[0] == OP_WAIT
     assert payload.arg[0] == 123_456
     assert payload.dt[0] == 123_456
-    assert payload.duration_ps == 123_456
+    assert payload.dt.sum() == 123_456
     host = payload_host()
     before = host.now_ps
     execute_payload(host, payload)
@@ -70,8 +70,8 @@ def test_dt_schedule_matches_timing_formulas(timing):
         3 * timing.trfc_ps,
         2 * timing.trefi_ps,
         99]
-    assert [OPCODE_NAMES[op] for op in payload.opcode.tolist()] == [
-        "ACT", "MULTI", "REF", "REF", "WAIT"]
+    assert payload.opcode.tolist() == [
+        OP_ACT, OP_MULTI, OP_REF, OP_REF, OP_WAIT]
 
 
 def test_operand_interning_and_fuse_groups(timing):
@@ -142,6 +142,8 @@ def test_counts_and_opcode_constants(timing):
                .hammer_multi({0: [(6, 1)], 1: [(7, 1)]})
                .hammer(0, ((5, 1),)))
     payload = compile_program(program.instructions, timing)
-    assert payload.counts() == {"WAIT": 1, "ACT": 2, "REF": 1, "MULTI": 1}
+    present, tallies = np.unique(payload.opcode, return_counts=True)
+    assert dict(zip(present.tolist(), tallies.tolist())) == {
+        OP_WAIT: 1, OP_ACT: 2, OP_REF: 1, OP_MULTI: 1}
     assert payload.opcode.tolist() == [OP_WAIT, OP_ACT, OP_REF, OP_MULTI,
                                        OP_ACT]

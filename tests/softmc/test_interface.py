@@ -12,7 +12,7 @@ import repro
 from repro.dram import AllOnes, DramChip, HammerMode, single_row_batch
 from repro.errors import ConfigError, MappingError
 from repro.faults import DEFAULT, FaultInjector
-from repro.obs import traced
+from repro.obs import CommandProfiler, traced
 from repro.softmc import SoftMCHost
 from repro.units import ms, us
 from repro.vendors import build_module, get_module
@@ -131,12 +131,15 @@ REJECTED = {
 @pytest.mark.parametrize("issue", REJECTED.values(), ids=REJECTED.keys())
 def test_rejected_command_leaves_no_trace(issue, tmp_path):
     chip = build_module(get_module("A5"), rows_per_bank=1024, row_bits=256)
-    host = SoftMCHost(chip, obs=traced(tmp_path / "trace.jsonl"))
+    obs = traced(tmp_path / "trace.jsonl")
+    obs.profiler = CommandProfiler()
+    host = SoftMCHost(chip, obs=obs)
     host.write_row(0, 5, AllOnes())
     host.hammer(1, [(7, 3)])
     ledger = host.ledger()
     records = host.obs.recorder.events
     metrics = host.obs.metrics.as_dict()
+    profiled = dict(obs.profiler.counts)
     stats = chip.stats.snapshot()
     now_ps = host.now_ps
     with pytest.raises((ConfigError, MappingError)):
@@ -144,6 +147,7 @@ def test_rejected_command_leaves_no_trace(issue, tmp_path):
     assert host.ledger() == ledger
     assert host.obs.recorder.events == records
     assert host.obs.metrics.as_dict() == metrics
+    assert obs.profiler.counts == profiled
     assert chip.stats.snapshot() == stats
     assert host.now_ps == now_ps
 
@@ -200,7 +204,8 @@ def _issue_run(config, path, faults, hammers) -> tuple:
     """Write a few rows, run *hammers(host)*, read them back; return the
     trace (at *path*) after its header, the ledger, chip stats and
     opcode counts."""
-    obs = traced(path, profile=True)
+    obs = traced(path)
+    obs.profiler = CommandProfiler()
     host = SoftMCHost(DramChip(config), faults=faults, obs=obs)
     rows = range(996, 1005)
     for bank in range(4):
