@@ -6,6 +6,7 @@ regressions in the simulator or the tools show up in benchmark history.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -143,16 +144,22 @@ def test_enabled_trace_overhead_measured(tmp_path):
         f"enabled trace path blew up: {factor:.1f}x over bare")
 
 
+#: Paired rounds per overhead reading (odd, so the median is a round).
+OVERHEAD_ROUNDS = 41
+
+
 def _assert_overhead_within(budget: float, label: str, base,
                             instrumented) -> None:
     """Fail unless hosts built on *instrumented* bundles run the fixed
     hammer/REF workload less than *budget* slower than hosts built on
     *base* bundles (both zero-argument bundle factories).
 
-    Timed as min-of-N with interleaved runs so machine drift hits both
-    variants equally; the bundles are built outside the timed region.
+    Each round times one fresh host of each kind, alternating which
+    runs first, and the reading is the median of the per-round
+    instrumented/base ratios: machine drift hits both halves of a
+    round alike, and one stalled timing moves the median by at most
+    one round.  The bundles are built outside the timed region.
     """
-    variants = {"base": base, "instrumented": instrumented}
 
     def timed(make_obs) -> float:
         host = SoftMCHost(DramChip(CONFIG, CounterBasedTrr()),
@@ -161,24 +168,31 @@ def _assert_overhead_within(budget: float, label: str, base,
         _obs_workload(host)
         return time.perf_counter() - start
 
-    for make_obs in variants.values():  # warm caches on both paths
-        timed(make_obs)
+    timed(base)  # warm caches on both paths
+    timed(instrumented)
     # Timer noise on a busy machine can exceed a tight budget, so the
     # measurement gets up to three attempts; a real regression in the
     # instrumented path fails all of them.
     for attempt in range(3):
-        best = {name: float("inf") for name in variants}
-        for _ in range(7):
-            for name, make_obs in variants.items():
-                best[name] = min(best[name], timed(make_obs))
-        overhead = best["instrumented"] / best["base"] - 1.0
-        print(f"\n{label} overhead: {overhead * 100:+.2f}% "
-              f"(base {best['base']:.4f}s, instrumented "
-              f"{best['instrumented']:.4f}s, attempt {attempt + 1})")
+        ratios = []
+        for round_index in range(OVERHEAD_ROUNDS):
+            if round_index % 2:
+                cost = timed(instrumented)
+                ratios.append(cost / timed(base))
+            else:
+                reference = timed(base)
+                ratios.append(timed(instrumented) / reference)
+        low, median, high = statistics.quantiles(ratios, n=4)
+        overhead = median - 1.0
+        print(f"\n{label} overhead: {overhead * 100:+.2f}% (median of "
+              f"{OVERHEAD_ROUNDS} paired rounds, quartiles "
+              f"{(low - 1) * 100:+.2f}%..{(high - 1) * 100:+.2f}%, "
+              f"attempt {attempt + 1})")
         if overhead < budget:
             return
     pytest.fail(f"{label} costs {overhead * 100:.1f}% "
-                f"(budget {budget:.0%}): {best}")
+                f"(budget {budget:.0%}): median of {OVERHEAD_ROUNDS} "
+                f"paired rounds")
 
 
 def test_unit_bundle_overhead_under_5_percent():

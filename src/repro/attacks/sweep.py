@@ -7,10 +7,14 @@ These drive the paper's quantitative results:
   disabled).
 * :func:`choose_pattern` — §7.1 attack synthesis from an inferred TRR
   profile: the attacker only uses what U-TRR recovered.
-* :func:`run_hammer_sweep` — Figure 8 (flips-per-row distribution vs
-  hammers per aggressor per REF).
 * :func:`run_vulnerability_sweep` — Figures 9 and 10 (fraction of
   vulnerable rows; per-row flip positions for the ECC analysis).
+* :func:`run_hammer_sweep` — Figure 8 (flips-per-row distribution vs
+  hammers per aggressor per REF): one vulnerability sweep per hammer
+  count.
+
+Both sweeps attack each victim position on a freshly built chip, as
+U-TRR attacks each sampled row of a freshly initialized module (§7.2).
 """
 
 from __future__ import annotations
@@ -129,32 +133,21 @@ class HammerSweepResult:
         return pick(0.25), pick(0.5), pick(0.75)
 
 
-def run_hammer_sweep(host: SoftMCHost, mapping: RowMapping,
-                     pattern_factory, hammer_counts, positions,
-                     trr_period: int, windows: int, bank: int = 0,
-                     dummy_count: int = 16, paired: bool = False,
-                     host_factory=None) -> HammerSweepResult:
+def run_hammer_sweep(new_host, pattern_factory, hammer_counts, positions,
+                     trr_period: int, windows: int,
+                     paired: bool = False) -> HammerSweepResult:
     """Figure 8: sweep hammers-per-aggressor, measure flips per row.
 
-    *host_factory* (when given) builds a fresh chip per attack run —
-    the power-cycle-between-tests hygiene of real rig experiments, which
-    keeps one run's TRR-internal leftovers from biasing the next.
+    One :func:`run_vulnerability_sweep` per hammer count, each attack
+    run on a fresh chip from *new_host*.
     """
     result = HammerSweepResult()
-    executor = AttackExecutor(host, mapping)
     for hammers in hammer_counts:
-        pattern = pattern_factory(hammers)
-        flips = []
-        for victim in positions:
-            if host_factory is not None:
-                host, mapping = host_factory()
-                executor = AttackExecutor(host, mapping)
-            context = default_context(bank, victim, mapping, trr_period,
-                                      host.num_banks, dummy_count,
-                                      paired=paired)
-            run = executor.run(pattern, context, windows)
-            flips.append(run.flips_at(victim))
-        result.flips_by_hammers[hammers] = flips
+        sweep = run_vulnerability_sweep(new_host, pattern_factory(hammers),
+                                        positions, trr_period, windows,
+                                        paired=paired)
+        result.flips_by_hammers[hammers] = [
+            len(sweep.flips_by_row[victim]) for victim in positions]
     return result
 
 
@@ -182,26 +175,23 @@ class VulnerabilityResult:
         return max((len(f) for f in self.flips_by_row.values()), default=0)
 
 
-def run_vulnerability_sweep(host: SoftMCHost, mapping: RowMapping,
-                            pattern: AccessPattern, positions,
-                            trr_period: int, windows: int, bank: int = 0,
-                            dummy_count: int = 16, paired: bool = False,
-                            host_factory=None) -> VulnerabilityResult:
+def run_vulnerability_sweep(new_host, pattern: AccessPattern, positions,
+                            trr_period: int, windows: int,
+                            paired: bool = False) -> VulnerabilityResult:
     """Figures 9/10: attack every sampled victim position, record flips.
 
-    *host_factory* (when given) builds a fresh chip per position — the
-    power-cycle-between-tests hygiene of real rig experiments.
+    *new_host* returns a freshly built ``(host, mapping)`` for each
+    position — the power-cycle-between-tests hygiene of real rig
+    experiments, which keeps one run's TRR-internal leftovers from
+    biasing the next.  Victims sit in bank 0 with the default dummy
+    rows of :func:`~repro.attacks.base.default_context`.
     """
-    executor = AttackExecutor(host, mapping)
     flips_by_row: dict[int, list[int]] = {}
     for victim in positions:
-        if host_factory is not None:
-            host, mapping = host_factory()
-            executor = AttackExecutor(host, mapping)
-        context = default_context(bank, victim, mapping, trr_period,
-                                  host.num_banks, dummy_count,
-                                  paired=paired)
-        run = executor.run(pattern, context, windows)
+        host, mapping = new_host()
+        context = default_context(0, victim, mapping, trr_period,
+                                  host.num_banks, paired=paired)
+        run = AttackExecutor(host, mapping).run(pattern, context, windows)
         flips_by_row[victim] = run.victim_flips[victim]
     return VulnerabilityResult(positions=list(positions),
                                flips_by_row=flips_by_row, windows=windows)

@@ -6,8 +6,8 @@ read-back data and the host's own clock/REF counter are the only
 observables.
 """
 
-from .inference import (REDUCED_INFERENCE, InferenceConfig,
-                        InferredTrrProfile, TrrInference)
+from .inference import (HARDENED_INFERENCE, REDUCED_INFERENCE,
+                        InferenceConfig, InferredTrrProfile, TrrInference)
 from .mapping_re import (CouplingTopology, MappingDiscovery,
                          discover_row_mapping)
 from .refclassifier import RefreshCalibrator, RefreshSchedule
@@ -24,6 +24,7 @@ __all__ = [
     "CouplingTopology",
     "ExperimentConfig",
     "ExperimentResult",
+    "HARDENED_INFERENCE",
     "InferenceConfig",
     "InferredTrrProfile",
     "MappingDiscovery",

@@ -23,15 +23,21 @@ paper's experiment sequence and recovers the Table 1 observation columns:
    see whether the first bank's protection survives the second's.
 
 Every step consumes only read-back data and the host's REF counter.
+
+The sequence is fixed; a caller chooses only its effort.
+:class:`InferenceConfig` holds the eight effort knobs and one
+``hardened`` switch for the resilience pipeline, whose settings are the
+``HARDENED_*`` constants.  The rest of the experiment setup (banks,
+data pattern, hammer counts, scan bounds) is module constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..dram.commands import HammerMode
-from ..dram.patterns import AllOnes, DataPattern
+from ..dram.patterns import AllOnes
 from ..errors import ExperimentError, ProfilingError, TransientFaultError
 from ..obs.evidence import ev_error, ev_refs, ev_value
 from ..softmc import SoftMCHost
@@ -45,49 +51,61 @@ from .trranalyzer import (AggressorHammer, ExperimentConfig,
                           ExperimentResult, TrrAnalyzer)
 
 
+#: Bank the §6 experiments profile, and the second bank the per-bank
+#: probe hammers.
+BANK = 0
+SECOND_BANK = 1
+#: Data pattern every profiled row holds.
+PATTERN = AllOnes()
+#: Row Scout's first retention guess and its escalation ceiling (ms).
+INITIAL_T_MS = 100.0
+MAX_T_MS = 8000.0
+#: Aggressor hammers per §6 experiment (the detection-kind and
+#: counter-reset probes hammer multiples of it).
+HAMMER_COUNT = 5000
+#: Mapping discovery (§5.3): probe rows, and hammers per probe.
+MAPPING_PROBE_COUNT = 10
+MAPPING_HAMMER_COUNT = 2_400_000
+#: Row groups the TRR-to-REF stride scan profiles.
+PERIOD_SCAN_GROUPS = 16
+#: Largest TRR-to-REF stride the scan accepts; fitted to Table 1's
+#: eight TRR variants (periods 2 to 17).
+MAX_TRR_PERIOD = 24
+
+# -- what ``InferenceConfig.hardened`` switches on ---------------------------
+#: Majority-vote repetitions per stateless experiment.
+HARDENED_VOTES = 3
+#: Row Scout re-probes of an inconsistent validation round.
+HARDENED_ROUND_RETRIES = 2
+#: Full Fig. 6 escalations before profiling gives up.
+HARDENED_SCAN_ATTEMPTS = 3
+#: Recalibrate a row's refresh phase after this many
+#: flipped-despite-covering-REF surprises.
+HARDENED_RECALIBRATE_AFTER = 2
+
+
 @dataclass(frozen=True)
 class InferenceConfig:
     """Effort knobs for a full reverse-engineering run."""
 
-    bank: int = 0
-    second_bank: int = 1
-    pattern: DataPattern = field(default_factory=AllOnes)
     #: RS write/wait/read validation rounds.  VRT rows that slip through
     #: validation corrupt calibration, so this should stay high (the
     #: paper uses 1000).
     validation_rounds: int = 40
-    initial_t_ms: float = 100.0
-    max_t_ms: float = 8000.0
-    hammer_count: int = 5000
-    mapping_probe_count: int = 10
-    mapping_hammer_count: int = 2_400_000
     #: Single-REF experiment budget for the TRR-to-REF stride scan (the
     #: scan stops early once enough hits are collected).
     period_scan_experiments: int = 140
-    period_scan_groups: int = 16
     neighbor_distances: tuple[int, ...] = (1, 2, 3)
     neighbor_repeats: int = 3
     persistence_probes: int = 4
     kind_repeats: int = 5
     capacity_candidates: tuple[int, ...] = (4, 16, 17)
     capacity_repeats: int = 3
-    max_trr_period: int = 24
-    # -- hardening knobs (all defaults preserve the exact unhardened
-    # -- behaviour: with these at their defaults every run is
-    # -- bit-identical to the pre-hardening pipeline).
-    #: Majority-vote repetitions per stateless experiment (1 = single
-    #: run, no voting).
-    experiment_votes: int = 1
-    #: Row Scout re-probes of an inconsistent validation round.
-    profiling_round_retries: int = 0
-    #: Full Fig. 6 escalations before profiling gives up.
-    profiling_scan_attempts: int = 1
-    #: Recalibrate a row's refresh phase after this many
-    #: flipped-despite-covering-REF surprises (0 = never recalibrate).
-    recalibrate_after_violations: int = 0
-    #: Degrade failed stages to defaults tagged with confidence 0.0
-    #: instead of propagating the exception.
-    partial_on_failure: bool = False
+    #: The resilience pipeline (the ``HARDENED_*`` constants): majority
+    #: votes, validation-round and whole-scan retries, schedule
+    #: recalibration, hit verification, and failed stages degraded to
+    #: defaults tagged with confidence 0.0 instead of raising.
+    hardened: bool = False
 
 
 #: Reduced-effort settings shared by Table 1, the chaos harness and the
@@ -103,6 +121,10 @@ REDUCED_INFERENCE = InferenceConfig(
     capacity_candidates=(16, 17),
     capacity_repeats=2,
 )
+
+#: :data:`REDUCED_INFERENCE` with the resilience pipeline switched on
+#: (the chaos harness's default).
+HARDENED_INFERENCE = replace(REDUCED_INFERENCE, hardened=True)
 
 
 @dataclass
@@ -176,10 +198,8 @@ class TrrInference:
         if self._mapping_discovery is None:
             with self._obs.span("inference.mapping"):
                 self._mapping_discovery = discover_row_mapping(
-                    self._host, self.config.bank,
-                    hammer_count=self.config.mapping_hammer_count,
-                    probe_count=self.config.mapping_probe_count,
-                    pattern=self.config.pattern)
+                    self._host, BANK, hammer_count=MAPPING_HAMMER_COUNT,
+                    probe_count=MAPPING_PROBE_COUNT, pattern=PATTERN)
         return self._mapping_discovery
 
     @property
@@ -195,20 +215,20 @@ class TrrInference:
 
     def _profiling_config(self, layout: str, count: int,
                           bank: int) -> ProfilingConfig:
+        hardened = self.config.hardened
         return ProfilingConfig(
             bank=bank, layout=RowGroupLayout.parse(layout),
-            group_count=count, pattern=self.config.pattern,
-            initial_t_ms=self.config.initial_t_ms,
-            max_t_ms=self.config.max_t_ms,
+            group_count=count, pattern=PATTERN,
+            initial_t_ms=INITIAL_T_MS, max_t_ms=MAX_T_MS,
             validation_rounds=self.config.validation_rounds,
-            round_retries=self.config.profiling_round_retries,
-            scan_attempts=self.config.profiling_scan_attempts)
+            round_retries=HARDENED_ROUND_RETRIES if hardened else 0,
+            scan_attempts=HARDENED_SCAN_ATTEMPTS if hardened else 1)
 
     def acquire(self, layout: str, count: int,
                 banks: tuple[int, ...] | None = None
                 ) -> tuple[list[list[RowGroup]], RefreshSchedule]:
         """Find groups (per bank) and calibrate their refresh phases."""
-        banks = banks or (self.config.bank,)
+        banks = banks or (BANK,)
         key = (layout, count, banks)
         if key in self._acquired:
             return self._acquired[key]
@@ -229,9 +249,8 @@ class TrrInference:
             # state whose neighbors overlap the freshly found groups
             # (Obs A7: table entries persist); flush before calibrating.
             self._flush_trr_state(per_bank)
-            calibrator = RefreshCalibrator(self._host,
-                                           self.config.pattern)
-            # Kept for schedule repairs (recalibrate_after_violations):
+            calibrator = RefreshCalibrator(self._host, PATTERN)
+            # Kept for schedule repairs (HARDENED_RECALIBRATE_AFTER):
             # the most recent calibrator already protects the freshest
             # row set.
             self._calibrator = calibrator
@@ -245,8 +264,8 @@ class TrrInference:
             with self._obs.span("inference.calibrate", rows=len(rows)):
                 schedule = calibrator.calibrate_rows(
                     rows, retention, self._cycle,
-                    drop_uncovered=self.config.partial_on_failure)
-            if self._hardened:
+                    drop_uncovered=self.config.hardened)
+            if self.config.hardened:
                 per_bank = self._repair_uncalibrated(per_bank, schedule,
                                                      profiling_configs,
                                                      calibrator, retention)
@@ -299,16 +318,6 @@ class TrrInference:
             repaired.append(groups)
         return repaired
 
-    @property
-    def _hardened(self) -> bool:
-        """Is any resilience knob switched on?"""
-        config = self.config
-        return (config.experiment_votes > 1
-                or config.profiling_round_retries > 0
-                or config.profiling_scan_attempts > 1
-                or config.recalibrate_after_violations > 0
-                or config.partial_on_failure)
-
     def _measure_cycle(self, calibrator: RefreshCalibrator,
                        per_bank: list[list[RowGroup]],
                        retention: int) -> int:
@@ -320,7 +329,7 @@ class TrrInference:
         and falls back to the other profiled rows when it does not.
         """
         first = per_bank[0][0]
-        if not self._hardened:
+        if not self.config.hardened:
             return calibrator.find_cycle(first.bank,
                                          first.logical_rows[0], retention)
         candidates = [(group.bank, logical)
@@ -351,7 +360,7 @@ class TrrInference:
             # cycle measurement spans minutes of simulated time, and on a
             # drifting substrate some candidate rows will wander out of
             # their bucket mid-measurement.
-            self.acquire("R-R", 4 if self._hardened else 1)
+            self.acquire("R-R", 4 if self.config.hardened else 1)
         return self._cycle
 
     # -- helpers --------------------------------------------------------------
@@ -361,35 +370,34 @@ class TrrInference:
         analyzer = TrrAnalyzer(self._host, groups, schedule,
                                self.mapping_discovery.mapping,
                                stats=self.stats.analyzer)
-        analyzer.verify_hits = self._hardened
+        analyzer.verify_hits = self.config.hardened
         return analyzer
 
     def _run(self, analyzer: TrrAnalyzer,
              config: ExperimentConfig) -> ExperimentResult:
         """Run one experiment with the configured hardening.
 
-        Stateless (``reset_state``) experiments are majority-voted when
-        ``experiment_votes`` > 1; stateful probes always run once (a
-        repetition would measure a different TRR state).  Afterwards any
-        row that accumulated ``recalibrate_after_violations``
-        flipped-despite-covering-REF surprises gets its refresh phase
-        re-measured in place — the drifted-schedule repair.
+        Hardened runs majority-vote stateless (``reset_state``)
+        experiments over :data:`HARDENED_VOTES` runs; stateful probes
+        always run once (a repetition would measure a different TRR
+        state).  Afterwards any row that accumulated
+        :data:`HARDENED_RECALIBRATE_AFTER` flipped-despite-covering-REF
+        surprises gets its refresh phase re-measured in place — the
+        drifted-schedule repair.
         """
-        votes = self.config.experiment_votes
-        if votes > 1 and config.reset_state:
-            result = analyzer.run_robust(config, votes)
+        if self.config.hardened and config.reset_state:
+            result = analyzer.run_robust(config, HARDENED_VOTES)
         else:
             result = analyzer.run(config)
         self._maybe_recalibrate(analyzer)
         return result
 
     def _maybe_recalibrate(self, analyzer: TrrAnalyzer) -> None:
-        threshold = self.config.recalibrate_after_violations
-        if (threshold <= 0 or self._calibrator is None
+        if (not self.config.hardened or self._calibrator is None
                 or analyzer.schedule is None):
             return
         for (bank, row), count in list(analyzer.schedule_suspects.items()):
-            if count < threshold:
+            if count < HARDENED_RECALIBRATE_AFTER:
                 continue
             self._calibrator.recalibrate_row(
                 analyzer.schedule, bank, row, analyzer.retention_ps)
@@ -430,10 +438,9 @@ class TrrInference:
         must flip — with zero REFs, survival can only mean ACT-coupled
         refreshes.
         """
-        config = self.config
         (groups,), schedule = self.acquire("R-R", 2)
         analyzer = self._analyzer(groups, schedule)
-        aggressor = self._center_aggressor(groups[0], config.hammer_count)
+        aggressor = self._center_aggressor(groups[0], HAMMER_COUNT)
         protected = 0
         trials = 3
         for _ in range(trials):
@@ -451,9 +458,9 @@ class TrrInference:
         """Single-REF experiments over many groups: the REF indices with
         TRR-attributed survivals recur on the TRR-to-REF stride."""
         config = self.config
-        (groups,), schedule = self.acquire("R-R", config.period_scan_groups)
+        (groups,), schedule = self.acquire("R-R", PERIOD_SCAN_GROUPS)
         analyzer = self._analyzer(groups, schedule)
-        aggressors = tuple(self._center_aggressor(g, config.hammer_count)
+        aggressors = tuple(self._center_aggressor(g, HAMMER_COUNT)
                            for g in groups)
         hits: list[int] = []
         for i in range(config.period_scan_experiments):
@@ -475,7 +482,7 @@ class TrrInference:
         period = 0
         for diff in diffs:
             period = math.gcd(period, diff)
-        if not 0 < period <= config.max_trr_period:
+        if not 0 < period <= MAX_TRR_PERIOD:
             return None, {"hits": hits, "diffs": diffs}
         return period, {"hits": hits, "diffs": diffs}
 
@@ -498,7 +505,7 @@ class TrrInference:
             (groups,), schedule = self.acquire(layout, 1)
             group = groups[0]
             analyzer = self._analyzer(groups, schedule)
-            aggressor = self._center_aggressor(group, config.hammer_count)
+            aggressor = self._center_aggressor(group, HAMMER_COUNT)
             hit_sides: set[str] = set()
             for _ in range(config.neighbor_repeats):
                 result = self._run(analyzer, ExperimentConfig(
@@ -528,12 +535,12 @@ class TrrInference:
         config = self.config
         (groups,), schedule = self.acquire("R-R", 2)
         analyzer = self._analyzer(groups, schedule)
-        aggressor = self._center_aggressor(groups[0], config.hammer_count)
+        aggressor = self._center_aggressor(groups[0], HAMMER_COUNT)
         # Prime: one hammered experiment that must show a TRR refresh.
         # On a noisy substrate one priming attempt can be spoiled by a
         # dropped init write or a transient read; retry before giving up.
         refs = 2 * 16 * trr_period + 2
-        prime_attempts = 3 if self._hardened else 1
+        prime_attempts = 3 if config.hardened else 1
         for _ in range(prime_attempts):
             primed = analyzer.run(ExperimentConfig(
                 aggressors=(aggressor,), refs_per_round=refs,
@@ -575,8 +582,8 @@ class TrrInference:
         config = self.config
         (groups,), schedule = self.acquire("R-R", 2)
         analyzer = self._analyzer(groups, schedule)
-        first = self._center_aggressor(groups[0], 5 * config.hammer_count)
-        last = self._center_aggressor(groups[1], 3 * config.hammer_count)
+        first = self._center_aggressor(groups[0], 5 * HAMMER_COUNT)
+        last = self._center_aggressor(groups[1], 3 * HAMMER_COUNT)
         hits = {0: 0, 1: 0}
         for _ in range(config.kind_repeats):
             result = self._run(analyzer, ExperimentConfig(
@@ -612,7 +619,7 @@ class TrrInference:
             (groups,), schedule = self.acquire("R-R", n)
             analyzer = self._analyzer(groups, schedule)
             aggressors = tuple(
-                self._center_aggressor(g, config.hammer_count)
+                self._center_aggressor(g, HAMMER_COUNT)
                 for g in groups)
             refs = 2 * trr_period * max(n, 17)
             protected: set[int] = set()
@@ -646,7 +653,7 @@ class TrrInference:
         (groups,), schedule = self.acquire("R-R", 17)
         analyzer = self._analyzer(groups, schedule)
         heavy_first = (
-            self._center_aggressor(groups[0], 8 * config.hammer_count),
+            self._center_aggressor(groups[0], 8 * HAMMER_COUNT),
             *(self._center_aggressor(g, 100) for g in groups[1:]))
         light_first = (
             self._center_aggressor(groups[0], 50),
@@ -683,11 +690,9 @@ class TrrInference:
         Without a reset its counter would stay the table maximum and
         *every other* capable REF (each TREFa) would hit.
         """
-        config = self.config
         (groups,), schedule = self.acquire("R-R", 2)
         analyzer = self._analyzer(groups, schedule)
-        aggressor = self._center_aggressor(groups[0],
-                                           3 * config.hammer_count)
+        aggressor = self._center_aggressor(groups[0], 3 * HAMMER_COUNT)
         primed = analyzer.run(ExperimentConfig(
             aggressors=(aggressor,), refs_per_round=2 * trr_period,
             reset_state=True))
@@ -809,12 +814,12 @@ class TrrInference:
     def test_per_bank(self, trr_period: int) -> tuple[bool, dict]:
         """Hammer bank A then bank B: shared state forgets bank A."""
         config = self.config
-        banks = (config.bank, config.second_bank)
-        per_bank_groups, schedule = self.acquire("R-R", 1, banks)
+        per_bank_groups, schedule = self.acquire("R-R", 1,
+                                                 (BANK, SECOND_BANK))
         groups = [per_bank_groups[0][0], per_bank_groups[1][0]]
         analyzer = self._analyzer(groups, schedule)
-        first = self._center_aggressor(groups[0], config.hammer_count)
-        second = self._center_aggressor(groups[1], config.hammer_count)
+        first = self._center_aggressor(groups[0], HAMMER_COUNT)
+        second = self._center_aggressor(groups[1], HAMMER_COUNT)
         first_hits = 0
         second_hits = 0
         for _ in range(config.kind_repeats):
@@ -858,10 +863,10 @@ class TrrInference:
     def _stage(self, name: str, func, default, confidence: dict):
         """Run one inference stage, degrading gracefully when configured.
 
-        With ``partial_on_failure`` a stage that raises an experiment or
+        On a hardened run a stage that raises an experiment or
         profiling error contributes its *default* value tagged with
         confidence 0.0 instead of aborting the run; the caller marks the
-        assembled profile ``partial``.  Without it the exception
+        assembled profile ``partial``.  Otherwise the exception
         propagates unchanged.
 
         Either way the stage's verdict lands in the evidence ledger: an
@@ -874,7 +879,7 @@ class TrrInference:
                 value, detail = func()
         except (ExperimentError, ProfilingError,
                 TransientFaultError) as exc:
-            if not self.config.partial_on_failure:
+            if not self.config.hardened:
                 raise
             self.stats.degraded_stages += 1
             self._obs.metrics.inc("inference.degraded_stages")
@@ -900,10 +905,10 @@ class TrrInference:
 
         Mapping discovery and the refresh-cycle measurement are
         foundational — every later stage needs them — so they always
-        propagate failures.  The observation stages degrade to tagged
-        defaults when ``partial_on_failure`` is set.
+        propagate failures.  On a hardened run the observation stages
+        degrade to tagged defaults.
         """
-        with self._obs.span("inference.run", bank=self.config.bank):
+        with self._obs.span("inference.run", bank=BANK):
             return self._run_stages()
 
     def _run_stages(self) -> InferredTrrProfile:

@@ -46,8 +46,8 @@ class RefreshSchedule:
     #: Extra slack applied on both sides when classifying (guards against
     #: measurement granularity).
     slack: int = 2
-    #: (bank, logical_row) -> fraction of confirmation probes agreeing
-    #: with the measured window (1.0 when no confirmation was requested).
+    #: (bank, logical_row) -> calibration confidence: 0.0 for rows
+    #: dropped as uncovered, 1.0 for re-measured ones (1.0 when absent).
     confidence: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def confidence_for(self, bank: int, row: int) -> float:
@@ -237,19 +237,12 @@ class RefreshCalibrator:
 
     def calibrate_rows(self, rows: list[tuple[int, int]], retention_ps: int,
                        cycle: int, window: int = 8,
-                       confirm_probes: int = 0,
                        drop_uncovered: bool = False) -> RefreshSchedule:
         """Measure each row's phase to within *window* REFs.
 
         All rows must share the retention bucket *retention_ps* (Row
         Scout groups guarantee this).  One coarse pass assigns every row
         a cycle/32 chunk; a second pass narrows each to *window*.
-
-        ``confirm_probes`` re-probes each measured window that many extra
-        times (one refresh cycle apart) and records the agreement
-        fraction in :attr:`RefreshSchedule.confidence` — a noisy rig
-        shows up as a sub-1.0 confidence rather than a silently wrong
-        window.
 
         ``drop_uncovered`` degrades gracefully when a row is never seen
         covered (its retention drifted out of the bucket on a noisy
@@ -349,10 +342,6 @@ class RefreshCalibrator:
                 raise ExperimentError(
                     f"row {row} lost its coarse phase during refinement")
             schedule.phase_windows[(bank, row)] = (found, window)
-        if confirm_probes > 0:
-            for bank, row in ordered:
-                self._confirm(schedule, bank, row, retention_ps,
-                              confirm_probes)
         windows = {f"{bank}:{row}": list(entry) for (bank, row), entry
                    in sorted(schedule.phase_windows.items())}
         self._obs.evidence.decide(
@@ -364,20 +353,6 @@ class RefreshCalibrator:
                       ev_value("cycle-refs", cycle)],
             host=self._host)
         return schedule
-
-    def _confirm(self, schedule: RefreshSchedule, bank: int, row: int,
-                 retention_ps: int, probes: int) -> None:
-        """Re-probe a measured window *probes* times; record agreement."""
-        host = self._host
-        cycle = schedule.cycle_refs
-        start, width = schedule.phase_windows[(bank, row)]
-        agreed = 0
-        for _ in range(probes):
-            distance = (start - host.ref_count) % cycle
-            host.refresh(distance)
-            if self.probe(bank, row, retention_ps, width):
-                agreed += 1
-        schedule.confidence[(bank, row)] = agreed / probes
 
     def recalibrate_row(self, schedule: RefreshSchedule, bank: int,
                         row: int, retention_ps: int,

@@ -75,12 +75,3 @@ class PipelineStats:
         merged["recalibrations"] = self.recalibrations
         merged["degraded_stages"] = self.degraded_stages
         return merged
-
-    @property
-    def recovery_work(self) -> int:
-        """Total retry/quarantine/outlier events (0 = nothing exercised)."""
-        rs, an = self.rowscout, self.analyzer
-        return (rs.round_retries + rs.rows_quarantined + rs.groups_replaced
-                + rs.scan_restarts + an.outliers_rejected
-                + an.hits_disavowed + an.groups_revalidated
-                + self.recalibrations + self.degraded_stages)

@@ -8,8 +8,8 @@ from .fig9 import REPRESENTATIVE_MODULES, Fig9Result, run_fig9
 from .fig10 import Fig10Result, run_fig10
 from .report import format_pct, render_histogram, render_series, render_table
 from .resilience import (RESILIENCE_MODULES, ModuleResilience,
-                         ResilienceReport, hardened_inference_config,
-                         run_module_resilience, run_resilience)
+                         ResilienceReport, run_module_resilience,
+                         run_resilience)
 from .runner import (ModuleEvaluation, evaluate_baseline, evaluate_module,
                      evaluate_module_unit, evaluate_modules)
 from .scale import QUICK, STANDARD, EvalScale, get_scale
@@ -39,7 +39,6 @@ __all__ = [
     "evaluate_modules",
     "format_pct",
     "get_scale",
-    "hardened_inference_config",
     "render_histogram",
     "render_series",
     "render_table",

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..attacks import (VendorAPattern, VendorBPattern, VendorCPattern,
-                       run_hammer_sweep, victim_positions)
+                       run_hammer_sweep)
 from ..attacks.sweep import HammerSweepResult
-from ..core.mapping_re import CouplingTopology
 from ..errors import ConfigError
 from ..parallel import WorkUnit, run_units
 from ..vendors import get_module
 from .report import render_table
+from .runner import AttackRecipe
 from .scale import STANDARD, EvalScale
 
 #: Hammer sweep values per module: hammers per aggressor per *window*
@@ -70,25 +70,14 @@ def run_fig8(module_id: str, scale: EvalScale = STANDARD,
     if module_id not in SWEEPS and hammer_counts is None:
         raise ConfigError(
             f"no default sweep for {module_id}; pass hammer_counts")
-    spec = get_module(module_id)
-    host = scale.build_host(spec)
-    mapping = host._chip.mapping
-    trr_period = spec.trr_parameters()["trr_ref_period"]
-    windows = max(2 * scale.scaled_cycle(spec) // trr_period, 1)
-    coupling = (CouplingTopology.PAIRED if spec.paired_rows
-                else CouplingTopology.STANDARD)
-    positions = victim_positions(host.rows_per_bank,
-                                 scale.fig8_positions, coupling,
-                                 margin=64)
-    def fresh_host():
-        new_host = scale.build_host(spec)
-        return new_host, new_host._chip.mapping
-
+    recipe = AttackRecipe(get_module(module_id), scale)
     sweep = run_hammer_sweep(
-        host, mapping, _pattern_factory(module_id),
-        hammer_counts or SWEEPS[module_id], positions, trr_period,
-        windows, paired=spec.paired_rows, host_factory=fresh_host)
-    return Fig8Result(module_id=module_id, trr_period=trr_period,
+        recipe.new_host, _pattern_factory(module_id),
+        hammer_counts or SWEEPS[module_id],
+        recipe.victims(scale.fig8_positions, margin=64),
+        recipe.trr_period, recipe.windows,
+        paired=recipe.spec.paired_rows)
+    return Fig8Result(module_id=module_id, trr_period=recipe.trr_period,
                       sweep=sweep)
 
 

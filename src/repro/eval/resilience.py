@@ -2,7 +2,8 @@
 
 For each representative module (one per vendor) this builds the chip,
 wraps its SoftMC host in a seeded :class:`~repro.faults.FaultInjector`,
-and runs the *hardened* inference pipeline.  A module counts as
+and runs :data:`~repro.core.HARDENED_INFERENCE` (the reduced effort
+knobs with the one ``hardened`` switch on).  A module counts as
 recovered when the inferred profile still matches the mechanism's
 implanted ground truth — detection kind, TRR-to-REF period and
 aggressor capacity — despite the injected VRT storms, temperature
@@ -17,9 +18,9 @@ fault handling rather than dodging it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from ..core import (REDUCED_INFERENCE, InferenceConfig,
+from ..core import (HARDENED_INFERENCE, InferenceConfig,
                     InferredTrrProfile, TrrInference)
 from ..dram import DramChip
 from ..faults import FaultInjector
@@ -33,24 +34,6 @@ from .report import render_table
 #: One module per vendor, covering the three TRR families of Table 1
 #: (counter table / activation sampler / deferred window).
 RESILIENCE_MODULES = ("A5", "B0", "C7")
-
-
-def hardened_inference_config(**overrides) -> InferenceConfig:
-    """Reduced-effort settings with every resilience knob switched on.
-
-    The effort knobs come from :data:`~repro.core.REDUCED_INFERENCE`;
-    on top of those the hardening is enabled: majority voting,
-    validation-round retries, whole-scan retries, schedule
-    recalibration and graceful degradation.
-    """
-    hardening = dict(
-        experiment_votes=3,
-        profiling_round_retries=2,
-        profiling_scan_attempts=3,
-        recalibrate_after_violations=2,
-        partial_on_failure=True,
-    )
-    return replace(REDUCED_INFERENCE, **{**hardening, **overrides})
 
 
 def _chaos_host(spec: ModuleSpec, fault_profile: str,
@@ -189,7 +172,7 @@ def run_module_resilience(module_id: str, fault_profile: str = "default",
     """
     spec = get_module(module_id)
     host = _chaos_host(spec, fault_profile, seed)
-    inference = TrrInference(host, config or hardened_inference_config())
+    inference = TrrInference(host, config or HARDENED_INFERENCE)
     profile = inference.run()
     recovery = inference.stats.as_dict()
     manifest = build_manifest(

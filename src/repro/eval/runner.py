@@ -1,12 +1,19 @@
-"""Per-module evaluation: pattern selection and vulnerability sweeps.
+"""Per-module evaluation: the attack recipe, pattern selection, sweeps.
+
+U-TRR judges each custom pattern by attacking sampled victim rows of a
+freshly initialized module for a fixed number of TRR-period windows
+(§7.2-7.3).  :class:`AttackRecipe` is that setup, worked out once for
+every attack harness (Figures 8-10, Table 1's attack columns and the
+ablations): the TRR period the patterns sync to, the window count,
+coupling-aware victim placement and a fresh module per run.
 
 The paper selects, per module, the hammer count that maximizes the
 number of vulnerable rows (§7.3, footnote 18's protocol) and then sweeps
-a whole bank.  :func:`evaluate_module` mirrors that: synthesize attack
-candidates from the module's TRR family, pick the best on canary
-victims, then run the full position sweep.  The result feeds Figure 9
-(vulnerable fraction), Figure 10 (per-word flips), and Table 1's result
-columns.
+a whole bank.  :func:`evaluate_module` mirrors that: it picks the best
+of the module's TRR-family candidates on canary victims, then runs the
+same position sweep as :func:`evaluate_baseline`.  The result feeds
+Figure 9 (vulnerable fraction), Figure 10 (per-word flips), and Table
+1's result columns.
 """
 
 from __future__ import annotations
@@ -20,11 +27,49 @@ from ..attacks import (AccessPattern, AttackExecutor,
                        run_vulnerability_sweep, victim_positions)
 from ..attacks.sweep import VulnerabilityResult
 from ..core.mapping_re import CouplingTopology
+from ..dram.mapping import RowMapping
 from ..errors import AttackConfigError
 from ..parallel import WorkUnit, run_units
 from ..softmc import SoftMCHost
 from ..vendors import ModuleSpec, get_module
 from .scale import EvalScale
+
+
+@dataclass(frozen=True)
+class AttackRecipe:
+    """How every attack harness sets up *spec* at *scale*."""
+
+    spec: ModuleSpec
+    scale: EvalScale
+
+    @property
+    def trr_period(self) -> int:
+        """The TRR-to-REF period the patterns sync to."""
+        return self.spec.trr_parameters().get("trr_ref_period", 9)
+
+    @property
+    def windows(self) -> int:
+        """TRR-period windows per attack run.
+
+        Two refresh cycles: every victim, whatever its refresh slot,
+        sees one full between-regular-refreshes gap (the paper's SoftMC
+        program runs each pattern "for a fixed interval of time", 7.2).
+        """
+        return max(2 * self.scale.scaled_cycle(self.spec)
+                   // self.trr_period, 1)
+
+    def victims(self, count: int, margin: int) -> list[int]:
+        """*count* evenly spread victim rows, even-addressed on
+        pair-isolated modules."""
+        coupling = (CouplingTopology.PAIRED if self.spec.paired_rows
+                    else CouplingTopology.STANDARD)
+        return victim_positions(self.scale.rows_per_bank, count, coupling,
+                                margin=margin)
+
+    def new_host(self) -> tuple[SoftMCHost, RowMapping]:
+        """A freshly built module and its row mapping."""
+        host = self.scale.build_host(self.spec)
+        return host, host._chip.mapping
 
 
 @dataclass
@@ -53,7 +98,7 @@ class ModuleEvaluation:
 
 
 def candidate_patterns(spec: ModuleSpec, host: SoftMCHost,
-                       trr_period: int, windows: int
+                       trr_period: int
                        ) -> list[tuple[AccessPattern, float]]:
     """Attack candidates for one module's TRR family.
 
@@ -90,25 +135,17 @@ def candidate_patterns(spec: ModuleSpec, host: SoftMCHost,
 def evaluate_module(spec: ModuleSpec, scale: EvalScale,
                     positions: int | None = None) -> ModuleEvaluation:
     """Select the best pattern on canaries, then sweep the bank."""
-    host = scale.build_host(spec)
-    mapping = host._chip.mapping
-    trr_period = spec.trr_parameters().get("trr_ref_period", 9)
-    cycle = scale.scaled_cycle(spec)
-    # Two refresh cycles: every victim, whatever its refresh slot, sees
-    # one full between-regular-refreshes gap (the paper's SoftMC program
-    # runs each pattern "for a fixed interval of time", 7.2).
-    windows = max(2 * cycle // trr_period, 1)
-    coupling = (CouplingTopology.PAIRED if spec.paired_rows
-                else CouplingTopology.STANDARD)
+    recipe = AttackRecipe(spec, scale)
+    host, mapping = recipe.new_host()
+    trr_period, windows = recipe.trr_period, recipe.windows
     executor = AttackExecutor(host, mapping)
 
     def make_context(victim: int):
         return default_context(0, victim, mapping, trr_period,
                                host.num_banks, paired=spec.paired_rows)
 
-    candidates = candidate_patterns(spec, host, trr_period, windows)
-    canaries = victim_positions(host.rows_per_bank, 4, coupling,
-                                margin=128)
+    candidates = candidate_patterns(spec, host, trr_period)
+    canaries = recipe.victims(4, margin=128)
     best = None
     for pattern, hammers_per_ref in candidates:
         if isinstance(pattern, PhaseLockedSamplerPattern):
@@ -128,19 +165,8 @@ def evaluate_module(spec: ModuleSpec, scale: EvalScale,
         if best is None or flips > best[0]:
             best = (flips, pattern, hammers_per_ref)
     _, pattern, hammers_per_ref = best
-
-    sweep_positions = victim_positions(
-        host.rows_per_bank, positions or scale.positions, coupling,
-        margin=16)
-
-    def fresh_host():
-        new_host = scale.build_host(spec)
-        return new_host, new_host._chip.mapping
-
-    result = run_vulnerability_sweep(host, mapping, pattern,
-                                     sweep_positions, trr_period, windows,
-                                     paired=spec.paired_rows,
-                                     host_factory=fresh_host)
+    result = evaluate_baseline(spec, scale, pattern,
+                               positions or scale.positions)
     return ModuleEvaluation(spec=spec, pattern_name=pattern.name,
                             hammers_per_aggressor_per_ref=hammers_per_ref,
                             result=result)
@@ -187,21 +213,11 @@ def evaluate_modules(module_ids, scale: EvalScale,
 def evaluate_baseline(spec: ModuleSpec, scale: EvalScale,
                       pattern: AccessPattern,
                       positions: int = 8) -> VulnerabilityResult:
-    """Run a (classic) pattern against a module for the ablations."""
-    host = scale.build_host(spec)
-    mapping = host._chip.mapping
-    trr_period = spec.trr_parameters().get("trr_ref_period", 9)
-    windows = max(2 * scale.scaled_cycle(spec) // trr_period, 1)
-    coupling = (CouplingTopology.PAIRED if spec.paired_rows
-                else CouplingTopology.STANDARD)
-    rows = victim_positions(host.rows_per_bank, positions, coupling,
-                            margin=16)
-
-    def fresh_host():
-        new_host = scale.build_host(spec)
-        return new_host, new_host._chip.mapping
-
-    return run_vulnerability_sweep(host, mapping, pattern, rows,
-                                   trr_period, windows,
-                                   paired=spec.paired_rows,
-                                   host_factory=fresh_host)
+    """Sweep *pattern* over *positions* victim rows of *spec*, each on a
+    fresh module (the ablations' classic patterns, and the selected
+    pattern of :func:`evaluate_module`)."""
+    recipe = AttackRecipe(spec, scale)
+    return run_vulnerability_sweep(recipe.new_host, pattern,
+                                   recipe.victims(positions, margin=16),
+                                   recipe.trr_period, recipe.windows,
+                                   paired=spec.paired_rows)

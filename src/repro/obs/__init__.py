@@ -68,7 +68,7 @@ class NullEvidence:
     def decide(self, parameter, value=None, **kwargs) -> None:
         return None
 
-    def merge(self, other, unit=None) -> None:
+    def merge(self, nodes, unit=None) -> None:
         return None
 
 

@@ -199,16 +199,13 @@ class EvidenceLedger:
         self.nodes.append(node)
         return node
 
-    def merge(self, other, unit: str | None = None) -> None:
-        """Fold another ledger's nodes (or dumped node dicts) in order.
+    def merge(self, nodes: list[dict], unit: str | None = None) -> None:
+        """Fold another ledger's :meth:`dump` (its node dicts) in order.
 
         *unit* stamps the originating work-unit id onto nodes that do
         not carry one yet — the engine passes the submission-order unit
         id, so a ``--workers N`` fold is byte-identical to sequential.
         """
-        nodes = other.nodes if isinstance(other, EvidenceLedger) else other
-        if not nodes:
-            return
         for node in nodes:
             row = dict(node)
             if unit is not None and "unit" not in row:

@@ -55,31 +55,24 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "Histogram | dict") -> None:
-        """Fold *other* (a Histogram or its ``as_dict`` form) into self.
+    def merge(self, dump: dict) -> None:
+        """Fold another histogram's :meth:`as_dict` form into self.
 
         Merging is exact for count/min/max/buckets; ``total`` is a float
         sum, so mean is exact whenever the observed values are (as all
         current pipeline observations are integers).
         """
-        if isinstance(other, dict):
-            counts = {int(bound): count
-                      for bound, count in other.get("buckets", {}).items()}
-            other = Histogram(count=other.get("count", 0),
-                              total=other.get("total", 0.0),
-                              min=other.get("min"), max=other.get("max"),
-                              buckets=counts)
-        if not other.count:
+        if not dump.get("count"):
             return
-        self.count += other.count
-        self.total += other.total
-        if self.min is None or (other.min is not None
-                                and other.min < self.min):
-            self.min = other.min
-        if self.max is None or (other.max is not None
-                                and other.max > self.max):
-            self.max = other.max
-        for bound, count in other.buckets.items():
+        self.count += dump["count"]
+        self.total += dump["total"]
+        low, high = dump["min"], dump["max"]
+        if self.min is None or (low is not None and low < self.min):
+            self.min = low
+        if self.max is None or (high is not None and high > self.max):
+            self.max = high
+        for bound, count in dump["buckets"].items():
+            bound = int(bound)
             self.buckets[bound] = self.buckets.get(bound, 0) + count
 
     def as_dict(self) -> dict:
@@ -117,20 +110,14 @@ class MetricsRegistry:
 
     # -- merging -------------------------------------------------------------
 
-    def merge(self, other) -> None:
-        """Fold another registry (or an ``as_dict`` dump) into this one.
+    def merge(self, data: dict) -> None:
+        """Fold another registry's :meth:`as_dict` dump into this one.
 
         Counters and histogram counts add.  The parallel engine uses
         this to fold each work unit's metrics into the parent registry,
         so a ``--workers N`` run exports the same totals as a sequential
         one.
         """
-        if isinstance(other, dict):
-            data = other
-        else:
-            if not getattr(other, "enabled", False):
-                return
-            data = other.as_dict()
         for name, value in data.get("counters", {}).items():
             self.inc(name, value)
         for name, dump in data.get("histograms", {}).items():
@@ -164,7 +151,7 @@ class NullMetrics:
     def counter(self, name: str) -> int:
         return 0
 
-    def merge(self, other) -> None:
+    def merge(self, data: dict) -> None:
         pass
 
     def as_dict(self) -> dict:

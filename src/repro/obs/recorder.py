@@ -24,7 +24,8 @@ the written pattern's spec, RD records carry a CRC-32 digest of the
 read-back payload, and multi-bank hammer batches are group-stamped, so
 :mod:`repro.obs.replay` can re-issue the whole command stream against a
 freshly built module and verify every read.  v1 traces (no digests)
-still load, report, and ledger-replay.
+still load and report (:func:`replay_ledger` counts their ledger), but
+cannot be re-executed.
 
 The disabled path is :class:`NullRecorder` — a strict no-op whose
 ``enabled`` flag lets hot paths skip even the method call.

@@ -16,13 +16,15 @@ turning a trace into a machine-checkable proof of the run it recorded.
 The first failed check is the *first divergence* — the exact command at
 which a re-execution stopped being the run.
 
-v1 traces (no digests, no pattern specs) cannot be re-executed; they
-fall back to the pure counting cross-check (:func:`replay_ledger`).
+A trace older than schema 2 (no digests, no pattern specs) cannot be
+re-executed and is rejected like a trace without a recipe;
+``python -m repro.obs.report`` still cross-checks any trace's ledger by
+counting.
 
 CLI: ``python -m repro.obs.replay trace.jsonl`` — exits 0 on a verified
 replay, 1 on the first divergence or a ledger mismatch, 2 on a trace
-that carries no replayable recipe, and 3 on a truncated trace (no
-summary record).
+that carries no replayable recipe (or predates schema 2), and 3 on a
+truncated trace (no summary record).
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import sys
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
-from .recorder import (data_digest, mismatch_digest, read_trace,
-                       replay_ledger)
+from .recorder import data_digest, mismatch_digest, read_trace
 
 #: Eval-scale names the replayer can rebuild hosts for (``scale`` in the
 #: manifest); anything else needs an explicit ``chip`` recipe.
@@ -63,9 +64,6 @@ class ReplayResult:
 
     path: str
     version: int
-    #: True when commands were actually re-issued (v2); False for the
-    #: v1 counting-only fallback.
-    executed: bool
     commands: int = 0
     reads_verified: int = 0
     divergences: list[Divergence] = field(default_factory=list)
@@ -162,24 +160,12 @@ def replay_trace(path, *, host=None, max_divergences: int = 1
     meta = header.get("meta") or {}
 
     if version < 2:
-        # v1: no digests or pattern specs — counting cross-check only.
-        replay = replay_ledger(records)
-        summary = replay["summary"]
-        result = ReplayResult(path=str(path), version=version,
-                              executed=False, commands=replay["events"],
-                              summary=summary,
-                              truncated=summary is None)
-        result.ledger = {"ref_count": replay["ref_count"],
-                         "acts_per_bank": replay["acts_per_bank"]}
-        result.ledger_ok = (
-            summary is not None
-            and summary.get("ref_count") == replay["ref_count"]
-            and summary.get("acts_per_bank") == replay["acts_per_bank"])
-        return result
-
+        raise ConfigError(
+            f"{path}: schema-v{version} trace carries no read digests or "
+            "pattern specs; cannot re-execute it")
     if host is None:
         host = host_from_manifest(meta)
-    result = ReplayResult(path=str(path), version=version, executed=True)
+    result = ReplayResult(path=str(path), version=version)
     summary = None
     index = 0
     stop = max(max_divergences, 1)
@@ -263,9 +249,6 @@ def render_replay(result: ReplayResult) -> str:
     lines = ["Trace replay", "============", "",
              f"trace          : {result.path}",
              f"schema version : {result.version}",
-             f"mode           : "
-             + ("re-executed against a fresh module" if result.executed
-                else "ledger counting only (v1 trace)"),
              f"commands       : {result.commands}",
              f"reads verified : {result.reads_verified}"]
     for divergence in result.divergences:

@@ -55,12 +55,18 @@ def test_victim_positions_paired_are_even():
     assert len(spread) == 32
 
 
+def _fresh_hosts(module_id: str):
+    """A ``new_host`` factory: a freshly built scaled module per call."""
+    def new_host():
+        _, host = scaled_host(module_id)
+        return host, host._chip.mapping
+    return new_host
+
+
 def test_hammer_sweep_shows_interior_optimum_for_vendor_a():
-    spec, host = scaled_host("A0")
-    mapping = host._chip.mapping
     positions = [900, 2100, 3000]
     result = run_hammer_sweep(
-        host, mapping,
+        _fresh_hosts("A0"),
         pattern_factory=lambda h: VendorAPattern(aggressor_hammers=h),
         hammer_counts=(8, 72, 640), positions=positions,
         trr_period=9, windows=113)
@@ -80,12 +86,11 @@ def test_quartiles_helper():
 
 
 def test_vulnerability_sweep_counts_fraction():
-    spec, host = scaled_host("A0")
-    mapping = host._chip.mapping
+    spec, _ = scaled_host("A0")
     pattern = choose_pattern(profile_for(spec))
     positions = victim_positions(4096, 8, CouplingTopology.STANDARD)
-    result = run_vulnerability_sweep(host, mapping, pattern, positions,
-                                     trr_period=9, windows=113)
+    result = run_vulnerability_sweep(_fresh_hosts("A0"), pattern,
+                                     positions, trr_period=9, windows=113)
     assert 0.0 <= result.vulnerable_fraction <= 1.0
     assert result.vulnerable_fraction > 0.5  # A0 is highly vulnerable
     assert result.total_flips >= result.max_flips_per_row()

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core import InferenceConfig
 from repro.dram import (DeviceConfig, DisturbanceConfig, DramChip,
                         RetentionConfig)
 from repro.softmc import SoftMCHost
@@ -24,26 +21,3 @@ def make_host(trr=None, *, hc_first=12_000, paired=False, cycle=2_048,
         disturbance=DisturbanceConfig(hc_first=hc_first,
                                       paired_coupling=paired))
     return SoftMCHost(DramChip(config, trr), obs=obs)
-
-
-def fast_inference_config(**overrides) -> InferenceConfig:
-    """Reduced-effort settings for unit tests (VRT-free chips)."""
-    defaults = dict(
-        validation_rounds=4,
-        # Budget for >= 4-5 hits even at the largest stride (17) with
-        # occasional masked hits; the scan stops early once it has them.
-        period_scan_experiments=120,
-        neighbor_distances=(1, 2),
-        neighbor_repeats=2,
-        persistence_probes=2,
-        kind_repeats=3,
-        capacity_candidates=(16, 17),
-        capacity_repeats=2,
-    )
-    defaults.update(overrides)
-    return InferenceConfig(**defaults)
-
-
-@pytest.fixture
-def host_factory():
-    return make_host

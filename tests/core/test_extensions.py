@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import TrrInference
+from repro.core import REDUCED_INFERENCE, TrrInference
 from repro.errors import ExperimentError
 from repro.trr import CounterBasedTrr, SamplingBasedTrr, WindowBasedTrr
-from .conftest import fast_inference_config, make_host
+from .conftest import make_host
 
 
 def inference(trr, **host_kwargs):
     return TrrInference(make_host(trr, **host_kwargs),
-                        fast_inference_config())
+                        REDUCED_INFERENCE)
 
 
 def test_eviction_policy_min_counter_recovered():

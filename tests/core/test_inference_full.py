@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CouplingTopology, TrrInference
+from repro.core import REDUCED_INFERENCE, CouplingTopology, TrrInference
 from repro.softmc import SoftMCHost
 from repro.vendors import build_module, get_module
-from .conftest import fast_inference_config
 
 
 def run_inference(module_id: str):
     spec = get_module(module_id)
     chip = build_module(spec, rows_per_bank=8192, row_bits=1024,
                         weak_cells_per_row_mean=2.0, vrt_fraction=0.0)
-    inference = TrrInference(SoftMCHost(chip), fast_inference_config())
+    inference = TrrInference(SoftMCHost(chip), REDUCED_INFERENCE)
     return spec, chip, inference.run()
 
 

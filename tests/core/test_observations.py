@@ -9,14 +9,14 @@ read-back data.
 from __future__ import annotations
 
 
-from repro.core import TrrInference
+from repro.core import REDUCED_INFERENCE, TrrInference
 from repro.trr import CounterBasedTrr, SamplingBasedTrr, WindowBasedTrr
-from .conftest import fast_inference_config, make_host
+from .conftest import make_host
 
 
 def inference(trr, **host_kwargs):
     host = make_host(trr, **host_kwargs)
-    return TrrInference(host, fast_inference_config())
+    return TrrInference(host, REDUCED_INFERENCE)
 
 
 # ---- Vendor A (counter-based) -----------------------------------------------

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from repro.core import TrrInference
+from repro.core import REDUCED_INFERENCE, TrrInference
 from repro.trr import CounterBasedTrr, ParaMitigation, SamplingBasedTrr
-from .conftest import fast_inference_config, make_host
+from .conftest import make_host
 
 
 def inference(trr):
-    return TrrInference(make_host(trr), fast_inference_config())
+    return TrrInference(make_host(trr), REDUCED_INFERENCE)
 
 
 def test_ref_piggybacked_trr_is_not_ref_independent():

@@ -13,8 +13,9 @@ import dataclasses
 
 import pytest
 
-from repro.eval import (QUICK, hardened_inference_config, run_fig8_many,
-                        run_fig9, run_fig10, run_resilience)
+from repro.core import HARDENED_INFERENCE
+from repro.eval import (QUICK, run_fig8_many, run_fig9, run_fig10,
+                        run_resilience)
 from repro.eval.__main__ import main as eval_main
 
 MODULES = ["A5", "B0", "C7"]
@@ -56,7 +57,7 @@ def test_fig8_parallel_byte_identical():
 @pytest.mark.slow
 def test_resilience_parallel_byte_identical_under_faults():
     """Recovered TRR parameters match under the default fault profile."""
-    config = hardened_inference_config(**FAST_RESILIENCE)
+    config = dataclasses.replace(HARDENED_INFERENCE, **FAST_RESILIENCE)
     sequential = run_resilience(MODULES, fault_profile="default",
                                 config=config)
     parallel = run_resilience(MODULES, fault_profile="default",

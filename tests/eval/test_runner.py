@@ -19,7 +19,7 @@ def test_candidate_patterns_cover_every_family():
         spec = get_module(module_id)
         host = TINY.build_host(spec)
         period = spec.trr_parameters()["trr_ref_period"]
-        candidates = candidate_patterns(spec, host, period, 10)
+        candidates = candidate_patterns(spec, host, period)
         assert candidates
         assert all(name.name.startswith(expected[:8])
                    for name, _ in candidates)

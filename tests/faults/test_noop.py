@@ -26,11 +26,6 @@ def test_none_profile_bit_identical_to_bare_host():
 
 
 def test_default_inference_config_is_unhardened():
-    # Every resilience knob defaults off, so the seed pipeline's exact
+    # The resilience pipeline defaults off, so the seed pipeline's exact
     # behaviour (covered by the tier-1 inference tests) is preserved.
-    config = InferenceConfig()
-    assert config.experiment_votes == 1
-    assert config.profiling_round_retries == 0
-    assert config.profiling_scan_attempts == 1
-    assert config.recalibrate_after_violations == 0
-    assert config.partial_on_failure is False
+    assert InferenceConfig().hardened is False

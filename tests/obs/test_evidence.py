@@ -67,7 +67,7 @@ def test_merge_stamps_unit_and_reassigns_seq():
     unit_a.decide("period", 16, host=FakeHost(acts=5))
     unit_b.decide("capacity", 17, host=FakeHost(acts=7))
     folded = EvidenceLedger()
-    folded.merge(unit_a, unit="eval/A5")
+    folded.merge(unit_a.dump(), unit="eval/A5")
     folded.merge(unit_b.dump(), unit="eval/B0")
     assert [node["unit"] for node in folded.nodes] == ["eval/A5",
                                                        "eval/B0"]

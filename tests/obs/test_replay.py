@@ -1,4 +1,4 @@
-"""Record/replay verification: round trips, divergences, v1 fallback."""
+"""Record/replay verification: round trips, divergences, v1 rejection."""
 
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ def test_round_trip_zero_divergence(tmp_path):
     path = tmp_path / "trace.jsonl"
     host = _record(path, extra=_extra_patterns)
     result = replay_trace(path, host=small_host())
-    assert result.executed
     assert result.divergences == []
     assert result.reads_verified == 4  # 2 in drive() + 2 in extras
     assert result.ledger_ok
@@ -105,7 +104,7 @@ def test_replay_hammer_multi_grouping(tmp_path):
     assert replay_trace(path, host=small_host()).ok
 
 
-def test_v1_trace_falls_back_to_ledger_replay(tmp_path):
+def test_v1_trace_is_rejected(tmp_path, capsys):
     # A handcrafted v1 trace: no digests, no pattern specs, version 1.
     path = tmp_path / "v1.jsonl"
     records = [
@@ -120,12 +119,11 @@ def test_v1_trace_falls_back_to_ledger_replay(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n",
                     encoding="utf-8")
-    result = replay_trace(path)
-    assert not result.executed
-    assert result.version == 1
-    assert result.ledger_ok
-    assert result.ok
-    assert result.reads_verified == 0
+    with pytest.raises(ConfigError, match="schema-v1"):
+        replay_trace(path, host=small_host())
+    # The CLI reports it as a trace without a replayable recipe.
+    assert main([str(path)]) == 2
+    assert "replay error" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -37,7 +37,6 @@ def test_traced_inference_replays_to_ledger(module_id, tmp_path):
     # module (recovered from the header manifest alone) — every read's
     # digest and the final ledger must match bit for bit.
     replay = replay_trace(result["out"] / "trace.jsonl")
-    assert replay.executed
     assert replay.divergences == []
     assert replay.reads_verified > 0
     assert replay.ledger_ok

@@ -58,23 +58,15 @@ def test_histogram_merge_exact():
         left.observe(value)
     for value in (3, 16):
         right.observe(value)
-    left.merge(right)
+    left.merge(right.as_dict())
     assert left.count == 5
     assert left.min == 1 and left.max == 16
     assert left.mean == 6.2
+    # The dump's string bucket keys fold back into integer bounds.
     assert left.buckets == {1: 1, 2: 1, 4: 1, 16: 2}
-    # Merging the as_dict form (string bucket keys) is equivalent.
-    other = Histogram()
-    for value in (1, 2, 9):
-        other.observe(value)
-    dumped = Histogram()
-    for value in (3, 16):
-        dumped.observe(value)
-    other.merge(dumped.as_dict())
-    assert other.as_dict() == left.as_dict()
     # Merging an empty histogram is a no-op.
     before = left.as_dict()
-    left.merge(Histogram())
+    left.merge(Histogram().as_dict())
     assert left.as_dict() == before
 
 
@@ -84,19 +76,16 @@ def test_registry_merge_folds_all_families():
     child.inc("host.acts", 5)
     child.inc("host.refs", 2)
     child.observe("acts_per_ref", 8)
-    parent.merge(child)
+    parent.merge(child.as_dict())
     assert parent.counter("host.acts") == 15
     assert parent.counter("host.refs") == 2
     folded = parent.as_dict()
     assert folded["histograms"]["acts_per_ref"]["count"] == 1
-    # Merging the dict dump gives the same totals.
-    dumped = MetricsRegistry()
-    dumped.inc("host.acts", 10)
-    dumped.merge(child.as_dict())
-    assert dumped.as_dict() == parent.as_dict()
+    assert folded["histograms"]["acts_per_ref"] == \
+        child.as_dict()["histograms"]["acts_per_ref"]
     # Disabled registries fold as nothing.
-    parent.merge(NullMetrics())
-    assert parent.counter("host.acts") == 15
+    parent.merge(NullMetrics().as_dict())
+    assert parent.as_dict() == folded
 
 
 def test_null_metrics_is_inert():
