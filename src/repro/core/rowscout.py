@@ -166,14 +166,11 @@ class RowScout:
         self.stats.scan_passes += 1
         self._obs.metrics.inc("rowscout.scan_passes")
         logical = [self._mapping.to_logical(p) for p in physical_rows]
-        for row in logical:
-            host.write_row(bank, row, pattern)
+        host.write_rows(bank, logical, pattern)
         host.wait(t_ps)
-        failing = set()
-        for physical, row in zip(physical_rows, logical):
-            if host.read_row_mismatches(bank, row):
-                failing.add(physical)
-        return failing
+        return {physical for physical, mismatches
+                in zip(physical_rows, host.read_rows_mismatches(bank, logical))
+                if mismatches}
 
     # -- validation (Fig. 6 step 4, hardened) --------------------------------
 

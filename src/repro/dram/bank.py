@@ -75,6 +75,15 @@ class RowState:
         self.fault_values = _EMPTY_VALUES
         self._decay_floor_ps = None
 
+    def mismatches(self) -> list[int]:
+        """Bit positions whose stored bit differs from the written
+        pattern (sorted)."""
+        overlay = self.fault_positions
+        if not overlay.size:
+            return []
+        written = self.pattern.bits_at(overlay)
+        return overlay[written != self.fault_values].tolist()
+
     def decay_floor_ps(self) -> int | float:
         """The retention floor over the weak cells the stored data
         exposes (:meth:`RowRetentionProfile.floor_for`): no cell decays
@@ -243,8 +252,10 @@ class Bank:
         the environment for its scaled unrefreshed time (a stale-row
         query is drawn and recorded on first use).  Returns that time,
         or 0 when the row has no weak cells."""
-        profile = self._retention(row, state)
-        if not len(profile):
+        profile = state.retention_profile
+        if profile is None:
+            profile = self._retention(row, state)
+        if not profile.positions.size:
             return 0
         environment = self.environment
         if profile.has_vrt:
@@ -272,18 +283,20 @@ class Bank:
         (:meth:`_observe`) still come first, since later draws from the
         shared VRT stream depend on them.
         """
-        state = self.state(row)
+        state = self.rows.get(row)
+        if state is None:
+            state = self.state(row)
         elapsed = self._observe(row, state, now_ps)
-        profile = state.retention_profile
-        if (elapsed > 0 and elapsed >= profile.floor_ps
-                and elapsed >= state.decay_floor_ps()):
+        decays, flips = self._bounds_reached(state, elapsed)
+        if decays:
+            profile = state.retention_profile
             stored = state.stored_bits_at(profile.positions)
             failed = profile.failed_cells(elapsed, stored)
             if failed.size:
                 state.overlay_faults(profile.positions[failed],
                                      1 - profile.polarity[failed])
-        disturbance = state.disturbance
-        if disturbance > 0 and disturbance >= self._hammer_floor:
+        if flips:
+            disturbance = state.disturbance
             hammer = self._hammer(row, state)
             if disturbance >= hammer.base_threshold:
                 stored = state.stored_bits_at(hammer.positions)
@@ -291,6 +304,18 @@ class Bank:
                 if flipped.size:
                     state.overlay_faults(hammer.positions[flipped],
                                          1 - hammer.polarity[flipped])
+
+    def _bounds_reached(self, state: RowState,
+                        elapsed: int) -> tuple[bool, bool]:
+        """Settle's bounds: whether the scaled unrefreshed time *elapsed*
+        has reached the row's retention floors (``floor_ps``, then
+        :meth:`RowState.decay_floor_ps`), and whether its disturbance has
+        reached the bank's hammer threshold floor.  Neither compare can
+        commit below its bound."""
+        disturbance = state.disturbance
+        return ((elapsed > 0 and elapsed >= state.retention_profile.floor_ps
+                 and elapsed >= state.decay_floor_ps()),
+                disturbance > 0 and disturbance >= self._hammer_floor)
 
     def _recharge(self, state: RowState, now_ps: int) -> None:
         state.last_recharge_ps = now_ps
@@ -335,14 +360,66 @@ class Bank:
         row's written pattern (sorted).  The ACT recharges the row."""
         self.settle(row, now_ps)
         state = self.rows[row]
-        overlay = state.fault_positions
-        if overlay.size:
-            written = state.pattern.bits_at(overlay)
-            result = overlay[written != state.fault_values].tolist()
-        else:
-            result = []
+        result = state.mismatches()
         self._recharge(state, now_ps)
         return result
+
+    # -- row-range commands (physical addressing) ----------------------------
+    # Row i of a range is activated at ``start_ps + i * step_ps``; each
+    # row runs exactly what the chip's per-row command runs, without
+    # the one-ACT batch that command builds.
+
+    def _activate(self, row: int, now_ps: int,
+                  overwrite: bool) -> RowState:
+        """:meth:`absorb_hammering` of one ACT of *row*; returns the row's
+        state, recharged at *now_ps*."""
+        effective = 1.0
+        if row == self._last_activated:
+            effective -= 1.0 - self.disturbance_config.cascade_weight
+        self._last_activated = row
+        rows = self.rows
+        state = rows.get(row)
+        if state is None:
+            state = self.state(row)
+        if overwrite:
+            self._observe(row, state, now_ps)
+        else:
+            self.settle(row, now_ps)
+        self._recharge(state, now_ps)
+        for victim, weight in self._victims_of(row):
+            victim_state = rows.get(victim)
+            if victim_state is None:
+                victim_state = self.state(victim)
+            victim_state.disturbance += effective * weight
+        return state
+
+    def write_rows(self, rows, pattern: DataPattern, start_ps: int,
+                   step_ps: int) -> None:
+        """Activate and overwrite each of *rows* in order: the ACT left
+        the row recharged, so :meth:`write` only replaces its data."""
+        now_ps = start_ps
+        for row in rows:
+            state = self._activate(row, now_ps, overwrite=True)
+            state.pattern = pattern
+            state.clear_faults()
+            now_ps += step_ps
+
+    def read_rows_mismatches(self, rows, start_ps: int,
+                             step_ps: int) -> list[list[int]]:
+        """Activate each of *rows* in order and return its
+        :meth:`read_mismatches`.  The ACT left the row recharged with no
+        disturbance, so the read's settle is only its observation, which
+        at zero unrefreshed time draws VRT toggles and nothing else, and
+        its recharge changes nothing."""
+        mismatches = []
+        now_ps = start_ps
+        for row in rows:
+            state = self._activate(row, now_ps, overwrite=False)
+            if state.retention_profile.has_vrt:
+                self._observe(row, state, now_ps)
+            mismatches.append(state.mismatches())
+            now_ps += step_ps
+        return mismatches
 
     def _victims_of(self, aggressor: int) -> tuple[tuple[int, float], ...]:
         victims = self._victims.get(aggressor)
@@ -500,10 +577,26 @@ class Bank:
             self._recharge(self.rows[row], now_ps)
 
     def regular_refresh(self, slot: int, now_ps: int) -> None:
-        """Apply a regular-refresh slot to the tracked rows it covers."""
+        """Apply a regular-refresh slot to the tracked rows it covers.
+
+        A row is only recharged when its settle would provably do
+        nothing at all: its profile has no VRT cell (no toggle draw), the
+        environment is neutral (no elapsed-time query), and neither of
+        settle's bounds is reached (:meth:`_bounds_reached`).
+        """
+        environment = self.environment
+        neutral = environment is None or environment.neutral
+        rows = self.rows
         for row in self.slot_rows.get(slot, ()):
-            self.settle(row, now_ps)
-            self._recharge(self.rows[row], now_ps)
+            state = rows[row]
+            profile = state.retention_profile
+            if profile is None:
+                profile = self._retention(row, state)
+            if (not neutral or profile.has_vrt
+                    or any(self._bounds_reached(
+                        state, now_ps - state.last_recharge_ps))):
+                self.settle(row, now_ps)
+            self._recharge(state, now_ps)
 
     # -- ground-truth helpers (tests/analysis only; tools never call) -------
 

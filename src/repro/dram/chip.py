@@ -194,10 +194,30 @@ class DramChip:
 
     # -- command validation (no side effect) ----------------------------------
 
+    def _check_address(self, logical_row: int) -> None:
+        # A float or numpy row would pass the range check and fail only
+        # inside the bank (or in the trace's JSON), after the host had
+        # already counted and recorded the command.
+        if not isinstance(logical_row, int):
+            raise ConfigError(
+                f"row address must be an int, got {logical_row!r}")
+        self.mapping._check(logical_row)
+
     def check_row(self, bank: int, logical_row: int) -> None:
         """Raise unless a row read or write of *logical_row* in *bank*
-        would be accepted: a range check, nothing else."""
-        self.mapping._check(logical_row)
+        would be accepted: an int row and a bank in range, nothing
+        else."""
+        self._check_address(logical_row)
+        self._bank(bank)
+
+    def check_rows(self, bank: int, logical_rows: Sequence[int]) -> None:
+        """Raise unless :meth:`write_rows` or
+        :meth:`read_rows_mismatches` would accept the whole range."""
+        num_rows = self.mapping.num_rows
+        for row in logical_rows:
+            # Accepts what _check_address accepts; it raises the error.
+            if not (isinstance(row, int) and 0 <= row < num_rows):
+                self._check_address(row)
         self._bank(bank)
 
     def check_batch(self, batch: ActBatch) -> None:
@@ -235,16 +255,14 @@ class DramChip:
         """Activate *logical_row* and overwrite it with *pattern*."""
         physical = self._single_act(bank, logical_row, overwrite=True)
         self._bank(bank).write(physical, pattern, self.now_ps)
-        timing = self.config.timing
-        self.now_ps += timing.trcd_ps + timing.burst_write_ps + timing.trp_ps
+        self.now_ps += self.config.timing.row_write_ps
         self.stats.row_writes += 1
 
     def read_row(self, bank: int, logical_row: int) -> np.ndarray:
         """Activate and read the full row; returns a 0/1 uint8 bit array."""
         physical = self._single_act(bank, logical_row)
         bits = self._bank(bank).read(physical, self.now_ps)
-        timing = self.config.timing
-        self.now_ps += timing.trcd_ps + timing.burst_read_ps + timing.trp_ps
+        self.now_ps += self.config.timing.row_read_ps
         self.stats.row_reads += 1
         return bits
 
@@ -253,10 +271,56 @@ class DramChip:
         last written to it (the retention side channel's raw signal)."""
         physical = self._single_act(bank, logical_row)
         mismatches = self._bank(bank).read_mismatches(physical, self.now_ps)
-        timing = self.config.timing
-        self.now_ps += timing.trcd_ps + timing.burst_read_ps + timing.trp_ps
+        self.now_ps += self.config.timing.row_read_ps
         self.stats.row_reads += 1
         return mismatches
+
+    # A range command is the per-row commands back to back: row i's ACT
+    # and data transfer happen at ``start + i * step``, and the TRR
+    # mechanism sees the same one-ACT sequence through one hook call.
+    # The mechanism's and the bank's state never read each other, so the
+    # bank may take the whole range before the mechanism does.  A
+    # mechanism that refreshes during ACTs (PARA) draws per ACT and
+    # refreshes rows the next ACT may touch, so its chip keeps the
+    # per-row loop.
+
+    def write_rows(self, bank: int, logical_rows: Sequence[int],
+                   pattern: DataPattern) -> None:
+        """:meth:`write_row` each of *logical_rows* in order."""
+        if self._act_coupled:
+            for row in logical_rows:
+                self.write_row(bank, row, pattern)
+            return
+        to_physical = self.mapping.to_physical
+        physical = [to_physical(row) for row in logical_rows]
+        start, step = self.now_ps, self.config.timing.row_write_ps
+        self._bank(bank).write_rows(physical, pattern, start, step)
+        self._range_activated(bank, physical, step)
+        self.stats.row_writes += len(physical)
+
+    def read_rows_mismatches(self, bank: int, logical_rows: Sequence[int]
+                             ) -> list[list[int]]:
+        """:meth:`read_row_mismatches` each of *logical_rows* in order;
+        returns one mismatch list per row."""
+        if self._act_coupled:
+            return [self.read_row_mismatches(bank, row)
+                    for row in logical_rows]
+        to_physical = self.mapping.to_physical
+        physical = [to_physical(row) for row in logical_rows]
+        start, step = self.now_ps, self.config.timing.row_read_ps
+        mismatches = self._bank(bank).read_rows_mismatches(physical, start,
+                                                           step)
+        self._range_activated(bank, physical, step)
+        self.stats.row_reads += len(physical)
+        return mismatches
+
+    def _range_activated(self, bank: int, physical: list[int],
+                         step_ps: int) -> None:
+        """Feed a range's ACTs, one per *step_ps* from now, to TRR and
+        the stats, and move the clock past the range."""
+        self.trr.on_row_activations(bank, physical, self.now_ps, step_ps)
+        self.stats.activates += len(physical)
+        self.now_ps += len(physical) * step_ps
 
     def hammer(self, batch: ActBatch) -> None:
         """Execute an ordered ACT/PRE batch against one bank."""

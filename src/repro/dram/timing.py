@@ -50,6 +50,16 @@ class TimingParameters:
         """Row cycle time: the cost of one hammer (ACT + PRE)."""
         return self.tras_ps + self.trp_ps
 
+    @property
+    def row_write_ps(self) -> int:
+        """Virtual time of one full-row write: ACT, burst, PRE."""
+        return self.trcd_ps + self.burst_write_ps + self.trp_ps
+
+    @property
+    def row_read_ps(self) -> int:
+        """Virtual time of one full-row read: ACT, burst, PRE."""
+        return self.trcd_ps + self.burst_read_ps + self.trp_ps
+
     def hammers_per_ref_interval(self) -> int:
         """Maximum single-bank activations between two REF commands.
 

@@ -36,6 +36,9 @@ HOST_METHODS = (("write_row", "WR"), ("read_row", "RD"),
                 ("_issue_hammer_multi", "ACT"), ("refresh", "REF"),
                 ("wait", "WAIT"))
 
+#: The host's row-range methods: one command per row of the range.
+RANGE_METHODS = (("write_rows", "WR"), ("read_rows_mismatches", "RD"))
+
 
 class CommandProfiler:
     """Per-opcode wall-time attribution."""
@@ -54,12 +57,16 @@ class CommandProfiler:
 
         Wraps the host's opcode methods on that instance, never on its
         class, so other hosts stay unprofiled.  A command the chip
-        rejects raises before it is counted.  A fused run of identical
-        hammers counts as *repeats* ACT commands, and only when the
-        host took the fused path.
+        rejects raises before it is counted.  A row-range command
+        counts one command per row.  A fused run of identical hammers
+        counts as *repeats* ACT commands, and only when the host took
+        the fused path.
         """
         for name, opcode in HOST_METHODS:
             setattr(host, name, self._timed(getattr(host, name), opcode))
+        for name, opcode in RANGE_METHODS:
+            setattr(host, name, self._timed_range(getattr(host, name),
+                                                  opcode))
         try_fused = host._try_fused_hammer
 
         def fused(batch, repeats: int, step_ps: int) -> bool:
@@ -76,6 +83,15 @@ class CommandProfiler:
             start = perf_counter()
             result = method(*args, **kwargs)
             self.add(opcode, perf_counter() - start)
+            return result
+        return timed
+
+    def _timed_range(self, method, opcode: str):
+        def timed(bank, rows, *args, **kwargs):
+            start = perf_counter()
+            result = method(bank, rows, *args, **kwargs)
+            if rows:
+                self.add(opcode, perf_counter() - start, len(rows))
             return result
         return timed
 

@@ -148,9 +148,44 @@ class SoftMCHost:
         self._pattern_specs[key] = (pattern, spec)
         return spec
 
+    # Each row command has one validated core (``_write``,
+    # ``_read_mismatches``) shared by its single-row and its range entry
+    # point, and no entry point calls another, so a wrapper around each
+    # counts every command once.
+
     def write_row(self, bank: int, row: int, pattern: DataPattern) -> None:
         """Write *pattern* into the row (logical addressing)."""
         self._chip.check_row(bank, row)
+        self._write(bank, row, pattern)
+
+    def write_rows(self, bank: int, rows: Sequence[int],
+                   pattern: DataPattern) -> None:
+        """Write *pattern* into each of *rows* in order: the commands
+        :meth:`write_row` would issue per row, in one chip call.
+
+        The whole range is validated before anything is recorded,
+        counted or run.  A fault injector draws per command (a dropped
+        write does not even move the clock), so a faulty host issues
+        the rows one by one.
+        """
+        chip = self._chip
+        chip.check_rows(bank, rows)
+        if self._faults is not None or not rows:
+            for row in rows:
+                self._write(bank, row, pattern)
+            return
+        if self._rec is not None:
+            spec = self._pattern_spec(pattern)
+            now_ps, step_ps = chip.now_ps, self.timing.row_write_ps
+            for row in rows:
+                self._rec.on_write(now_ps, bank, row, pattern=spec)
+                now_ps += step_ps
+        self._count_acts(bank, len(rows))
+        chip.write_rows(bank, rows, pattern)
+
+    def _write(self, bank: int, row: int, pattern: DataPattern) -> None:
+        """Issue one validated WR: record, count, tick, write (unless
+        the injector drops it)."""
         if self._rec is not None:
             self._rec.on_write(self._chip.now_ps, bank, row,
                                pattern=self._pattern_spec(pattern))
@@ -179,6 +214,32 @@ class SoftMCHost:
     def read_row_mismatches(self, bank: int, row: int) -> list[int]:
         """Bit positions differing from the last written data."""
         self._chip.check_row(bank, row)
+        return self._read_mismatches(bank, row)
+
+    def read_rows_mismatches(self, bank: int,
+                             rows: Sequence[int]) -> list[list[int]]:
+        """:meth:`read_row_mismatches` of each of *rows* in order, in
+        one chip call; returns one mismatch list per row.  Validated and
+        issued as :meth:`write_rows` is."""
+        chip = self._chip
+        chip.check_rows(bank, rows)
+        if self._faults is not None or not rows:
+            return [self._read_mismatches(bank, row) for row in rows]
+        issue_ps = chip.now_ps
+        self._count_acts(bank, len(rows))
+        mismatches = chip.read_rows_mismatches(bank, rows)
+        if self._rec is not None:
+            step_ps = self.timing.row_read_ps
+            for row, positions in zip(rows, mismatches):
+                self._rec.on_read(issue_ps, bank, row,
+                                  digest=mismatch_digest(positions),
+                                  mismatches=True)
+                issue_ps += step_ps
+        return mismatches
+
+    def _read_mismatches(self, bank: int, row: int) -> list[int]:
+        """Issue one validated mismatch RD: count, tick, read, corrupt
+        (with an injector), record."""
         issue_ps = self._chip.now_ps if self._rec is not None else 0
         self._count_acts(bank, 1)
         self._tick()

@@ -17,9 +17,10 @@ the methodology recovered.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from ..dram.commands import ActBatch
+from ..dram.commands import ActBatch, single_row_batch
 from ..errors import ConfigError
 
 
@@ -102,6 +103,20 @@ class TrrMechanism(ABC):
         rapid hammering from ordinary spaced-out row accesses.
         """
 
+    def on_row_activations(self, bank: int, rows: Sequence[int],
+                           first_ps: int, step_ps: int) -> None:
+        """Observe one ACT of each of *rows* in order, the i-th at
+        ``first_ps + i * step_ps`` (a row-range command's implicit ACTs).
+
+        Defined as :meth:`on_activations` of one one-ACT batch per row;
+        a mechanism may override it to skip building those batches, and
+        must then keep exactly this effect.
+        """
+        now_ps = first_ps
+        for row in rows:
+            self.on_activations(bank, single_row_batch(bank, row, 1), now_ps)
+            now_ps += step_ps
+
     def immediate_refreshes(self, bank: int,
                             batch: ActBatch) -> list[tuple[int, int]]:
         """Victims to refresh *during* the activation batch itself.
@@ -133,6 +148,10 @@ class NoTrr(TrrMechanism):
 
     def on_activations(self, bank: int, batch: ActBatch,
                        now_ps: int = 0) -> None:
+        pass
+
+    def on_row_activations(self, bank: int, rows: Sequence[int],
+                           first_ps: int, step_ps: int) -> None:
         pass
 
     def on_refresh(self) -> list[tuple[int, int]]:

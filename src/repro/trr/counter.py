@@ -20,6 +20,7 @@ Reverse-engineered behaviour this implementation reproduces exactly:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..dram.commands import ActBatch
@@ -142,6 +143,25 @@ class CounterBasedTrr(TrrMechanism):
             self._last_single[bank] = (batch.row_at(0), now_ps)
         else:
             self._last_single.pop(bank, None)
+
+    def on_row_activations(self, bank: int, rows: Sequence[int],
+                           first_ps: int, step_ps: int) -> None:
+        if not rows:
+            return
+        table = self._table(bank)
+        # Each ACT is a one-ACT batch: it may insert only as a repeat of
+        # the previous single ACT inside the burst window.
+        insert_any = self.min_insert_count <= 1
+        window = self.burst_window_ps
+        last_row, last_ps = self._last_single.get(bank, (None, 0))
+        now_ps = first_ps
+        for row in rows:
+            allow = insert_any or (row == last_row
+                                   and now_ps - last_ps <= window)
+            table.observe(row, 1, self.table_size, allow)
+            last_row, last_ps = row, now_ps
+            now_ps += step_ps
+        self._last_single[bank] = (last_row, last_ps)
 
     def on_refresh(self) -> list[tuple[int, int]]:
         self._ref_count += 1

@@ -27,6 +27,8 @@ Reverse-engineered behaviour this implementation reproduces exactly:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 from ..dram.commands import ActBatch
 from ..errors import ConfigError
 from .base import TrrGroundTruth, TrrMechanism, neighbor_victims
@@ -42,9 +44,9 @@ class _Sampler:
         self.countdown = period
         self.row: int | None = None
 
-    def observe(self, batch: ActBatch) -> bool:
-        """Advance the counter over the batch; True if a sample occurred."""
-        total = batch.total
+    def observe(self, total: int, row_at: Callable[[int], int]) -> bool:
+        """Advance the counter over *total* ACTs, the i-th to row
+        ``row_at(i)``; True if a sample occurred."""
         if total < self.countdown:
             self.countdown -= total
             return False
@@ -52,7 +54,7 @@ class _Sampler:
         # last one.  Sample offsets (0-based): countdown-1, countdown-1+P, ...
         last_offset = self.countdown - 1 + (
             (total - self.countdown) // self.period) * self.period
-        self.row = batch.row_at(last_offset)
+        self.row = row_at(last_offset)
         self.countdown = self.period - (total - 1 - last_offset)
         return True
 
@@ -94,8 +96,24 @@ class SamplingBasedTrr(TrrMechanism):
             if sampler is None:
                 sampler = _Sampler(self.sample_period)
                 self._bank_samplers[bank] = sampler
-            sampler.observe(batch)
-        elif self._shared.observe(batch):
+            sampler.observe(batch.total, batch.row_at)
+        elif self._shared.observe(batch.total, batch.row_at):
+            self._shared_bank = bank
+
+    def on_row_activations(self, bank: int, rows: Sequence[int],
+                           first_ps: int, step_ps: int) -> None:
+        # The sampler only counts ACTs, so one-ACT batches in a row
+        # advance it exactly as one batch of them does.
+        total = len(rows)
+        if total == 0:
+            return
+        if self.per_bank:
+            sampler = self._bank_samplers.get(bank)
+            if sampler is None:
+                sampler = _Sampler(self.sample_period)
+                self._bank_samplers[bank] = sampler
+            sampler.observe(total, rows.__getitem__)
+        elif self._shared.observe(total, rows.__getitem__):
             self._shared_bank = bank
 
     def on_refresh(self) -> list[tuple[int, int]]:

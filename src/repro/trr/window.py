@@ -23,6 +23,7 @@ replaces it with probability ``exp(-k / early_bias_tau)``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from ..dram.commands import ActBatch
 from ..errors import ConfigError
@@ -113,6 +114,23 @@ class WindowBasedTrr(TrrMechanism):
                 window.weight_seen = total
                 consumed += usable
         window.acts_seen += batch.total
+
+    def on_row_activations(self, bank: int, rows: Sequence[int],
+                           first_ps: int, step_ps: int) -> None:
+        if not rows:
+            return
+        window = self._window(bank)
+        # Each row is a one-ACT batch; past the window's end an ACT is
+        # only counted.
+        usable = min(len(rows), max(self.window_acts - window.acts_seen, 0))
+        for row in rows[:usable]:
+            mass = self._position_mass(window.acts_seen, 1)
+            total = window.weight_seen + mass
+            if total > 0 and self._rng.random() < mass / total:
+                window.candidate = row
+            window.weight_seen = total
+            window.acts_seen += 1
+        window.acts_seen += len(rows) - usable
 
     def on_refresh(self) -> list[tuple[int, int]]:
         self._ref_count += 1

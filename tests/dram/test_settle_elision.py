@@ -3,14 +3,16 @@
 :meth:`Bank.settle` skips its compares while a bound proves they would
 commit nothing (the retention floors, the hammer threshold floor, a
 row's weakest hammer threshold), the implicit ACT of a row write only
-observes the row it overwrites, and a REF skips the banks with no
-tracked row in its slot.  The properties run random command sequences
-on two chips of one serial: one as shipped, and one whose banks settle
-through every compare on every observation (the settle as it was before
-the bounds, kept verbatim below as the oracle) and settle a row before
-overwriting it.  The oracle needs no floor to force: it has none.  Chip
-state, read bits, every environment query and the banks' shared VRT
-streams must agree exactly.
+observes the row it overwrites, a REF skips the banks with no tracked
+row in its slot, and a REF slot only recharges a row whose settle would
+draw, query and commit nothing.  The properties run random command
+sequences on two chips of one serial: one as shipped, and one whose
+banks settle through every compare on every observation (the settle as
+it was before the bounds, kept verbatim below as the oracle), settle a
+row before overwriting it, and settle every row of a REF slot.  The
+oracle needs no floor to force: it has none.  Chip state, read bits,
+every environment query and the banks' shared VRT streams must agree
+exactly.
 """
 
 from __future__ import annotations
@@ -87,15 +89,21 @@ def full_settle(bank: Bank, row: int, now_ps: int) -> None:
 
 
 def unelided(chip: DramChip) -> None:
-    """Make *chip*'s banks settle fully, also before an overwrite, and
-    its REFs visit every bank."""
+    """Make *chip*'s banks settle fully, also before an overwrite and
+    at every row of a REF slot, and its REFs visit every bank."""
     for bank in chip.banks:
         def absorb_settling(batch, now_ps, overwrite=False,
                             absorb=bank.absorb_hammering):
             absorb(batch, now_ps)
 
+        def regular_refresh(slot, now_ps, bank=bank):
+            for row in bank.slot_rows.get(slot, ()):
+                full_settle(bank, row, now_ps)
+                bank._recharge(bank.rows[row], now_ps)
+
         bank.settle = functools.partial(full_settle, bank)
         bank.absorb_hammering = absorb_settling
+        bank.regular_refresh = regular_refresh
 
     def regular_refresh() -> None:
         slot = chip.refresh_engine.on_ref(chip.now_ps)

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
+from repro.dram import AllOnes
+from repro.errors import ConfigError
 from repro.obs import CommandProfiler, Observability
-from repro.obs.profile import HOST_METHODS
+from repro.obs.profile import HOST_METHODS, RANGE_METHODS
 from repro.softmc import SoftMCHost
 
 from .conftest import drive, small_host
@@ -50,7 +54,8 @@ def test_attach_wraps_only_the_profiled_host():
     profiler = CommandProfiler()
     profiled = small_host(obs=Observability(profiler=profiler))
     plain = small_host(obs=Observability())
-    names = [name for name, _ in HOST_METHODS] + ["_try_fused_hammer"]
+    names = ([name for name, _ in HOST_METHODS + RANGE_METHODS]
+             + ["_try_fused_hammer"])
     assert set(names) <= set(vars(profiled))
     assert not set(names) & set(vars(plain))
     assert all(getattr(plain, name).__func__ is getattr(SoftMCHost, name)
@@ -59,6 +64,18 @@ def test_attach_wraps_only_the_profiled_host():
     assert profiler.commands == 0
     drive(profiled)
     assert profiler.counts == DRIVE_COUNTS
+
+
+def test_range_commands_count_one_command_per_row():
+    profiler = CommandProfiler()
+    host = small_host(obs=Observability(profiler=profiler))
+    host.write_rows(0, [10, 11, 12], AllOnes())
+    assert host.read_rows_mismatches(0, [12, 10]) == [[], []]
+    host.write_rows(1, [], AllOnes())
+    with pytest.raises(ConfigError):
+        host.read_rows_mismatches(0, [1, 2.0])
+    assert profiler.counts == {"WR": 3, "RD": 2}
+    assert profiler.seconds.keys() == {"WR", "RD"}
 
 
 def test_profiler_merge_folds_dumps_and_unit_walls():

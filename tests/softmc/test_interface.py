@@ -14,6 +14,7 @@ from repro.errors import ConfigError, MappingError
 from repro.faults import DEFAULT, FaultInjector
 from repro.obs import CommandProfiler, traced
 from repro.softmc import SoftMCHost
+from repro.trr import ParaMitigation
 from repro.units import ms, us
 from repro.vendors import build_module, get_module
 
@@ -121,6 +122,15 @@ REJECTED = {
     "write_row-row": lambda host: host.write_row(0, 10**6, AllOnes()),
     "read_row_mismatches-row": lambda host: host.read_row_mismatches(
         0, 10**6),
+    "write_row-fraction": lambda host: host.write_row(0, 1.5, AllOnes()),
+    "read_row_mismatches-fraction": lambda host: host.read_row_mismatches(
+        0, np.float64(4.0)),
+    "read_row-numpy-int": lambda host: host.read_row(0, np.int64(3)),
+    "write_rows-one-bad-row": lambda host: host.write_rows(
+        0, [3, 4, 10**6, 6], AllOnes()),
+    "read_rows_mismatches-one-bad-row": lambda host:
+        host.read_rows_mismatches(0, [3, 4, 2.5, 6]),
+    "write_rows-bank": lambda host: host.write_rows(99, [3], AllOnes()),
     "refresh-count": lambda host: host.refresh(-1),
     "refresh-fraction": lambda host: host.refresh(1.5),
     "wait-duration": lambda host: host.wait(-5),
@@ -264,13 +274,16 @@ def test_multi_bank_entry_points_issue_the_same_command(
 
 
 #: The ``SoftMCHost`` methods the traced benchmark (perfbench/tracer.py)
-#: wraps: one span per call, so none may call another.
-TRACED_METHODS = ("write_row", "read_row", "read_row_mismatches", "hammer",
+#: or the command profiler wraps: one span or count per call, so none
+#: may call another.
+TRACED_METHODS = ("write_row", "write_rows", "read_row",
+                  "read_row_mismatches", "read_rows_mismatches", "hammer",
                   "hammer_single", "_hammer_prebuilt", "_try_fused_hammer",
                   "hammer_multi", "_hammer_multi_prebuilt", "refresh")
 
 
-def test_no_traced_entry_point_calls_another(small_config, monkeypatch):
+def spy_on(monkeypatch) -> dict:
+    """Count the calls of every traced host method."""
     calls = dict.fromkeys(TRACED_METHODS, 0)
     for name in TRACED_METHODS:
         def spy(self, *args, _name=name, _method=getattr(SoftMCHost, name),
@@ -278,13 +291,21 @@ def test_no_traced_entry_point_calls_another(small_config, monkeypatch):
             calls[_name] += 1
             return _method(self, *args, **kwargs)
         monkeypatch.setattr(SoftMCHost, name, spy)
+    return calls
+
+
+def test_no_traced_entry_point_calls_another(small_config, monkeypatch):
+    calls = spy_on(monkeypatch)
     host = SoftMCHost(DramChip(small_config))
     batch = single_row_batch(0, 100, 5)
     step_ps = host.timing.hammer_duration_ps(batch.total)
     issue = {
         "write_row": lambda: host.write_row(0, 101, AllOnes()),
+        "write_rows": lambda: host.write_rows(0, [101, 103], AllOnes()),
         "read_row": lambda: host.read_row(0, 101),
         "read_row_mismatches": lambda: host.read_row_mismatches(0, 101),
+        "read_rows_mismatches": lambda: host.read_rows_mismatches(
+            0, [101, 103]),
         "hammer": lambda: host.hammer(0, [(100, 5), (102, 5)]),
         "hammer_single": lambda: host.hammer_single(0, 100, 5),
         "_hammer_prebuilt": lambda: host._hammer_prebuilt(batch),
@@ -306,9 +327,27 @@ def test_no_traced_entry_point_calls_another(small_config, monkeypatch):
             key: int(key == name) for key in calls}, name
 
 
+@pytest.mark.parametrize("setup", ["injector", "para"])
+def test_per_row_range_fallbacks_call_no_entry_point(small_config,
+                                                     monkeypatch, setup):
+    """A faulty host and a PARA chip issue a range row by row, still
+    without calling the single-row entry points."""
+    calls = spy_on(monkeypatch)
+    if setup == "injector":
+        host = SoftMCHost(DramChip(small_config),
+                          faults=FaultInjector("default", seed=5))
+    else:
+        host = SoftMCHost(DramChip(small_config, ParaMitigation(seed=2)))
+    host.write_rows(0, [101, 103, 101], AllOnes())
+    host.read_rows_mismatches(0, [103, 101])
+    assert calls == {name: int(name in ("write_rows", "read_rows_mismatches"))
+                     for name in calls}
+
+
 #: ``DramChip`` methods that issue a command (or its raw parts).
 CHIP_COMMANDS = {"hammer", "hammer_multi", "hammer_repeated", "write_row",
-                 "read_row", "read_row_mismatches", "refresh", "wait"}
+                 "write_rows", "read_row", "read_row_mismatches",
+                 "read_rows_mismatches", "refresh", "wait"}
 
 
 def test_only_the_host_issues_chip_commands():
