@@ -11,6 +11,15 @@ overlay, and only then is the charge clock reset.  A refresh that arrives
 after a cell has already decayed therefore restores the **decayed** value
 — exactly the physical behaviour U-TRR's side channel relies on (§3.2,
 footnote 4).
+
+A regular-refresh slot does not commit that decay itself when nothing
+else about the row is ordered (no VRT cell, a neutral environment, no
+disturbance that could flip a cell): it keeps the longest such refresh
+gap as the row's pending decay, which the row's next settle commits
+before its own compares and its next write drops.  That is exact: a
+decayed cell keeps its discharged value until it is rewritten, so a run
+of gaps decays exactly the cells the longest gap decays, and nothing
+but a settle or a write changes a row's data.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ class RowState:
     """
 
     __slots__ = ("pattern", "fault_positions", "fault_values",
-                 "last_recharge_ps", "disturbance",
+                 "last_recharge_ps", "disturbance", "pending_decay_ps",
                  "retention_profile", "hammer_profile", "_overlay_cache",
                  "_decay_floor_ps")
 
@@ -59,6 +68,9 @@ class RowState:
         self.last_recharge_ps = last_recharge_ps
         #: Accumulated effective hammers since the last charge restoration.
         self.disturbance = 0.0
+        #: The longest refresh gap whose decay a REF slot deferred (0:
+        #: none); :meth:`commit_pending_decay` commits it.
+        self.pending_decay_ps = 0
         self.retention_profile: RowRetentionProfile | None = None
         self.hammer_profile: RowHammerProfile | None = None
         #: Overlay-lookup memo for ``stored_bits_at``: needle-array id ->
@@ -71,9 +83,35 @@ class RowState:
         self._decay_floor_ps: int | float | None = None
 
     def clear_faults(self) -> None:
+        """Drop the fault overlay and any pending decay (a write)."""
         self.fault_positions = _EMPTY_POSITIONS
         self.fault_values = _EMPTY_VALUES
+        self.pending_decay_ps = 0
         self._decay_floor_ps = None
+
+    def decay(self, elapsed_ps: int) -> None:
+        """Commit the retention decay of *elapsed_ps* unrefreshed time:
+        each weak cell storing its charged value with a retention of at
+        most *elapsed_ps* takes its discharged value."""
+        profile = self.retention_profile
+        failed = profile.failed_cells(elapsed_ps,
+                                      self.stored_bits_at(profile.positions))
+        if failed.size:
+            self.overlay_faults(profile.positions[failed],
+                                1 - profile.polarity[failed])
+
+    def commit_pending_decay(self) -> None:
+        """Commit the refresh gap a REF slot deferred, if any.
+
+        The row's data has not changed since that REF (a write drops the
+        gap, and a settle commits it before anything else), so this
+        commits exactly what a settle at the REF would have.
+        """
+        gap = self.pending_decay_ps
+        if gap:
+            self.pending_decay_ps = 0
+            if gap >= self.decay_floor_ps():
+                self.decay(gap)
 
     def mismatches(self) -> list[int]:
         """Bit positions whose stored bit differs from the written
@@ -272,31 +310,30 @@ class Bank:
     def settle(self, row: int, now_ps: int) -> None:
         """Commit pending retention decay and hammer flips into the row.
 
-        Each compare runs only when its bound allows a commit: the scaled
-        unrefreshed time has reached the row's retention floor (first
-        ``floor_ps``, then the tighter floor of the cells its data
-        exposes, :meth:`RowState.decay_floor_ps`), or the disturbance
-        has reached the weakest hammer threshold (first the bank's
-        threshold floor, so a row disturbed less builds no hammer
-        profile, then the row's own).  Below both, the settle provably
-        commits nothing; the observation's side effects
-        (:meth:`_observe`) still come first, since later draws from the
-        shared VRT stream depend on them.
+        A refresh gap a REF slot deferred is committed first
+        (:meth:`RowState.commit_pending_decay`).  Each compare then runs
+        only when its bound allows a commit: the scaled unrefreshed time
+        has reached the row's retention floor (first ``floor_ps``, then
+        the tighter floor of the cells its data exposes,
+        :meth:`RowState.decay_floor_ps`), or the disturbance has reached
+        the weakest hammer threshold (first the bank's threshold floor,
+        so a row disturbed less builds no hammer profile, then the
+        row's own).  Below both, the settle provably commits nothing;
+        the observation's side effects (:meth:`_observe`) still come
+        first, since later draws from the shared VRT stream depend on
+        them.
         """
         state = self.rows.get(row)
         if state is None:
             state = self.state(row)
         elapsed = self._observe(row, state, now_ps)
-        decays, flips = self._bounds_reached(state, elapsed)
-        if decays:
-            profile = state.retention_profile
-            stored = state.stored_bits_at(profile.positions)
-            failed = profile.failed_cells(elapsed, stored)
-            if failed.size:
-                state.overlay_faults(profile.positions[failed],
-                                     1 - profile.polarity[failed])
-        if flips:
-            disturbance = state.disturbance
+        if state.pending_decay_ps:
+            state.commit_pending_decay()
+        if (elapsed > 0 and elapsed >= state.retention_profile.floor_ps
+                and elapsed >= state.decay_floor_ps()):
+            state.decay(elapsed)
+        disturbance = state.disturbance
+        if disturbance > 0 and disturbance >= self._hammer_floor:
             hammer = self._hammer(row, state)
             if disturbance >= hammer.base_threshold:
                 stored = state.stored_bits_at(hammer.positions)
@@ -304,18 +341,6 @@ class Bank:
                 if flipped.size:
                     state.overlay_faults(hammer.positions[flipped],
                                          1 - hammer.polarity[flipped])
-
-    def _bounds_reached(self, state: RowState,
-                        elapsed: int) -> tuple[bool, bool]:
-        """Settle's bounds: whether the scaled unrefreshed time *elapsed*
-        has reached the row's retention floors (``floor_ps``, then
-        :meth:`RowState.decay_floor_ps`), and whether its disturbance has
-        reached the bank's hammer threshold floor.  Neither compare can
-        commit below its bound."""
-        disturbance = state.disturbance
-        return ((elapsed > 0 and elapsed >= state.retention_profile.floor_ps
-                 and elapsed >= state.decay_floor_ps()),
-                disturbance > 0 and disturbance >= self._hammer_floor)
 
     def _recharge(self, state: RowState, now_ps: int) -> None:
         state.last_recharge_ps = now_ps
@@ -579,13 +604,17 @@ class Bank:
     def regular_refresh(self, slot: int, now_ps: int) -> None:
         """Apply a regular-refresh slot to the tracked rows it covers.
 
-        A row is only recharged when its settle would provably do
-        nothing at all: its profile has no VRT cell (no toggle draw), the
-        environment is neutral (no elapsed-time query), and neither of
-        settle's bounds is reached (:meth:`_bounds_reached`).
+        A row whose settle has no ordered side effect is only recharged:
+        its profile has no VRT cell (no toggle draw), the environment is
+        neutral (no elapsed-time query), and its disturbance is below
+        the bank's threshold floor (no flip).  A gap that reached its
+        retention floor becomes its pending decay (the longest so far,
+        :attr:`RowState.pending_decay_ps`), which its next settle
+        commits and its next write drops.  Every other row settles here.
         """
         environment = self.environment
         neutral = environment is None or environment.neutral
+        hammer_floor = self._hammer_floor
         rows = self.rows
         for row in self.slot_rows.get(slot, ()):
             state = rows[row]
@@ -593,9 +622,12 @@ class Bank:
             if profile is None:
                 profile = self._retention(row, state)
             if (not neutral or profile.has_vrt
-                    or any(self._bounds_reached(
-                        state, now_ps - state.last_recharge_ps))):
+                    or state.disturbance >= hammer_floor):
                 self.settle(row, now_ps)
+            else:
+                gap = now_ps - state.last_recharge_ps
+                if gap >= profile.floor_ps and gap > state.pending_decay_ps:
+                    state.pending_decay_ps = gap
             self._recharge(state, now_ps)
 
     # -- ground-truth helpers (tests/analysis only; tools never call) -------

@@ -144,9 +144,9 @@ class DramChip:
         hit = memo.get(id(batch))
         if hit is not None and hit[0] is batch:
             return hit[1]
-        # Range-check the bank with the rows, so a multi-bank group is
-        # fully validated before any of it is ingested.
-        self._bank(batch.bank)
+        # Check the bank with the rows, so a multi-bank group is fully
+        # validated before any of it is ingested.
+        self._check_bank(batch.bank)
         to_physical = self.mapping.to_physical
         physical = ActBatch(
             bank=batch.bank,
@@ -203,12 +203,20 @@ class DramChip:
                 f"row address must be an int, got {logical_row!r}")
         self.mapping._check(logical_row)
 
+    def _check_bank(self, bank: int) -> None:
+        # As for a row address: a numpy bank would pass the range check
+        # and fail only in the trace's JSON, and a float one in the bank
+        # list, after the host had already recorded and counted.
+        if not isinstance(bank, int):
+            raise ConfigError(f"bank must be an int, got {bank!r}")
+        self._bank(bank)
+
     def check_row(self, bank: int, logical_row: int) -> None:
         """Raise unless a row read or write of *logical_row* in *bank*
-        would be accepted: an int row and a bank in range, nothing
+        would be accepted: an int row and an int bank in range, nothing
         else."""
         self._check_address(logical_row)
-        self._bank(bank)
+        self._check_bank(bank)
 
     def check_rows(self, bank: int, logical_rows: Sequence[int]) -> None:
         """Raise unless :meth:`write_rows` or
@@ -218,7 +226,7 @@ class DramChip:
             # Accepts what _check_address accepts; it raises the error.
             if not (isinstance(row, int) and 0 <= row < num_rows):
                 self._check_address(row)
-        self._bank(bank)
+        self._check_bank(bank)
 
     def check_batch(self, batch: ActBatch) -> None:
         """Raise unless :meth:`hammer` would accept *batch*.  The

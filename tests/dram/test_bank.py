@@ -10,7 +10,7 @@ from repro.dram.commands import ActBatch, HammerMode
 from repro.dram.disturbance import DisturbanceConfig
 from repro.dram.patterns import AllOnes, AllZeros
 from repro.dram.refresh import RefreshEngine
-from repro.dram.retention import RetentionConfig
+from repro.dram.retention import RetentionConfig, RowRetentionProfile
 from repro.errors import ConfigError
 from repro.rng import SeedSequenceFactory
 from repro.units import ms
@@ -144,6 +144,104 @@ def test_regular_refresh_slot_covers_tracked_rows():
     slot = engine.slot_of(row)
     bank.regular_refresh(slot, now_ps=retention - 1)
     assert bank.read_mismatches(row, now_ps=2 * retention - 2) == []
+
+
+# -- a REF slot defers the decay of the gap it ends ---------------------------
+# A row with no VRT cell, in no environment, with no disturbance has no
+# ordered side effect at its REF slot: the slot only recharges it and
+# keeps the gap for the row's next settle, or for its next write to drop.
+
+def test_ref_defers_the_decay_of_its_gap():
+    bank, engine = make_bank()
+    row, retention = find_weak_row(bank)
+    bank.write(row, AllOnes(), now_ps=0)
+    bank.regular_refresh(engine.slot_of(row), now_ps=retention + 5)
+    state = bank.rows[row]
+    assert state.fault_positions.tolist() == []
+    assert state.pending_decay_ps == retention + 5
+    assert state.last_recharge_ps == retention + 5
+
+
+def test_deferred_gap_reads_as_a_settle_at_the_ref():
+    deferring, engine = make_bank()
+    settling, _ = make_bank()
+    row, retention = find_weak_row(deferring)
+    ref_ps = retention + 5
+    for bank in (deferring, settling):
+        bank.write(row, AllOnes(), now_ps=0)
+    deferring.regular_refresh(engine.slot_of(row), ref_ps)
+    settling.refresh_rows([row], ref_ps)  # settles, then recharges
+    assert deferring.rows[row].fault_positions.tolist() == []
+    # The read's own gap decays nothing: only the REF's gap shows.
+    read_ps = ref_ps + retention // 2
+    bits = deferring.read(row, read_ps)
+    assert bits.sum() < deferring.row_bits
+    assert np.array_equal(bits, settling.read(row, read_ps))
+
+
+def test_ref_settles_a_disturbed_row():
+    # Its flips come from the disturbance the REF's recharge clears.
+    bank, engine = make_bank()
+    victim = 300
+    threshold = bank.true_min_hammer_threshold(victim, AllOnes())
+    bank.write(victim, AllOnes(), now_ps=0)
+    per_side = int(threshold / 2) + 1
+    batch = ActBatch(bank=0, pattern=((victim - 1, per_side),
+                                      (victim + 1, per_side)),
+                     mode=HammerMode.INTERLEAVED)
+    bank.absorb_hammering(batch, now_ps=1000)
+    bank.regular_refresh(engine.slot_of(victim), now_ps=2000)
+    assert bank.rows[victim].fault_positions.size
+    assert bank.read_mismatches(victim, now_ps=3000) != []
+
+
+def exposed_retentions(bank, row, pattern=AllOnes()):
+    """Sorted retention times of the weak cells *pattern* charges."""
+    profile = bank._retention(row, bank.state(row))
+    charged = pattern.bits_at(profile.positions) == profile.polarity
+    return np.sort(profile.base_retention_ps[charged])
+
+
+@pytest.mark.parametrize("longer_first", [True, False])
+def test_two_gaps_commit_as_the_longer_one(longer_first):
+    retention = RetentionConfig(weak_cells_per_row_mean=4.0,
+                                vrt_fraction=0.0)
+    deferring, engine = make_bank(retention)
+    once, _ = make_bank(retention)
+    row = next(row for row in range(deferring.num_rows)
+               if len(set(exposed_retentions(deferring, row)[:2])) == 2)
+    shorter, longer = (int(r) for r in exposed_retentions(deferring, row)[:2])
+    gaps = (longer, shorter) if longer_first else (shorter, longer)
+    deferring.write(row, AllOnes(), now_ps=0)
+    now_ps = 0
+    for gap in gaps:
+        now_ps += gap
+        deferring.regular_refresh(engine.slot_of(row), now_ps)
+    assert deferring.rows[row].pending_decay_ps == longer
+    once.write(row, AllOnes(), now_ps=0)
+    once.refresh_rows([row], longer)
+    expected = once.read_mismatches(row, longer + 1)
+    assert len(expected) >= 2
+    assert deferring.read_mismatches(row, now_ps + 1) == expected
+
+
+def test_write_drops_the_deferred_gap(monkeypatch):
+    bank, engine = make_bank()
+    row, retention = find_weak_row(bank)
+    compares = []
+    failed_cells = RowRetentionProfile.failed_cells
+
+    def counted(profile, *args):
+        compares.append(args)
+        return failed_cells(profile, *args)
+    monkeypatch.setattr(RowRetentionProfile, "failed_cells", counted)
+    bank.write(row, AllOnes(), now_ps=0)
+    ref_ps = retention + 5
+    bank.regular_refresh(engine.slot_of(row), ref_ps)
+    bank.write(row, AllOnes(), now_ps=ref_ps + 1)
+    assert bank.rows[row].pending_decay_ps == 0
+    assert bank.read_mismatches(row, now_ps=ref_ps + 2) == []
+    assert compares == []
 
 
 def test_lazy_materialization_uses_engine_epoch():

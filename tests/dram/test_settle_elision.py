@@ -5,14 +5,17 @@ commit nothing (the retention floors, the hammer threshold floor, a
 row's weakest hammer threshold), the implicit ACT of a row write only
 observes the row it overwrites, a REF skips the banks with no tracked
 row in its slot, and a REF slot only recharges a row whose settle would
-draw, query and commit nothing.  The properties run random command
+draw, query and flip nothing, keeping the refresh gap as the row's
+pending decay for its next settle.  The properties run random command
 sequences on two chips of one serial: one as shipped, and one whose
 banks settle through every compare on every observation (the settle as
 it was before the bounds, kept verbatim below as the oracle), settle a
 row before overwriting it, and settle every row of a REF slot.  The
-oracle needs no floor to force: it has none.  Chip state, read bits,
-every environment query and the banks' shared VRT streams must agree
-exactly.
+oracle needs no floor to force: it has none, and it defers nothing.
+The environment may switch between neutral and scaled mid-sequence, so
+a gap deferred while neutral can be committed while scaled.  Chip state
+(each row's pending gap committed first), read bits, every environment
+query and the banks' shared VRT streams must agree exactly.
 """
 
 from __future__ import annotations
@@ -112,6 +115,22 @@ def unelided(chip: DramChip) -> None:
     chip._regular_refresh = regular_refresh
 
 
+def set_environment(host: SoftMCHost, queries: list, scaled: bool) -> None:
+    """Make *host*'s chip environment scaled, logging each per-row
+    retention-scale query into *queries*, or neutral."""
+    environment = host._chip.environment
+    if not scaled:
+        environment.reset()
+        return
+
+    def row_scale(bank: int, row: int) -> float:
+        queries.append((bank, row))
+        return 0.5 if (bank + row) % 3 == 0 else 1.0
+    environment.retention_scale = 0.7
+    environment.vrt_toggle_scale = 2.0
+    environment.row_retention_scale = row_scale
+
+
 def make_host(vrt: bool, scaled: bool,
               elide: bool) -> tuple[SoftMCHost, list]:
     """A host over a fresh chip, and the log of per-row retention-scale
@@ -119,15 +138,9 @@ def make_host(vrt: bool, scaled: bool,
     chip = DramChip(config(vrt), CounterBasedTrr())
     if not elide:
         unelided(chip)
-    queries: list[tuple[int, int]] = []
-    if scaled:
-        def row_scale(bank: int, row: int) -> float:
-            queries.append((bank, row))
-            return 0.5 if (bank + row) % 3 == 0 else 1.0
-        chip.environment.retention_scale = 0.7
-        chip.environment.vrt_toggle_scale = 2.0
-        chip.environment.row_retention_scale = row_scale
-    return SoftMCHost(chip), queries
+    host, queries = SoftMCHost(chip), []
+    set_environment(host, queries, scaled)
+    return host, queries
 
 
 rows = st.integers(0, 47)
@@ -142,10 +155,11 @@ operation = st.one_of(
     st.tuples(st.just("multi"), rows, counts, rows, counts),
     st.tuples(st.just("refresh"), st.integers(1, 40), st.booleans()),
     st.tuples(st.just("wait"), st.integers(1, 300)),
+    st.tuples(st.just("environment"), st.booleans()),
 )
 
 
-def run(host: SoftMCHost, operations) -> list:
+def run(host: SoftMCHost, queries: list, operations) -> list:
     """Apply *operations*; returns what each read returned."""
     outputs = []
     for op in operations:
@@ -164,6 +178,8 @@ def run(host: SoftMCHost, operations) -> list:
             host.hammer_multi({0: [(op[1], op[2])], 1: [(op[3], op[4])]})
         elif kind == "refresh":
             host.refresh(op[1], at_nominal_rate=op[2])
+        elif kind == "environment":
+            set_environment(host, queries, op[1])
         else:
             host.wait(ms(op[1]))
     return outputs
@@ -181,7 +197,8 @@ def vrt_states(host: SoftMCHost) -> list:
 def test_elided_settle_matches_full_settle(operations, vrt, scaled):
     elided, elided_queries = make_host(vrt, scaled, elide=True)
     full, full_queries = make_host(vrt, scaled, elide=False)
-    assert run(elided, operations) == run(full, operations)
+    assert (run(elided, elided_queries, operations)
+            == run(full, full_queries, operations))
     # A final full-row observation of every row written or read.
     for bank, row in sorted({(op[1], op[2]) for op in operations
                              if op[0] in ("write", "read")}):

@@ -66,11 +66,16 @@ def run_between_readbacks(host: SoftMCHost, rows: dict, run) -> tuple:
 
 def chip_state(host: SoftMCHost) -> tuple:
     """Full observable chip state, exact to the float bit, plus the
-    fault injector's record when the host has one."""
+    fault injector's record when the host has one.
+
+    Each row's deferred refresh gap is committed first, as the row's
+    next settle would, so a chip that settles at every REF slot reads
+    the same."""
     chip = host._chip
     rows = []
     for index, bank in enumerate(chip.banks):
         for row, state in bank.rows.items():
+            state.commit_pending_decay()
             rows.append((index, row, int(state.last_recharge_ps),
                          float(state.disturbance),
                          tuple(state.fault_positions.tolist()),

@@ -111,7 +111,8 @@ def test_pick_rows_away_from_impossible_request(host):
 
 # -- one validated issue path per opcode --------------------------------------
 
-#: Commands the chip rejects (bad row, negative count, bad bank).
+#: Commands the chip rejects (bad row, negative count, bad bank, a
+#: bank that is not an int).
 REJECTED = {
     "hammer-row": lambda host: host.hammer(0, [(10**6, 5)]),
     "hammer-count": lambda host: host.hammer(0, [(5, -3)]),
@@ -131,6 +132,23 @@ REJECTED = {
     "read_rows_mismatches-one-bad-row": lambda host:
         host.read_rows_mismatches(0, [3, 4, 2.5, 6]),
     "write_rows-bank": lambda host: host.write_rows(99, [3], AllOnes()),
+    "write_row-numpy-bank": lambda host: host.write_row(
+        np.int64(1), 5, AllOnes()),
+    "write_row-float-bank": lambda host: host.write_row(1.0, 5, AllOnes()),
+    "read_row_mismatches-numpy-bank": lambda host:
+        host.read_row_mismatches(np.int64(1), 5),
+    "read_row_mismatches-float-bank": lambda host:
+        host.read_row_mismatches(1.0, 5),
+    "write_rows-numpy-bank": lambda host: host.write_rows(
+        np.int64(1), [3, 4], AllOnes()),
+    "write_rows-float-bank": lambda host: host.write_rows(
+        1.0, [3, 4], AllOnes()),
+    "hammer-numpy-bank": lambda host: host.hammer(np.int64(1), [(7, 3)]),
+    "hammer-float-bank": lambda host: host.hammer(1.0, [(7, 3)]),
+    "hammer_multi-numpy-bank": lambda host: host.hammer_multi(
+        {0: [(5, 4)], np.int64(1): [(7, 4)]}),
+    "hammer_multi-float-bank": lambda host: host.hammer_multi(
+        {0: [(5, 4)], 1.0: [(7, 4)]}),
     "refresh-count": lambda host: host.refresh(-1),
     "refresh-fraction": lambda host: host.refresh(1.5),
     "wait-duration": lambda host: host.wait(-5),
