@@ -9,6 +9,9 @@ reproducible from a recipe:
   uses is keyed off the unit id, never off scheduling),
 - the **code revision** (``git describe --always --dirty --tags``) and
   the **Python version** (pickles and bytecode are version-scoped),
+- the **numpy version**: every device draw runs numpy's ``Generator``
+  algorithms (or mirrors them, :mod:`repro.rng`), which a numpy release
+  may change, so a store written under one numpy never serves another,
 - a **fingerprint of the unit's entry-point callable** (module,
   qualname, bytecode, consts) so editing the function invalidates its
   results even inside one dirty working tree,
@@ -36,11 +39,14 @@ import platform
 import types
 from dataclasses import fields, is_dataclass
 
+import numpy
+
 from ..obs.manifest import git_describe
 
 #: Bump when key material changes meaning (old entries become misses).
-#: Schema 3: the key names no instrument (evidence, profile).
-KEY_SCHEMA = 3
+#: Schema 3: the key names no instrument (evidence, profile).  Schema 4:
+#: the key names the numpy version.
+KEY_SCHEMA = 4
 
 
 class Uncachable(Exception):
@@ -143,6 +149,7 @@ def unit_key_material(unit, git: str | None = None) -> dict:
         "seed": unit.seed,
         "git": git if git is not None else git_describe(),
         "python": platform.python_version(),
+        "numpy": numpy.__version__,
         "fn": callable_fingerprint(unit.fn),
         "args": canonical(tuple(unit.args)),
         "kwargs": canonical(dict(unit.kwargs)),

@@ -20,6 +20,13 @@ before its own compares and its next write drops.  That is exact: a
 decayed cell keeps its discharged value until it is rewritten, so a run
 of gaps decays exactly the cells the longest gap decays, and nothing
 but a settle or a write changes a row's data.
+
+A row's retention profile is drawn at its first observation.  A
+row-range write draws the profiles its rows still lack as one block
+first (:func:`~repro.dram.retention.generate_profiles`, equal to the
+per-row draws) and parks them until each row's first observation takes
+its own, so rows are materialized and observed in the same order as by
+per-row writes.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .environment import ChipEnvironment
 from .patterns import AllZeros, DataPattern
 from .refresh import RefreshEngine
 from .retention import (RetentionConfig, RowRetentionProfile,
-                        generate_profile)
+                        generate_profile, generate_profiles)
 
 _EPOCH_PATTERN = AllZeros()
 
@@ -248,6 +255,9 @@ class Bank:
         #: (:attr:`DisturbanceConfig.row_threshold_floor`), so a row
         #: disturbed less needs no hammer profile.
         self._hammer_floor = disturbance_config.row_threshold_floor
+        #: Retention profiles a row-range write drew as one block, each
+        #: waiting for its row's first :meth:`_retention`.
+        self._parked: dict[int, RowRetentionProfile] = {}
 
     # -- materialization ---------------------------------------------------
 
@@ -270,9 +280,12 @@ class Bank:
 
     def _retention(self, row: int, state: RowState) -> RowRetentionProfile:
         if state.retention_profile is None:
-            state.retention_profile = generate_profile(
-                self._seeds, self.index, row, self.retention_config,
-                self.row_bits)
+            profile = self._parked.pop(row, None)
+            if profile is None:
+                profile = generate_profile(
+                    self._seeds, self.index, row, self.retention_config,
+                    self.row_bits)
+            state.retention_profile = profile
         return state.retention_profile
 
     def _hammer(self, row: int, state: RowState) -> RowHammerProfile:
@@ -421,7 +434,20 @@ class Bank:
     def write_rows(self, rows, pattern: DataPattern, start_ps: int,
                    step_ps: int) -> None:
         """Activate and overwrite each of *rows* in order: the ACT left
-        the row recharged, so :meth:`write` only replaces its data."""
+        the row recharged, so :meth:`write` only replaces its data.
+
+        The retention profiles the range still lacks are drawn first, as
+        one block (:func:`generate_profiles`), and parked for each row's
+        first :meth:`_retention`; the loop then materializes and
+        observes the rows in order, exactly as per-row writes would."""
+        states = self.rows
+        missing = [row for row in rows
+                   if (state := states.get(row)) is None
+                   or state.retention_profile is None]
+        if missing:
+            self._parked.update(zip(missing, generate_profiles(
+                self._seeds, self.index, missing, self.retention_config,
+                self.row_bits)))
         now_ps = start_ps
         for row in rows:
             state = self._activate(row, now_ps, overwrite=True)

@@ -25,16 +25,25 @@ Model summary
   exists precisely to reject rows containing such cells.
 * Retention scales with temperature: halving per +10 C around the 85 C
   reference, the fixed test temperature used in the paper (§6).
+
+Each row's profile comes from its own PCG64 stream, keyed on (bank,
+row).  :func:`generate_profile` draws one row with numpy's ``Generator``
+and stays the reference.  :func:`generate_profiles` draws many rows at
+once and returns the same profiles: it steps every row's stream side by
+side (:class:`~repro.rng.PCG64Lanes`) and runs numpy's own algorithms
+for each draw, handing back to :func:`generate_profile` the few rows
+whose draws it does not mirror.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..rng import SeedSequenceFactory
+from ..rng import PCG64Lanes, SeedSequenceFactory
 from ..units import PS_PER_MS
 
 
@@ -54,6 +63,12 @@ class RetentionConfig:
     reference_temperature_c: float = 85.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple)
+                           else (value,))):
+                raise ConfigError(f"{field.name} must be finite, "
+                                  f"got {value!r}")
         if self.weak_cells_per_row_mean < 0:
             raise ConfigError("weak_cells_per_row_mean must be >= 0")
         if not 0 < self.min_retention_ms < self.max_retention_ms:
@@ -204,3 +219,151 @@ def generate_profile(seeds: SeedSequenceFactory, bank: int, row: int,
     polarity = rng.integers(0, 2, size=count, dtype=np.uint8)
     is_vrt = rng.random(count) < config.vrt_fraction
     return RowRetentionProfile(positions, base, alt, polarity, is_vrt)
+
+
+def _assembled(positions, base, alt, polarity, is_vrt, vrt_state, has_vrt,
+               cell_floor_ps, floor_ps) -> RowRetentionProfile:
+    """A profile whose derived fields the caller already computed."""
+    profile = RowRetentionProfile.__new__(RowRetentionProfile)
+    profile.positions = positions
+    profile.base_retention_ps = base
+    profile.alt_retention_ps = alt
+    profile.polarity = polarity
+    profile.is_vrt = is_vrt
+    profile.vrt_state = vrt_state
+    profile.has_vrt = has_vrt
+    profile.cell_floor_ps = cell_floor_ps
+    profile.floor_ps = floor_ps
+    return profile
+
+
+def _poisson(lanes: PCG64Lanes, lam: float) -> np.ndarray:
+    """``Generator.poisson(lam)`` in every lane, for ``0 < lam < 10``:
+    numpy's multiplication method (``random_poisson_mult``)."""
+    enlam = math.exp(-lam)
+    counts = np.zeros(len(lanes), dtype=np.int64)
+    product = np.ones(len(lanes))
+    active = np.arange(len(lanes))
+    while active.size:
+        product[active] *= lanes.next_double(active)
+        active = active[product[active] > enlam]
+        counts[active] += 1
+    return counts
+
+
+def generate_profiles(seeds: SeedSequenceFactory, bank: int, rows,
+                      config: RetentionConfig,
+                      row_bits: int) -> list[RowRetentionProfile]:
+    """``[generate_profile(seeds, bank, row, config, row_bits) for row
+    in rows]``, drawn as one block.
+
+    Every row keeps its own PCG64 stream (:class:`PCG64Lanes`), and the
+    block runs numpy's own ``Generator`` algorithms on those streams, so
+    each profile equals the per-row one field for field.  A row whose
+    draws the block does not mirror is drawn by :func:`generate_profile`
+    itself: every row when the mean is 0 or at least 10 (numpy's
+    Poisson switches algorithm there) or *row_bits* needs bounded draws
+    past 32 bits, and a row whose cell count reaches *row_bits*, takes
+    numpy's tail-shuffle branch of ``choice`` (*row_bits* above 10,000
+    and more than ``row_bits // 50`` cells) or has a bounded draw in its
+    rejection zone.  Each profile's cells are disjoint views into the
+    block's arrays; rows without weak cells share one set of empty
+    arrays.
+    """
+    rows = list(rows)
+    lam = config.weak_cells_per_row_mean
+    if not rows or not 0 < lam < 10 or row_bits >= 1 << 32:
+        return [generate_profile(seeds, bank, row, config, row_bits)
+                for row in rows]
+    lanes = PCG64Lanes(seeds.seeds("retention", bank, rows=rows))
+    counts = _poisson(lanes, lam)
+    void = counts >= row_bits
+    if row_bits > 10000:
+        void |= counts > row_bits // 50
+    weak = np.flatnonzero((counts > 0) & ~void)
+    n = counts[weak]
+    width = int(n.max(initial=0))
+    active = [np.flatnonzero(n > k) for k in range(width)]
+
+    # choice(row_bits, n, replace=False): Floyd's algorithm, then a
+    # Fisher-Yates pass over the sample, both with bounded draws.
+    positions = np.zeros((weak.size, width), dtype=np.int64)
+    for k, at in enumerate(active):
+        top = row_bits - n[at] + k
+        drawn, rejected = lanes.bounded_uint32(weak[at], top)
+        drawn = drawn.astype(np.int64)
+        taken = (positions[at, :k] == drawn[:, None]).any(axis=1)
+        positions[at, k] = np.where(taken, top, drawn)
+        void[weak[at[rejected]]] = True
+    for k, at in enumerate(active[1:], start=1):
+        last = n[at] - k
+        other, rejected = lanes.bounded_uint32(weak[at], last)
+        other = other.astype(np.int64)
+        swapped = positions[at, other]
+        positions[at, other] = positions[at, last]
+        positions[at, last] = swapped
+        void[weak[at[rejected]]] = True
+
+    def doubles() -> np.ndarray:
+        out = np.zeros((weak.size, width))
+        for k, at in enumerate(active):
+            out[at, k] = lanes.next_double(weak[at])
+        return out
+
+    retention_u = doubles()
+    ratio_u = doubles()
+    # integers(0, 2, uint8): the top bit of each byte of buffered
+    # 32-bit draws, low byte first.
+    polarity = np.zeros((weak.size, width), dtype=np.uint8)
+    word = np.zeros(weak.size, dtype=np.uint64)
+    for k, at in enumerate(active):
+        if k % 4 == 0:
+            word[at] = lanes.next32(weak[at])
+        polarity[at, k] = (word[at] >> np.uint64(8 * (k % 4) + 7)) & 1
+    vrt_u = doubles()
+
+    # Row-major flattening concatenates the rows' cells; the per-row
+    # arithmetic below is generate_profile's, element for element.
+    cells = np.arange(width) < n[:, None]
+    positions = positions[cells]
+    log_min = np.log(config.min_retention_ms)
+    log_max = np.log(config.max_retention_ms)
+    retention_ms = np.exp(log_min + (log_max - log_min) * retention_u[cells])
+    retention_ms *= config.temperature_factor()
+    base = np.rint(retention_ms * PS_PER_MS).astype(np.int64)
+    ratio_low, ratio_high = config.vrt_ratio_range
+    alt = (base * (ratio_low + (ratio_high - ratio_low) * ratio_u[cells])
+           ).astype(np.int64)
+    polarity = polarity[cells]
+    is_vrt = vrt_u[cells] < config.vrt_fraction
+    vrt_state = np.zeros(is_vrt.size, dtype=bool)
+    cell_floor = np.where(is_vrt, np.minimum(base, alt), base)
+    ends = np.cumsum(n)
+    starts = ends - n
+    has_vrt = np.logical_or.reduceat(is_vrt, starts).tolist()
+    floors = np.minimum.reduceat(cell_floor, starts).tolist()
+    cuts = [slice(start, end)
+            for start, end in zip(starts.tolist(), ends.tolist())]
+
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
+             np.empty(0, dtype=bool), np.empty(0, dtype=bool))
+    weak_index = np.full(len(rows), -1)
+    weak_index[weak] = np.arange(weak.size)
+    profiles = []
+    for row, index, voided in zip(rows, weak_index.tolist(), void.tolist()):
+        if voided:
+            profiles.append(generate_profile(seeds, bank, row, config,
+                                             row_bits))
+        elif index < 0:
+            profiles.append(_assembled(*empty, False, empty[1],
+                                       float("inf")))
+        else:
+            cut = cuts[index]
+            row_base = base[cut]
+            vrt = has_vrt[index]
+            profiles.append(_assembled(
+                positions[cut], row_base, alt[cut], polarity[cut],
+                is_vrt[cut], vrt_state[cut], vrt,
+                cell_floor[cut] if vrt else row_base, floors[index]))
+    return profiles

@@ -136,11 +136,20 @@ def test_unit_key_invalidates_on_code_revision():
     assert unit_key(_unit(), git="g0") != unit_key(_unit(), git="g1")
 
 
+def test_unit_key_invalidates_on_numpy_version(monkeypatch):
+    # Device draws run numpy's Generator algorithms, which a numpy
+    # release may change.
+    before = unit_key(_unit(), git="g0")
+    monkeypatch.setattr(np, "__version__", "0.0.1")
+    assert unit_key(_unit(), git="g0") != before
+
+
 def test_material_names_every_key_ingredient():
     material = unit_key_material(_unit(), git="g0")
     assert set(material) == {"schema", "unit", "seed", "git", "python",
-                             "fn", "args", "kwargs", "meta"}
-    assert material["schema"] == 3
+                             "numpy", "fn", "args", "kwargs", "meta"}
+    assert material["schema"] == 4
+    assert material["numpy"] == np.__version__
     assert material["unit"] == "eval/A5"
     assert material["git"] == "g0"
     assert material_digest(material) == unit_key(_unit(), git="g0")

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.retention import RetentionConfig, generate_profile
+from repro.dram import retention
+from repro.dram.retention import (RetentionConfig, RowRetentionProfile,
+                                  generate_profile, generate_profiles)
 from repro.errors import ConfigError
 from repro.rng import SeedSequenceFactory
 from repro.units import ms
@@ -126,6 +128,18 @@ def test_config_validation():
         RetentionConfig(vrt_fraction=1.5)
     with pytest.raises(ConfigError):
         RetentionConfig(vrt_ratio_range=(0.0, 0.5))
+    # Non-finite values: a non-finite temperature gives every weak cell
+    # a retention of -2**63 ps, and the others fail inside numpy at a
+    # row's first observation.
+    for field, value in [("temperature_c", float("nan")),
+                         ("temperature_c", float("-inf")),
+                         ("reference_temperature_c", float("inf")),
+                         ("weak_cells_per_row_mean", float("nan")),
+                         ("weak_cells_per_row_mean", float("inf")),
+                         ("max_retention_ms", float("inf")),
+                         ("vrt_ratio_range", (0.25, float("inf")))]:
+        with pytest.raises(ConfigError, match=field):
+            RetentionConfig(**{field: value})
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,3 +165,111 @@ def test_retention_times_round_like_units_ms(low_ms, decades, temperature,
         retention_ms *= config.temperature_factor()
         assert profile.base_retention_ps.tolist() == [
             ms(value) for value in retention_ms]
+
+
+# -- the block draw -----------------------------------------------------------
+
+def assert_same_profiles(got: list, want: list) -> None:
+    """Every slot equal in value and type (dtype for arrays)."""
+    assert len(got) == len(want)
+    for block, reference in zip(got, want):
+        for name in RowRetentionProfile.__slots__:
+            ours, theirs = getattr(block, name), getattr(reference, name)
+            assert type(ours) is type(theirs), name
+            if isinstance(theirs, np.ndarray):
+                assert ours.dtype == theirs.dtype, name
+                assert ours.tolist() == theirs.tolist(), name
+            else:
+                assert ours == theirs, name
+
+
+def per_row(seeds, bank, rows, config, row_bits) -> list:
+    return [generate_profile(seeds, bank, row, config, row_bits)
+            for row in rows]
+
+
+row_lists = st.one_of(
+    st.lists(st.integers(0, 2**20), max_size=40),
+    st.builds(lambda start, length: list(range(start, start + length)),
+              st.integers(0, 2**16), st.integers(0, 60)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mean=st.floats(0.0, 12.0, exclude_min=True),
+       vrt_fraction=st.floats(0.0, 1.0),
+       temperature=st.floats(20.0, 130.0),
+       reference=st.floats(45.0, 95.0),
+       low_ms=st.floats(0.5, 200.0), decades=st.floats(0.1, 4.0),
+       ratio_low=st.floats(0.05, 1.0), ratio_span=st.floats(0.0, 1.0),
+       root=st.integers(0, 3), bank=st.integers(0, 15),
+       row_bits=st.integers(64, 65_536), rows=row_lists)
+def test_block_draw_matches_per_row_draw(mean, vrt_fraction, temperature,
+                                         reference, low_ms, decades,
+                                         ratio_low, ratio_span, root, bank,
+                                         row_bits, rows):
+    # The mean straddles numpy's Poisson switch at 10, and row_bits its
+    # 10,000-bit threshold for choice's tail shuffle.
+    config = RetentionConfig(
+        weak_cells_per_row_mean=mean, vrt_fraction=vrt_fraction,
+        temperature_c=temperature, reference_temperature_c=reference,
+        min_retention_ms=low_ms, max_retention_ms=low_ms * 10**decades,
+        vrt_ratio_range=(ratio_low, ratio_low + ratio_span))
+    seeds = SeedSequenceFactory("block", root)
+    block = generate_profiles(seeds, bank, rows, config, row_bits)
+    reference_profiles = per_row(seeds, bank, rows, config, row_bits)
+    assert_same_profiles(block, reference_profiles)
+    # Each profile owns its cells: toggling every VRT cell of every row
+    # touches only that row.
+    for ours, theirs in zip(block, reference_profiles):
+        ours.toggle_vrt(np.random.default_rng(0), 1.0)
+        theirs.toggle_vrt(np.random.default_rng(0), 1.0)
+    assert_same_profiles(block, reference_profiles)
+
+
+def counting_fallbacks(monkeypatch) -> list:
+    """Record the rows :func:`generate_profiles` hands to
+    :func:`generate_profile`."""
+    fallbacks = []
+
+    def counted(seeds, bank, row, config, row_bits):
+        fallbacks.append(row)
+        return generate_profile(seeds, bank, row, config, row_bits)
+    monkeypatch.setattr(retention, "generate_profile", counted)
+    return fallbacks
+
+
+@pytest.mark.parametrize("mean, row_bits, rows, expected", [
+    # No Poisson draw at all, and numpy's other Poisson algorithm.
+    (0.0, 4096, [3, 1, 2], [3, 1, 2]),
+    (10.0, 4096, [3, 1, 2], [3, 1, 2]),
+    # Rows 2579 and 4406 each draw a Floyd position in Lemire's
+    # rejection zone, which numpy draws again.
+    (9.5, 46_409, [2578, 2579, 4406, 4407], [2579, 4406]),
+])
+def test_block_hands_unmirrored_rows_to_generate_profile(
+        monkeypatch, mean, row_bits, rows, expected):
+    config = RetentionConfig(weak_cells_per_row_mean=mean)
+    fallbacks = counting_fallbacks(monkeypatch)
+    block = generate_profiles(SEEDS, 0, rows, config, row_bits)
+    assert fallbacks == expected
+    assert_same_profiles(block, per_row(SEEDS, 0, rows, config, row_bits))
+
+
+@pytest.mark.parametrize("row_bits, counts, expected", [
+    # A count that reaches row_bits.
+    (64, [64, 3, 80], [0, 2]),
+    # choice's tail shuffle: more than row_bits // 50 cells of a row
+    # of over 10,000 bits.
+    (10_050, [201, 202, 0], [1]),
+])
+def test_block_hands_unmirrored_counts_to_generate_profile(
+        monkeypatch, row_bits, counts, expected):
+    # No mean below 10 draws such counts in practice, so the Poisson
+    # draw is replaced; the rows' own draws then disagree with it, and
+    # only the routing is checked.
+    monkeypatch.setattr(retention, "_poisson",
+                        lambda lanes, lam: np.array(counts))
+    fallbacks = counting_fallbacks(monkeypatch)
+    rows = list(range(100, 100 + len(counts)))
+    generate_profiles(SEEDS, 0, rows, RetentionConfig(), row_bits)
+    assert fallbacks == [rows[i] for i in expected]

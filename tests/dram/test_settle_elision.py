@@ -13,7 +13,11 @@ it was before the bounds, kept verbatim below as the oracle), settle a
 row before overwriting it, and settle every row of a REF slot.  The
 oracle needs no floor to force: it has none, and it defers nothing.
 The environment may switch between neutral and scaled mid-sequence, so
-a gap deferred while neutral can be committed while scaled.  Chip state
+a gap deferred while neutral can be committed while scaled.  Most rows
+come from one refresh slot, and an ``age`` operation waits and then
+runs a full refresh cycle, so deferred gaps are dropped by writes,
+outlived by shorter gaps and committed by reads inside the sequences;
+three explicit examples pin one of each.  Chip state
 (each row's pending gap committed first), read bits, every environment
 query and the banks' shared VRT streams must agree exactly.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RowScout
@@ -45,6 +49,7 @@ from ..program.conftest import chip_state
 
 ROWS = 128
 ROW_BITS = 128
+CYCLE_REFS = 32
 PATTERNS = (AllOnes(), AllZeros(), Checkerboard(0), Checkerboard(1))
 
 
@@ -57,7 +62,7 @@ def config(vrt: bool) -> DeviceConfig:
         vrt_toggle_probability=0.3)
     return DeviceConfig(
         name="elision-test", serial=3, num_banks=2, rows_per_bank=ROWS,
-        row_bits=ROW_BITS, refresh_cycle_refs=32, retention=retention,
+        row_bits=ROW_BITS, refresh_cycle_refs=CYCLE_REFS, retention=retention,
         disturbance=DisturbanceConfig(hc_first=150))
 
 
@@ -143,7 +148,12 @@ def make_host(vrt: bool, scaled: bool,
     return host, queries
 
 
-rows = st.integers(0, 47)
+#: Three rows in four come from refresh slot 0 (rows 0-3), so a write,
+#: a REF over the row's slot after a long wait and a later write or
+#: read of the same row often line up: a deferred gap gets dropped,
+#: replaced by a shorter one, or committed inside the sequence.
+slot_rows = st.integers(0, 3)
+rows = st.one_of(slot_rows, slot_rows, slot_rows, st.integers(0, 47))
 banks = st.integers(0, 1)
 counts = st.integers(1, 300)
 operation = st.one_of(
@@ -155,6 +165,8 @@ operation = st.one_of(
     st.tuples(st.just("multi"), rows, counts, rows, counts),
     st.tuples(st.just("refresh"), st.integers(1, 40), st.booleans()),
     st.tuples(st.just("wait"), st.integers(1, 300)),
+    # A retention test's wait, then one full refresh cycle.
+    st.tuples(st.just("age"), st.integers(1, 300)),
     st.tuples(st.just("environment"), st.booleans()),
 )
 
@@ -180,6 +192,9 @@ def run(host: SoftMCHost, queries: list, operations) -> list:
             host.refresh(op[1], at_nominal_rate=op[2])
         elif kind == "environment":
             set_environment(host, queries, op[1])
+        elif kind == "age":
+            host.wait(ms(op[1]))
+            host.refresh(CYCLE_REFS)
         else:
             host.wait(ms(op[1]))
     return outputs
@@ -192,8 +207,16 @@ def vrt_states(host: SoftMCHost) -> list:
             if state.retention_profile is not None]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(operation, max_size=40), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+@given(st.lists(operation, min_size=10, max_size=40), st.booleans(),
+       st.booleans())
+# A deferred gap a write must drop, one a shorter gap must not replace,
+# and one a read must commit.
+@example([("write", 0, 1, 0), ("age", 300), ("write", 0, 1, 1)],
+         False, False)
+@example([("write", 0, 1, 0), ("age", 300), ("age", 20), ("read", 0, 1)],
+         False, False)
+@example([("write", 0, 2, 0), ("age", 300), ("read", 0, 2)], False, False)
 def test_elided_settle_matches_full_settle(operations, vrt, scaled):
     elided, elided_queries = make_host(vrt, scaled, elide=True)
     full, full_queries = make_host(vrt, scaled, elide=False)
